@@ -4,6 +4,7 @@ weight-mapping schemes and grid-search design-space exploration."""
 __version__ = "0.1.0"
 
 from .qnet import (
+    ConvGeometry,
     Dataset,
     Layer,
     LayerSpec,
@@ -24,7 +25,6 @@ from .qnet import (
 )
 from .mapping import (
     SCHEMES,
-    ConvGeometry,
     CostReport,
     MappingPlan,
     cost,

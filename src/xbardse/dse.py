@@ -125,8 +125,9 @@ def _device_model(base: xbar.DeviceModel, cfg: dict) -> xbar.DeviceModel:
 
 def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
                     seed: int, base_model: xbar.DeviceModel) -> ConfigResult:
-    """Evaluate one design point: simulated accuracy plus the simulated
-    scheme's cost report from the cross-scheme derivation."""
+    """Evaluate one design point: simulated accuracy plus the constructive
+    cost report of the simulated scheme only, so a point never fails on
+    another scheme's infeasibility."""
     try:
         net = networks[cfg["network"]]
         hw = xbar.HardwareConfig(
@@ -135,8 +136,7 @@ def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
                              batch_size=cfg["batch_size"]),
             device=_device_model(base_model, cfg))
         tsa = xbar.evaluate_accuracy(net, cfg["scheme"], hw, data, seed)
-        costs = mapping.derive_costs_cross_scheme(cfg["scheme"], net, cfg["tile_size"])
-        report = costs[cfg["scheme"]]
+        report, _ = mapping.cost_network(net, cfg["scheme"], cfg["tile_size"])
         raw = weighted_score(tsa, report.rd, report.rwo)
         return ConfigResult(config=dict(cfg), order_index=order_index, tsa=tsa,
                             rd=report.rd, rwo=report.rwo, tiles=report.tiles,

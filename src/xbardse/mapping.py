@@ -33,7 +33,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, issparse
 
 from . import qnet
-from .qnet import LayerSpec, QuantizedNetwork, WeightTensor, out_extent
+from .qnet import ConvGeometry, LayerSpec, QuantizedNetwork, WeightTensor
 
 SCHEMES = ("sparse_staggered", "dense_routed", "dense_kernel")
 
@@ -45,85 +45,6 @@ class MappingError(ValueError):
 def pair_capacity(tile_size: int) -> int:
     """Logical columns (differential pairs) that fit in one tile."""
     return tile_size // 2
-
-
-# ---------------------------------------------------------------------------
-# geometry
-
-
-@dataclass(frozen=True)
-class ConvGeometry:
-    """Convolution geometry in crossbar terms (kernel count K, kernel extents
-    H x W, input extents X x Y, stride S, padding P, dilation D, channels)."""
-
-    kernels: int
-    kernel_h: int
-    kernel_w: int
-    in_x: int
-    in_y: int
-    stride: int
-    padding: int
-    dilation: int
-    channels: int
-    one_d: bool = False
-
-    @classmethod
-    def from_spec(cls, spec: LayerSpec) -> "ConvGeometry":
-        if spec.kind == "linear":
-            raise ValueError("linear layers have no convolution geometry")
-        return cls(kernels=spec.kernels, kernel_h=spec.kernel_h,
-                   kernel_w=spec.kernel_w, in_x=spec.in_x,
-                   in_y=spec.in_y if spec.kind == "conv2d" else 1,
-                   stride=spec.stride, padding=spec.padding,
-                   dilation=spec.dilation, channels=spec.in_channels,
-                   one_d=spec.kind == "conv1d")
-
-    @property
-    def padded_x(self) -> int:
-        return self.in_x + 2 * self.padding
-
-    @property
-    def padded_y(self) -> int:
-        return self.in_y + (0 if self.one_d else 2 * self.padding)
-
-    @property
-    def out_x(self) -> int:
-        return out_extent(self.in_x, self.kernel_h, self.stride, self.padding, self.dilation)
-
-    @property
-    def out_y(self) -> int:
-        if self.one_d:
-            return 1
-        return out_extent(self.in_y, self.kernel_w, self.stride, self.padding, self.dilation)
-
-    @property
-    def out_positions(self) -> int:
-        return self.out_x * self.out_y
-
-    @property
-    def footprint(self) -> int:
-        """Devices per kernel column: channels x kernel_h x kernel_w."""
-        return self.channels * self.kernel_h * self.kernel_w
-
-    @property
-    def padded_inputs(self) -> int:
-        return self.channels * self.padded_x * self.padded_y
-
-    def read_indices(self) -> np.ndarray:
-        """(out_positions, footprint) gather indices into the flattened
-        padded input, ordered (c, kh, kw) to match flattened kernels."""
-        s, d = self.stride, self.dilation
-        pos_x = (np.arange(self.out_x) * s)[:, None] + (np.arange(self.kernel_h) * d)[None, :]
-        if self.one_d:
-            chan = np.arange(self.channels) * self.padded_x
-            idx = chan[None, :, None] + pos_x[:, None, :]        # (ox, C, H)
-            return idx.reshape(self.out_positions, self.footprint)
-        pos_y = (np.arange(self.out_y) * s)[:, None] + (np.arange(self.kernel_w) * d)[None, :]
-        chan = np.arange(self.channels) * self.padded_x * self.padded_y
-        idx = (chan[None, None, :, None, None]
-               + pos_x[:, None, None, :, None] * self.padded_y
-               + pos_y[None, :, None, None, :])                  # (ox, oy, C, H, W)
-        return idx.reshape(self.out_positions, self.footprint)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,85 @@ def propagate_shapes(specs: list[LayerSpec],
 
 
 # ---------------------------------------------------------------------------
+# convolution geometry
+
+
+@dataclass(frozen=True)
+class ConvGeometry:
+    """Convolution geometry in crossbar terms (kernel count K, kernel extents
+    H x W, input extents X x Y, stride S, padding P, dilation D, channels)."""
+
+    kernels: int
+    kernel_h: int
+    kernel_w: int
+    in_x: int
+    in_y: int
+    stride: int
+    padding: int
+    dilation: int
+    channels: int
+    one_d: bool = False
+
+    @classmethod
+    def from_spec(cls, spec: LayerSpec) -> "ConvGeometry":
+        if spec.kind == "linear":
+            raise ValueError("linear layers have no convolution geometry")
+        return cls(kernels=spec.kernels, kernel_h=spec.kernel_h,
+                   kernel_w=spec.kernel_w, in_x=spec.in_x,
+                   in_y=spec.in_y if spec.kind == "conv2d" else 1,
+                   stride=spec.stride, padding=spec.padding,
+                   dilation=spec.dilation, channels=spec.in_channels,
+                   one_d=spec.kind == "conv1d")
+
+    @property
+    def padded_x(self) -> int:
+        return self.in_x + 2 * self.padding
+
+    @property
+    def padded_y(self) -> int:
+        return self.in_y + (0 if self.one_d else 2 * self.padding)
+
+    @property
+    def out_x(self) -> int:
+        return out_extent(self.in_x, self.kernel_h, self.stride, self.padding, self.dilation)
+
+    @property
+    def out_y(self) -> int:
+        if self.one_d:
+            return 1
+        return out_extent(self.in_y, self.kernel_w, self.stride, self.padding, self.dilation)
+
+    @property
+    def out_positions(self) -> int:
+        return self.out_x * self.out_y
+
+    @property
+    def footprint(self) -> int:
+        """Devices per kernel column: channels x kernel_h x kernel_w."""
+        return self.channels * self.kernel_h * self.kernel_w
+
+    @property
+    def padded_inputs(self) -> int:
+        return self.channels * self.padded_x * self.padded_y
+
+    def read_indices(self) -> np.ndarray:
+        """(out_positions, footprint) gather indices into the flattened
+        padded input, ordered (c, kh, kw) to match flattened kernels."""
+        s, d = self.stride, self.dilation
+        pos_x = (np.arange(self.out_x) * s)[:, None] + (np.arange(self.kernel_h) * d)[None, :]
+        if self.one_d:
+            chan = np.arange(self.channels) * self.padded_x
+            idx = chan[None, :, None] + pos_x[:, None, :]        # (ox, C, H)
+            return idx.reshape(self.out_positions, self.footprint)
+        pos_y = (np.arange(self.out_y) * s)[:, None] + (np.arange(self.kernel_w) * d)[None, :]
+        chan = np.arange(self.channels) * self.padded_x * self.padded_y
+        idx = (chan[None, None, :, None, None]
+               + pos_x[:, None, None, :, None] * self.padded_y
+               + pos_y[None, :, None, None, :])                  # (ox, oy, C, H, W)
+        return idx.reshape(self.out_positions, self.footprint)
+
+
+# ---------------------------------------------------------------------------
 # quantization
 
 
@@ -357,33 +436,6 @@ def generate_synthetic_dataset(seed: int, n: int, classes: int,
     return Dataset(feats.reshape(n, *shape), labels.astype(np.int64), classes)
 
 
-def _patch_indices(spec: LayerSpec) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """Gather indices into the flattened padded input, one row per output
-    position, one column per kernel tap; returns (idx, out_spatial, pad_flat)."""
-    p, s, d = spec.padding, spec.stride, spec.dilation
-    c = spec.in_channels
-    if spec.kind == "conv1d":
-        px = spec.in_x + 2 * p
-        ox = out_extent(spec.in_x, spec.kernel_h, s, p, d)
-        pos = np.arange(ox) * s                      # (P,)
-        taps = np.arange(spec.kernel_h) * d          # (H,)
-        chan = np.arange(c) * px                     # (C,)
-        idx = chan[None, :, None] + pos[:, None, None] + taps[None, None, :]
-        return idx.reshape(ox, c * spec.kernel_h), (ox,), c * px
-    px, py = spec.in_x + 2 * p, spec.in_y + 2 * p
-    ox = out_extent(spec.in_x, spec.kernel_h, s, p, d)
-    oy = out_extent(spec.in_y, spec.kernel_w, s, p, d)
-    pos_x = (np.arange(ox) * s)[:, None] + (np.arange(spec.kernel_h) * d)[None, :]  # (ox,H)
-    pos_y = (np.arange(oy) * s)[:, None] + (np.arange(spec.kernel_w) * d)[None, :]  # (oy,W)
-    # flat padded index for (c, ax, ay) = (c*px + ax)*py + ay
-    chan = (np.arange(c) * px * py)
-    idx = (chan[None, None, :, None, None]
-           + (pos_x[:, None, None, :, None] * py)
-           + pos_y[None, :, None, None, :])          # (ox, oy, C, H, W)
-    f = c * spec.kernel_h * spec.kernel_w
-    return idx.reshape(ox * oy, f), (ox, oy), c * px * py
-
-
 def _pad_flat(spec: LayerSpec, x: np.ndarray) -> np.ndarray:
     p = spec.padding
     if spec.kind == "conv1d":
@@ -403,8 +455,9 @@ def _forward_cache(specs, weights, x):
             z = xf @ w.T
             cache.append(("linear", xf, x.shape, z))
         else:
-            idx, out_spatial, _ = _patch_indices(spec)
-            patches = _pad_flat(spec, x)[:, idx]          # (n, P, F)
+            geom = ConvGeometry.from_spec(spec)
+            out_spatial = (geom.out_x,) if geom.one_d else (geom.out_x, geom.out_y)
+            patches = _pad_flat(spec, x)[:, geom.read_indices()]  # (n, P, F)
             wf = w.reshape(w.shape[0], -1)                # (K, F)
             zp = patches @ wf.T                           # (n, P, K)
             z = np.moveaxis(zp, -1, 1).reshape(x.shape[0], spec.kernels, *out_spatial)
@@ -431,9 +484,9 @@ def _backward(specs, weights, cache, dlogits):
             wf = weights[i].reshape(spec.kernels, -1)
             grads[i] = np.einsum("npk,npf->kf", dzp, saved).reshape(weights[i].shape)
             dpatch = dzp @ wf                                          # (n, P, F)
-            idx, _, pad_flat = _patch_indices(spec)
-            dxp = np.zeros((n, pad_flat))
-            np.add.at(dxp, (slice(None), idx), dpatch)
+            geom = ConvGeometry.from_spec(spec)
+            dxp = np.zeros((n, geom.padded_inputs))
+            np.add.at(dxp, (slice(None), geom.read_indices()), dpatch)
             p = spec.padding
             if spec.kind == "conv1d":
                 dxp = dxp.reshape(n, spec.in_channels, spec.in_x + 2 * p)

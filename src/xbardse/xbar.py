@@ -1,5 +1,13 @@
 """Analog crossbar execution: device sampling, differential programming,
-voltage encoding, tile current summation, and calibrated readout.
+voltage encoding, layer current summation, and calibrated readout.
+
+Every scheme places logical cell (m, n) of a layer on one differential
+device pair, and tile partial sums add before readout. So ``program`` also
+gathers the programmed pairs into the layer conductance matrix G of shape
+(rows, 2 * cols), cell (m, n) at columns 2n and 2n + 1, and
+``simulate_forward`` reads each layer with one ``tile_vmm`` against G. Full
+layouts place a pair on every cell, so stuck devices on zero weights
+contribute; routed layouts place none there, and those entries of G stay 0.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, configuration hash, layer, tile), with devices drawn in a fixed
@@ -17,18 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mapping, qnet
-from .mapping import MappingPlan, pair_capacity
-from .qnet import QuantizedNetwork, WeightTensor, ideal_forward
+from .mapping import MappingPlan
+from .qnet import QuantizedNetwork, WeightTensor, _round_half_away, ideal_forward
 
 # DAC/ADC resolutions at or beyond this are treated as ideal (no conversion
 # quantization): the modeled analog chain has no meaningful precision left.
 IDEAL_IO_BITS = 16
 
 FREE, STUCK_ON, STUCK_OFF = 0, 1, 2
-
-
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -131,13 +135,10 @@ def _truncated_normal(gen: np.random.Generator, mean: float, std: float,
 class TileArray:
     """Sampled device population of one physical tile."""
 
-    tile_row: int
-    tile_col: int
     g: np.ndarray
     r_on: np.ndarray
     r_off: np.ndarray
     stuck: np.ndarray
-    key: tuple
 
     def validate(self) -> None:
         g_on = 1.0 / self.r_on
@@ -175,20 +176,17 @@ def sample_devices(seed: int, plan: MappingPlan, model: DeviceModel,
     tiles: dict[tuple[int, int], TileArray] = {}
     if key_mode == "physical":
         for tp in plan.tiles:
-            key = (seed, cfg_hash, layer_index, tp.tile_row, tp.tile_col)
-            gen = _stream(*key)
+            gen = _stream(seed, cfg_hash, layer_index, tp.tile_row, tp.tile_col)
             r_on = _truncated_normal(gen, model.r_on_mean, model.r_on_std, (t, t))
             r_off = _truncated_normal(gen, model.r_off_mean, model.r_off_std, (t, t))
             stuck = _stuck_from_uniform(gen.random((t, t)), model)
             g = 1.0 / r_off.copy()
             _apply_stuck(g, r_on, r_off, stuck)
-            tiles[(tp.tile_row, tp.tile_col)] = TileArray(
-                tp.tile_row, tp.tile_col, g, r_on, r_off, stuck, key)
+            tiles[(tp.tile_row, tp.tile_col)] = TileArray(g, r_on, r_off, stuck)
         return tiles
     if key_mode != "logical":
         raise ValueError("key_mode must be 'physical' or 'logical'")
-    key = (seed, "logical", layer_index, plan.rows, plan.cols)
-    gen = _stream(*key)
+    gen = _stream(seed, "logical", layer_index, plan.rows, plan.cols)
     r_on_l = _truncated_normal(gen, model.r_on_mean, model.r_on_std, (plan.rows, plan.cols))
     r_off_l = _truncated_normal(gen, model.r_off_mean, model.r_off_std, (plan.rows, plan.cols))
     stuck_l = _stuck_from_uniform(gen.random((plan.rows, plan.cols)), model)
@@ -203,20 +201,21 @@ def sample_devices(seed: int, plan: MappingPlan, model: DeviceModel,
             stuck[tp.rows, cols] = stuck_l[tp.logical_rows, tp.logical_cols]
         g = 1.0 / r_off.copy()
         _apply_stuck(g, r_on, r_off, stuck)
-        tiles[(tp.tile_row, tp.tile_col)] = TileArray(
-            tp.tile_row, tp.tile_col, g, r_on, r_off, stuck,
-            key + (tp.tile_row, tp.tile_col))
+        tiles[(tp.tile_row, tp.tile_col)] = TileArray(g, r_on, r_off, stuck)
     return tiles
 
 
 def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
-            model: DeviceModel) -> dict:
-    """Write the plan's weights into the sampled tiles.
+            model: DeviceModel) -> np.ndarray:
+    """Write the plan's weights into the sampled tiles, in place, and return
+    the layer's conductance matrix G of shape (plan.rows, 2 * plan.cols).
 
     A weight w with layer peak w_max targets, on its own device,
     g = g_off + (|w| / w_max)(g_on - g_off) on the polarity matching its
     sign and g_off on the other; targets snap to the device's n_states
-    uniform grid. Stuck devices ignore programming.
+    uniform grid. Stuck devices ignore programming. G holds each mapped
+    cell's device pair as programmed (stuck devices at their stuck value)
+    at columns 2n and 2n + 1; cells without devices stay 0.
     """
     if plan.geometry is None:
         if plan.rows != weights.codes.shape[1] or plan.cols != weights.codes.shape[0]:
@@ -226,6 +225,7 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
         if weights.codes.size != geom.kernels * geom.footprint:
             raise ValueError("weight tensor does not match plan geometry")
     w_max = int(np.abs(weights.codes).max(initial=0))
+    g_layer = np.zeros((plan.rows, 2 * plan.cols))
     for tp in plan.tiles:
         ta = tiles.get((tp.tile_row, tp.tile_col))
         if ta is None:
@@ -242,7 +242,8 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
             target = g_off + frac * (g_on - g_off)
             free = ta.stuck[tp.rows, cols] == FREE
             ta.g[tp.rows[free], cols[free]] = target[free]
-    return tiles
+            g_layer[tp.logical_rows, 2 * tp.logical_cols + offset] = ta.g[tp.rows, cols]
+    return g_layer
 
 
 def encode_inputs(batch: np.ndarray, io: IOConfig) -> tuple[np.ndarray, float]:
@@ -270,7 +271,7 @@ def encode_inputs(batch: np.ndarray, io: IOConfig) -> tuple[np.ndarray, float]:
 
 
 def tile_vmm(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Bit-line currents of one tile read: I[n] = sum_m V[m] * G[m, n]."""
+    """Bit-line currents of one crossbar read: I[n] = sum_m V[m] * G[m, n]."""
     v = np.asarray(v, dtype=float)
     g = np.asarray(g, dtype=float)
     if v.shape[-1] != g.shape[0]:
@@ -303,45 +304,14 @@ def readout(i_pos: np.ndarray, i_neg: np.ndarray, cal: ReadoutCalibration,
     return y
 
 
-def _plan_currents(plan: MappingPlan, tiles: dict,
-                   v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate differential bit-line currents over all tiles of a plan.
-
-    v: (batch, logical_rows) voltages. Partial sums of tiles sharing logical
-    columns are accumulated before readout. Routed plans gather per-entry
-    voltages (reconfigured interconnects); full layouts read whole blocks so
-    stuck devices on zero cells still contribute.
-    """
-    nb = v.shape[0]
-    cap = pair_capacity(plan.tile_size)
-    i_pos = np.zeros((nb, plan.cols))
-    i_neg = np.zeros((nb, plan.cols))
-    routed = plan.row_permutations is not None
-    for tp in plan.tiles:
-        ta = tiles[(tp.tile_row, tp.tile_col)]
-        if routed:
-            vg = v[:, tp.logical_rows]
-            cols = tp.tile_col * cap + tp.pair_slots
-            np.add.at(i_pos, (slice(None), cols), vg * ta.g[tp.rows, 2 * tp.pair_slots])
-            np.add.at(i_neg, (slice(None), cols), vg * ta.g[tp.rows, 2 * tp.pair_slots + 1])
-        else:
-            r0 = tp.tile_row * plan.tile_size
-            c0 = tp.tile_col * cap
-            nrows = int(tp.rows.max()) + 1
-            ncols = int(tp.pair_slots.max()) + 1
-            block = tile_vmm(v[:, r0: r0 + nrows], ta.g[:nrows, : 2 * ncols])
-            i_pos[:, c0: c0 + ncols] += block[:, 0::2]
-            i_neg[:, c0: c0 + ncols] += block[:, 1::2]
-    return i_pos, i_neg
-
-
 def simulate_forward(net: QuantizedNetwork, plans: list[MappingPlan],
-                     tiles: list[dict], batch: np.ndarray, io: IOConfig,
+                     conductances: list[np.ndarray], batch: np.ndarray, io: IOConfig,
                      model: DeviceModel,
                      adc_ranges: list[tuple[float, float]] | None = None) -> np.ndarray:
-    """End-to-end analog inference: per layer encode -> tile reads (partial
-    sums across row-groups) -> differential readout -> activation. Dense
-    kernel layouts iterate the sliding-read schedule over output positions.
+    """End-to-end analog inference: per layer encode -> one read of the
+    layer conductance matrix from ``program`` (tile partial sums included)
+    -> differential readout -> activation. Dense kernel layouts read every
+    output position of the sliding-read schedule as one row of the batch.
     """
     x = np.asarray(batch, dtype=float)
     if x.shape[1:] != tuple(net.input_shape):
@@ -369,7 +339,8 @@ def simulate_forward(net: QuantizedNetwork, plans: list[MappingPlan],
                 vread = v[:, geom.read_indices()].reshape(n * geom.out_positions, -1)
             else:
                 vread = v
-            i_pos, i_neg = _plan_currents(plan, tiles[li], vread)
+            i = tile_vmm(vread, conductances[li])
+            i_pos, i_neg = i[:, 0::2], i[:, 1::2]
             lo, hi = adc_ranges[li] if adc_ranges is not None else (None, None)
             cal = ReadoutCalibration(v_scale, model.g_span / w_max, lo, hi)
             y = readout(i_pos, i_neg, cal, io)
@@ -405,15 +376,14 @@ def evaluate_accuracy(net: QuantizedNetwork, scheme: str, hw: HardwareConfig,
         raise ValueError("empty dataset")
     plans = mapping.network_plans(net, scheme, hw.tile_size)
     chash = config_hash(net, scheme, hw)
-    tiles = []
-    for li, plan in enumerate(plans):
-        sampled = sample_devices(seed, plan, hw.device, chash, li, key_mode)
-        tiles.append(program(sampled, plan, net.layers[li].weights, hw.device))
+    conductances = [program(sample_devices(seed, plan, hw.device, chash, li, key_mode),
+                            plan, net.layers[li].weights, hw.device)
+                    for li, plan in enumerate(plans)]
     adc_ranges = calibrate_adc_ranges(net, data) if hw.io.quantizes else None
     correct = 0
     for start in range(0, len(data), hw.io.batch_size):
         chunk = slice(start, start + hw.io.batch_size)
-        logits = simulate_forward(net, plans, tiles, data.features[chunk],
+        logits = simulate_forward(net, plans, conductances, data.features[chunk],
                                   hw.io, hw.device, adc_ranges)
         correct += int(np.sum(np.argmax(logits, axis=1) == data.labels[chunk]))
     return correct / len(data)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xbardse import dse, xbar
+from xbardse import dse, mapping, xbar
 from xbardse.dse import (
     ConfigResult,
     SearchSpace,
@@ -80,6 +80,15 @@ class TestGridSearch:
         with pytest.raises(dse.EvaluationError) as err:
             grid_search(space, test_data, {fixture_net.name: fixture_net}, seed=0)
         assert err.value.config["tile_size"] == 2
+
+    @pytest.mark.parametrize("scheme", ["sparse_staggered", "dense_routed"])
+    def test_point_costs_only_its_own_scheme(self, scheme, fixture_net, test_data):
+        # t=2 is below the conv1d footprint 3, which only dense_kernel cannot map
+        space = SearchSpace(network=[fixture_net.name], scheme=[scheme],
+                            tile_size=[2], io_bit_width=[8], batch_size=[64])
+        res, = grid_search(space, test_data, {fixture_net.name: fixture_net}, seed=0)
+        rep = mapping.analytic_network_cost(fixture_net, scheme, 2)
+        assert (res.rd, res.rwo, res.tiles) == (rep.rd, rep.rwo, rep.tiles)
 
 
 class TestWeightedScore:

@@ -24,6 +24,45 @@ def ones_plan(rows=8, cols=8, t=8):
     return mapping.map_linear_sparse(np.ones((rows, cols)), t)
 
 
+def per_tile_currents(plan, tiles, v):
+    """Reference read, tile by tile, of interleaved (pos, neg) currents.
+
+    Full layouts read each tile as one block, so stuck devices on zero
+    cells contribute; routed layouts gather per-entry voltages through the
+    permutation tables. Tile partial sums accumulate per logical column.
+    """
+    cap = mapping.pair_capacity(plan.tile_size)
+    i = np.zeros((v.shape[0], 2 * plan.cols))
+    for tp in plan.tiles:
+        g = tiles[(tp.tile_row, tp.tile_col)].g
+        if plan.row_permutations is not None:
+            cols = tp.tile_col * cap + tp.pair_slots
+            for offset in (0, 1):
+                np.add.at(i, (slice(None), 2 * cols + offset),
+                          v[:, tp.logical_rows] * g[tp.rows, 2 * tp.pair_slots + offset])
+        else:
+            r0 = tp.tile_row * plan.tile_size
+            c0 = tp.tile_col * cap
+            nrows = int(tp.rows.max()) + 1
+            ncols = int(tp.pair_slots.max()) + 1
+            i[:, 2 * c0: 2 * (c0 + ncols)] += tile_vmm(v[:, r0: r0 + nrows],
+                                                       g[:nrows, : 2 * ncols])
+    return i
+
+
+def random_conv2d_net():
+    """conv2d(3, 3x3, pad 1) -> linear(4) on 1x6x6, about 40 % zero codes."""
+    specs, _ = qnet.propagate_shapes([qnet.conv2d(3, 3, 3, padding=1), qnet.linear(4)],
+                                     (1, 6, 6))
+    rng = np.random.default_rng(5)
+    layers = []
+    for spec in specs:
+        codes = rng.integers(-7, 8, size=spec.weight_shape())
+        codes[rng.random(codes.shape) < 0.4] = 0
+        layers.append(qnet.Layer(spec, qnet.WeightTensor(codes, 0.1, 4)))
+    return qnet.QuantizedNetwork("conv2d-random", 4, (1, 6, 6), layers)
+
+
 class TestDeviceModel:
     def test_defaults_match_fixed_parameters(self):
         m = DeviceModel()
@@ -234,9 +273,9 @@ class TestVmmAndReadout:
         net = qnet.QuantizedNetwork("w", 4, (1,), [qnet.Layer(spec, wt)])
         plan = mapping.layer_plan(spec, wt, "sparse_staggered", 4)
         tiles = sample_devices(0, plan, IDEAL_DEVICES, "h", 0)
-        program(tiles, plan, wt, IDEAL_DEVICES)
+        g = program(tiles, plan, wt, IDEAL_DEVICES)
         x = np.array([[1.3]])
-        y = simulate_forward(net, [plan], [tiles], x, IOConfig(), IDEAL_DEVICES)
+        y = simulate_forward(net, [plan], [g], x, IOConfig(), IDEAL_DEVICES)
         assert y[0, 0] == pytest.approx(1.3 * 5 * 0.07, rel=1e-12)
 
 
@@ -257,6 +296,42 @@ class TestSimulation:
                                       test_data.features[:64], hw.io, hw.device)
             rel = np.abs(logits - ref) / np.maximum(np.abs(ref), 1e-12)
             assert rel.max() < 1e-6
+
+    @pytest.mark.parametrize("scheme", mapping.SCHEMES)
+    def test_layer_matrix_read_matches_per_tile_reference(self, scheme, fixture_net,
+                                                          test_data, monkeypatch):
+        model = DeviceModel(p_stuck_on=0.05, p_stuck_off=0.05, n_states=16)
+        io = IOConfig(batch_size=64)
+        conv2d_net = random_conv2d_net()
+        conv2d_batch = np.random.default_rng(6).normal(size=(32, 1, 6, 6))
+        cases = [(fixture_net, 4, test_data.features[:64]),
+                 (fixture_net, 8, test_data.features[:64]),
+                 (conv2d_net, 10, conv2d_batch)]
+        for net, t, batch in cases:
+            plans = mapping.network_plans(net, scheme, t)
+            sampled, mats = [], []
+            for li, plan in enumerate(plans):
+                plan.validate()
+                cells = np.concatenate([tp.logical_rows * plan.cols + tp.logical_cols
+                                        for tp in plan.tiles])
+                assert np.unique(cells).size == cells.size
+                sampled.append(sample_devices(0, plan, model, "ref", li))
+                mats.append(program(sampled[-1], plan, net.layers[li].weights, model))
+            logits = simulate_forward(net, plans, mats, batch, io, model)
+
+            layer_of = {id(g): li for li, g in enumerate(mats)}
+            reads = []
+
+            def reference_read(v, g):
+                li = layer_of[id(g)]
+                reads.append(li)
+                return per_tile_currents(plans[li], sampled[li], v)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(xbar, "tile_vmm", reference_read)
+                ref = simulate_forward(net, plans, mats, batch, io, model)
+            assert reads == list(range(len(net.layers)))
+            assert np.abs(logits - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_same_seed_identical_logits(self, fixture_net, test_data):
         hw = HardwareConfig(tile_size=32, io=IOConfig(io_bit_width=8, batch_size=64))
