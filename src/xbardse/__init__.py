@@ -38,6 +38,7 @@ from .mapping import (
     map_linear_dense,
     map_linear_sparse,
     network_plans,
+    plans_cost,
     steps_dense_eq3,
     tile_count,
     unroll_conv_staggered,

@@ -127,7 +127,8 @@ def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
                     seed: int, base_model: xbar.DeviceModel) -> ConfigResult:
     """Evaluate one design point: simulated accuracy plus the constructive
     cost report of the simulated scheme only, so a point never fails on
-    another scheme's infeasibility."""
+    another scheme's infeasibility. The layer plans are built once and
+    serve both."""
     try:
         net = networks[cfg["network"]]
         hw = xbar.HardwareConfig(
@@ -135,8 +136,9 @@ def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
             io=xbar.IOConfig(io_bit_width=cfg["io_bit_width"], v_max=cfg["v_max"],
                              batch_size=cfg["batch_size"]),
             device=_device_model(base_model, cfg))
-        tsa = xbar.evaluate_accuracy(net, cfg["scheme"], hw, data, seed)
-        report, _ = mapping.cost_network(net, cfg["scheme"], cfg["tile_size"])
+        plans = mapping.network_plans(net, cfg["scheme"], cfg["tile_size"])
+        tsa = xbar.evaluate_accuracy(net, cfg["scheme"], hw, data, seed, plans=plans)
+        report, _ = mapping.plans_cost(cfg["scheme"], plans)
         raw = weighted_score(tsa, report.rd, report.rwo)
         return ConfigResult(config=dict(cfg), order_index=order_index, tsa=tsa,
                             rd=report.rd, rwo=report.rwo, tiles=report.tiles,

@@ -114,22 +114,22 @@ def _full_allocation(matrix: np.ndarray, weight_ids: np.ndarray, tile_size: int,
         raise MappingError("tile size must be >= 2 to hold a differential pair")
     m, n = matrix.shape
     cap = pair_capacity(tile_size)
+    grid_rows, grid_cols = np.indices((m, n))
     tiles = []
     for tr in range(-(-m // tile_size)):
         r0 = tr * tile_size
-        r1 = min(m, r0 + tile_size)
+        rs = slice(r0, r0 + tile_size)
         for tc in range(-(-n // cap)):
             c0 = tc * cap
-            c1 = min(n, c0 + cap)
-            rr, cc = np.meshgrid(np.arange(r0, r1), np.arange(c0, c1), indexing="ij")
-            lr = rr.ravel()
-            lc = cc.ravel()
+            cs = slice(c0, c0 + cap)
+            lr = grid_rows[rs, cs].ravel()
+            lc = grid_cols[rs, cs].ravel()
             tiles.append(TilePlan(
                 tile_row=tr, tile_col=tc,
                 rows=lr - r0, pair_slots=lc - c0,
                 logical_rows=lr, logical_cols=lc,
-                codes=matrix[r0:r1, c0:c1].ravel(),
-                weight_ids=weight_ids[r0:r1, c0:c1].ravel()))
+                codes=matrix[rs, cs].ravel(),
+                weight_ids=weight_ids[rs, cs].ravel()))
     return MappingPlan(scheme, tile_size, m, n, tiles, None, geometry, reads)
 
 
@@ -459,12 +459,17 @@ def _sum_reports(scheme: str, reports: list[CostReport]) -> CostReport:
                       remainder_flag=any(r.remainder_flag for r in reports))
 
 
+def plans_cost(scheme: str, plans: list[MappingPlan]) -> tuple[CostReport, list[CostReport]]:
+    """Network cost of already built layer plans: the total and each layer's."""
+    reports = [cost(plan) for plan in plans]
+    return _sum_reports(scheme, reports), reports
+
+
 def cost_network(net: QuantizedNetwork, scheme: str,
                  tile_size: int) -> tuple[CostReport, list[CostReport]]:
     """Constructive network cost: builds every layer plan and sums."""
-    reports = [cost(layer_plan(layer.spec, layer.weights, scheme, tile_size))
-               for layer in net.layers]
-    return _sum_reports(scheme, reports), reports
+    return plans_cost(scheme, [layer_plan(layer.spec, layer.weights, scheme, tile_size)
+                               for layer in net.layers])
 
 
 def _analytic_layer_cost(spec: LayerSpec, weights: WeightTensor, scheme: str,

@@ -356,19 +356,45 @@ class Dataset:
 # ideal forward oracle
 
 
+# im2col elements one contraction chunk of _conv_forward may copy (2 MiB)
+_CONV_CHUNK_ELEMENTS = 1 << 18
+
+
 def _conv_forward(spec: LayerSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Direct sliding-window convolution; the reference for everything else."""
+    """Direct sliding-window convolution; the reference for everything else.
+
+    The windows are a strided view of the padded input, built here and not
+    from ``ConvGeometry.read_indices``, so the oracle stays independent of
+    the gather the simulator uses. They are contracted with the kernels over
+    the channel and kernel axes by ``np.tensordot``, which runs as one BLAS
+    matrix product. tensordot first copies its operand into an im2col
+    matrix, so the samples go through in chunks of at most
+    ``_CONV_CHUNK_ELEMENTS`` window elements, each written into one
+    preallocated output. Peak memory then stays near that of the output, as
+    with a copy-free ``np.einsum`` over the view, which runs unblocked and
+    is several times slower.
+    """
     p, s, d = spec.padding, spec.stride, spec.dilation
     if spec.kind == "conv1d":
         xp = np.pad(x, ((0, 0), (0, 0), (p, p)))
         span = d * (spec.kernel_h - 1) + 1
-        win = sliding_window_view(xp, span, axis=2)[:, :, ::s, ::d]
-        return np.einsum("ncxh,kch->nkx", win, w)
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    span_h = d * (spec.kernel_h - 1) + 1
-    span_w = d * (spec.kernel_w - 1) + 1
-    win = sliding_window_view(xp, (span_h, span_w), axis=(2, 3))[:, :, ::s, ::s, ::d, ::d]
-    return np.einsum("ncxyhw,kchw->nkxy", win, w)
+        win = sliding_window_view(xp, span, axis=2)[:, :, ::s, ::d]  # (n, c, x, h)
+        spatial, axes = win.shape[2:3], ([1, 3], [1, 2])
+    else:
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        span_h = d * (spec.kernel_h - 1) + 1
+        span_w = d * (spec.kernel_w - 1) + 1
+        win = sliding_window_view(xp, (span_h, span_w), axis=(2, 3))[:, :, ::s, ::s, ::d, ::d]
+        spatial, axes = win.shape[2:4], ([1, 4, 5], [1, 2, 3])     # (n, c, x, y, h, w)
+    n = x.shape[0]
+    out = np.empty((n, w.shape[0], *spatial))
+    per_sample = math.prod(win.shape[1:])
+    step = max(1, _CONV_CHUNK_ELEMENTS // per_sample)
+    for start in range(0, n, step):
+        chunk = slice(start, start + step)
+        # (chunk, *spatial, k) -> (chunk, k, *spatial)
+        out[chunk] = np.moveaxis(np.tensordot(win[chunk], w, axes=axes), -1, 1)
+    return out
 
 
 def ideal_forward(net: QuantizedNetwork, batch: np.ndarray,

@@ -366,15 +366,19 @@ def calibrate_adc_ranges(net: QuantizedNetwork, data: qnet.Dataset) -> list[tupl
 
 def evaluate_accuracy(net: QuantizedNetwork, scheme: str, hw: HardwareConfig,
                       data: qnet.Dataset, seed: int,
-                      key_mode: str = "physical") -> float:
+                      key_mode: str = "physical",
+                      plans: list[MappingPlan] | None = None) -> float:
     """Test-set accuracy of the simulated crossbar implementation.
 
     The dataset is processed in scaling groups of io.batch_size samples;
-    each group shares one dynamic input-voltage scale per layer.
+    each group shares one dynamic input-voltage scale per layer. ``plans``
+    are the layer plans of (scheme, hw.tile_size) if the caller has built
+    them already; otherwise they are built here.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    plans = mapping.network_plans(net, scheme, hw.tile_size)
+    if plans is None:
+        plans = mapping.network_plans(net, scheme, hw.tile_size)
     chash = config_hash(net, scheme, hw)
     conductances = [program(sample_devices(seed, plan, hw.device, chash, li, key_mode),
                             plan, net.layers[li].weights, hw.device)

@@ -90,6 +90,28 @@ class TestGridSearch:
         rep = mapping.analytic_network_cost(fixture_net, scheme, 2)
         assert (res.rd, res.rwo, res.tiles) == (rep.rd, rep.rwo, rep.tiles)
 
+    @pytest.mark.parametrize("scheme", mapping.SCHEMES)
+    def test_point_builds_each_layer_plan_once(self, scheme, fixture_net, test_data,
+                                                monkeypatch):
+        calls = []
+        build = mapping.layer_plan
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(mapping, "layer_plan", counting)
+        cfg = next(SearchSpace(network=[fixture_net.name], scheme=[scheme], tile_size=[16],
+                               io_bit_width=[6], batch_size=[64]).points())
+        res = dse.evaluate_config(cfg, 0, {fixture_net.name: fixture_net}, test_data, 0,
+                                  xbar.DeviceModel())
+        assert calls == [scheme] * len(fixture_net.layers)
+        monkeypatch.undo()
+        constructive, _ = mapping.cost_network(fixture_net, scheme, 16)
+        analytic = mapping.analytic_network_cost(fixture_net, scheme, 16)
+        for rep in (constructive, analytic):
+            assert (res.rd, res.rwo, res.tiles) == (rep.rd, rep.rwo, rep.tiles)
+
 
 class TestWeightedScore:
     def test_table_style_arithmetic(self):

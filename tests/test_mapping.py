@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xbardse import qnet
+from xbardse import mapping, qnet
 from xbardse.mapping import (
     SCHEMES,
     ConvGeometry,
@@ -21,6 +21,7 @@ from xbardse.mapping import (
     map_linear_sparse,
     plan_matvec,
     plan_products,
+    plans_cost,
     steps_dense_eq3,
     tile_count,
     unroll_conv_staggered,
@@ -251,6 +252,77 @@ class TestCost:
             assert reps["dense_routed"].rd <= reps["dense_kernel"].rd
             assert reps["dense_kernel"].rd <= reps["sparse_staggered"].rd
             assert reps["sparse_staggered"].rwo <= reps["dense_kernel"].rwo
+
+    def test_plans_cost_equals_constructive_and_analytic(self, fixture_net):
+        net = random_conv_net(np.random.default_rng(14))
+        for model in (fixture_net, net):
+            for scheme in SCHEMES:
+                for t in (32, 64):
+                    plans = mapping.network_plans(model, scheme, t)
+                    assert plans_cost(scheme, plans) == cost_network(model, scheme, t)
+                    rep, _ = plans_cost(scheme, plans)
+                    assert rep == analytic_network_cost(model, scheme, t)
+
+
+def random_conv_net(rng):
+    """conv2d(3, 3x2, s2, p1) -> conv2d(4, 2x2, d2) -> linear(5)
+    on 2x9x8 inputs, with about a third of the codes zero."""
+    arch = [qnet.conv2d(3, 3, 2, stride=2, padding=1), qnet.conv2d(4, 2, 2, dilation=2),
+            qnet.linear(5)]
+    specs, _ = qnet.propagate_shapes(arch, (2, 9, 8))
+    layers = [qnet.Layer(spec, random_quantized(rng, spec.weight_shape())) for spec in specs]
+    net = qnet.QuantizedNetwork("random-conv", 8, (2, 9, 8), layers)
+    net.validate()
+    return net
+
+
+class TestFullAllocation:
+    @pytest.mark.parametrize("scheme", ["sparse_staggered", "dense_kernel"])
+    def test_tiles_equal_meshgrid_reference(self, scheme, fixture_net):
+        net = random_conv_net(np.random.default_rng(13))
+        checked = 0
+        for model in (fixture_net, net):
+            for layer in model.layers:
+                spec, wt = layer.spec, layer.weights
+                if spec.kind == "linear":
+                    if scheme != "sparse_staggered":
+                        continue  # dense schemes compact linear layers
+                    values, ids = mapping._linear_logical(wt)
+                elif scheme == "sparse_staggered":
+                    values, ids = mapping._staggered_cells(ConvGeometry.from_spec(spec), wt.codes)
+                else:
+                    values, ids = mapping._kernel_matrix(ConvGeometry.from_spec(spec), wt.codes)
+                for t in (2, 3, 8, 13, 32, 128):
+                    if scheme == "dense_kernel" and ConvGeometry.from_spec(spec).footprint > t:
+                        continue
+                    plan = layer_plan(spec, wt, scheme, t)
+                    want = meshgrid_tiles(values, ids, t)
+                    assert len(plan.tiles) == len(want)
+                    for tp, ref in zip(plan.tiles, want):
+                        assert (tp.tile_row, tp.tile_col) == (ref.tile_row, ref.tile_col)
+                        for name in ("rows", "pair_slots", "logical_rows", "logical_cols",
+                                     "codes", "weight_ids"):
+                            got, exp = getattr(tp, name), getattr(ref, name)
+                            assert got.dtype == exp.dtype and np.array_equal(got, exp), name
+                    checked += 1
+        assert checked >= 10
+
+
+def meshgrid_tiles(matrix, weight_ids, tile_size):
+    """Full allocation tile by tile, each tile's cells from its own meshgrid."""
+    m, n = matrix.shape
+    cap = tile_size // 2
+    tiles = []
+    for tr in range(-(-m // tile_size)):
+        r0, r1 = tr * tile_size, min(m, (tr + 1) * tile_size)
+        for tc in range(-(-n // cap)):
+            c0, c1 = tc * cap, min(n, (tc + 1) * cap)
+            rr, cc = np.meshgrid(np.arange(r0, r1), np.arange(c0, c1), indexing="ij")
+            tiles.append(mapping.TilePlan(
+                tile_row=tr, tile_col=tc, rows=rr.ravel() - r0, pair_slots=cc.ravel() - c0,
+                logical_rows=rr.ravel(), logical_cols=cc.ravel(),
+                codes=matrix[r0:r1, c0:c1].ravel(), weight_ids=weight_ids[r0:r1, c0:c1].ravel()))
+    return tiles
 
 
 class TestCrossSchemeDerivation:

@@ -139,6 +139,78 @@ class TestIdealForward:
             assert got == brute
             checked += 1
 
+    def test_conv_matches_nested_loop_reference(self, monkeypatch):
+        # the oracle must not borrow the simulator's gather
+        def gather_used(self):
+            raise AssertionError("ideal_forward used ConvGeometry.read_indices")
+        monkeypatch.setattr(qnet.ConvGeometry, "read_indices", gather_used)
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 60:
+            one_d = checked % 2 == 0
+            h = int(rng.integers(1, 4))
+            w = 1 if one_d else int(rng.integers(1, 4))
+            s, p, d = int(rng.integers(1, 4)), int(rng.integers(0, 3)), int(rng.integers(1, 3))
+            channels = int(rng.integers(2, 4))
+            kernels = int(rng.integers(1, 5))
+            if one_d:
+                spec = qnet.conv1d(kernels, h, s, p, d)
+                shape = (channels, int(rng.integers(1, 12)))
+            else:
+                spec = qnet.conv2d(kernels, h, w, s, p, d)
+                shape = (channels, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+            try:
+                (spec,), out_shape = propagate_shapes([spec], shape)
+            except ValueError:
+                continue
+            wt = quantize_weights(rng.normal(size=spec.weight_shape()), 8)
+            net = QuantizedNetwork("c", 8, shape, [qnet.Layer(spec, wt)])
+            # chunks of `chunk` samples; n covers one partial, one exact and
+            # two full chunks plus a remainder
+            chunk = int(rng.integers(2, 5))
+            per_sample = channels * h * w * int(np.prod(out_shape[1:]))
+            monkeypatch.setattr(qnet, "_CONV_CHUNK_ELEMENTS", chunk * per_sample + per_sample - 1)
+            for n in (1, chunk, 2 * chunk + int(rng.integers(1, chunk))):
+                x = rng.normal(size=(n, *shape))
+                want = nested_loop_conv(spec, wt.dequantized(), x)
+                got = ideal_forward(net, x)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            checked += 1
+
+    def test_conv_crosses_the_default_chunk(self):
+        (spec,), _ = propagate_shapes([qnet.conv2d(5, 3, 3, padding=1)], (2, 12, 12))
+        step = qnet._CONV_CHUNK_ELEMENTS // (2 * 12 * 12 * 9)
+        rng = np.random.default_rng(12)
+        wt = quantize_weights(rng.normal(size=spec.weight_shape()), 8)
+        net = QuantizedNetwork("c", 8, (2, 12, 12), [qnet.Layer(spec, wt)])
+        x = rng.normal(size=(2 * step + 7, 2, 12, 12))
+        want = nested_loop_conv(spec, wt.dequantized(), x)
+        assert np.abs(ideal_forward(net, x) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def nested_loop_conv(spec, w, x):
+    """Convolution by explicit loops over outputs and kernel taps, skipping
+    taps that fall into the padding; vectorized only over samples and kernels."""
+    if spec.kind == "conv1d":
+        w, x = w[..., None], x[..., None]
+    n, c, in_x, in_y = x.shape
+    s, p, d = spec.stride, spec.padding, spec.dilation
+    pad_y = 0 if spec.kind == "conv1d" else p
+    out_x = out_extent(in_x, spec.kernel_h, s, p, d)
+    out_y = 1 if spec.kind == "conv1d" else out_extent(in_y, spec.kernel_w, s, p, d)
+    z = np.zeros((n, w.shape[0], out_x, out_y))
+    for ox in range(out_x):
+        for oy in range(out_y):
+            for ch in range(c):
+                for i in range(w.shape[2]):
+                    for j in range(w.shape[3]):
+                        ix = ox * s + i * d - p
+                        iy = oy * s + j * d - pad_y
+                        if 0 <= ix < in_x and 0 <= iy < in_y:
+                            z[:, :, ox, oy] += x[:, ch, ix, iy][:, None] * w[None, :, ch, i, j]
+    return z[..., 0] if spec.kind == "conv1d" else z
+
 
 class TestFixtureTraining:
     def test_deterministic(self, train_data, fixture_arch):
