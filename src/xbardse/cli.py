@@ -50,6 +50,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 DEFAULT_SPACE = {name: None for name in dse.DIMENSIONS}
 
+JOBS_HELP = ("positive integer, accepted for compatibility; design points are "
+             "evaluated serially in-process")
+
 DEVICE_FIELDS = ("r_on_mean", "r_on_std", "r_off_mean", "r_off_std")
 
 
@@ -59,7 +62,8 @@ def load_run_config(path: str, seed_override: int | None = None,
     """Load and validate a run configuration, materializing all defaults.
 
     Collects every validation problem before failing so a bad config is
-    reported exhaustively.
+    reported exhaustively. ``jobs`` must be a positive integer; design points
+    are evaluated serially in-process whatever its value.
     """
     errors: list[str] = []
     try:
@@ -493,14 +497,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="evaluate one configuration")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("dse", help="grid-search the configured space")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     p.add_argument("--out", default=None)
     p.add_argument("--svg", action="store_true", help="also emit SVG heatmaps")
     p.set_defaults(func=cmd_dse)

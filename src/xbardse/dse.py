@@ -1,14 +1,13 @@
 """Grid-search design-space exploration with weighted device/read/accuracy
 scoring, min-max normalization, contour grids, and deterministic ranking.
 
-Every configuration is evaluated exactly once; the result list is ordered
-lexicographically over the dimension value lists regardless of how many
-workers ran the evaluations, so reruns are bit-identical.
+Every configuration is evaluated exactly once, serially and in-process; the
+result list is ordered lexicographically over the dimension value lists, so
+reruns are bit-identical.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -152,21 +151,16 @@ def grid_search(space: SearchSpace, data: Dataset, networks: dict,
                 jobs: int = 1) -> list[ConfigResult]:
     """Evaluate every configuration exactly once, in lexicographic order.
 
-    Randomness is keyed per configuration, and results are assembled in
-    enumeration order, so the output is identical for any worker count.
+    Points are evaluated serially in-process; a thread pool measured slower.
+    ``jobs`` must be a positive integer and is otherwise ignored. Randomness
+    is keyed per configuration, so the output is the same for any value.
     """
     space.validate()
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError("jobs must be a positive integer")
     base_model = base_model or xbar.DeviceModel()
-    points = list(space.points())
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(evaluate_config, cfg, i, networks, data,
-                                   seed, base_model)
-                       for i, cfg in enumerate(points)]
-            results = [f.result() for f in futures]
-    else:
-        results = [evaluate_config(cfg, i, networks, data, seed, base_model)
-                   for i, cfg in enumerate(points)]
+    results = [evaluate_config(cfg, i, networks, data, seed, base_model)
+               for i, cfg in enumerate(space.points())]
     normalized = min_max_normalize([r.raw_score for r in results])
     for res, norm in zip(results, normalized):
         res.normalized_score = norm

@@ -109,7 +109,9 @@ class MappingPlan:
 def _full_allocation(matrix: np.ndarray, weight_ids: np.ndarray, tile_size: int,
                      scheme: str, geometry: ConvGeometry | None,
                      reads: int) -> MappingPlan:
-    """Allocate a device pair for every logical cell, zeros included."""
+    """Allocate a device pair for every logical cell, zeros included. Tile
+    (tr, tc) holds the row-major rectangle of cells from (tr * tile_size,
+    tc * pair_capacity); ``xbar.program`` relies on this layout."""
     if tile_size < 2:
         raise MappingError("tile size must be >= 2 to hold a differential pair")
     m, n = matrix.shape

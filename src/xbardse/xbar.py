@@ -8,13 +8,17 @@ gathers the programmed pairs into the layer conductance matrix G of shape
 ``simulate_forward`` reads each layer with one ``tile_vmm`` against G. Full
 layouts place a pair on every cell, so stuck devices on zero weights
 contribute; routed layouts place none there, and those entries of G stay 0.
+A full-layout tile holds a row-major rectangle of cells, so ``program``
+writes it, and copies it into G, through basic slices; routed tiles go
+through their index arrays.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, configuration hash, layer, tile), with devices drawn in a fixed
 canonical order inside each tile, so results never depend on evaluation
 order or worker count. Resistance samples are truncated at three standard
 deviations and redrawn, which keeps them positive and preserves
-r_on < r_off for the default parameters.
+r_on < r_off for the default parameters; after the first pass only the
+redrawn positions are re-checked, which consumes the same draws.
 """
 
 from __future__ import annotations
@@ -122,12 +126,16 @@ def _truncated_normal(gen: np.random.Generator, mean: float, std: float,
     vals = gen.normal(mean, std, shape)
     if std == 0:
         return vals
+    flat = vals.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat - mean) > 3.0 * std)
     for _ in range(100):
-        bad = np.abs(vals - mean) > 3.0 * std
-        count = int(bad.sum())
-        if count == 0:
+        if bad.size == 0:
             return vals
-        vals[bad] = gen.normal(mean, std, count)
+        # only redrawn positions can still be out of range; they stay in
+        # flat order, so each round consumes the stream as a full re-check would
+        redraw = gen.normal(mean, std, bad.size)
+        flat[bad] = redraw
+        bad = bad[np.abs(redraw - mean) > 3.0 * std]
     return np.clip(vals, mean - 3.0 * std, mean + 3.0 * std)
 
 
@@ -149,16 +157,19 @@ class TileArray:
 
 
 def _stuck_from_uniform(u: np.ndarray, model: DeviceModel) -> np.ndarray:
+    """u < p_on: stuck on; p_on <= u < p_on + p_off: stuck off; else free."""
     stuck = np.zeros(u.shape, dtype=np.int8)
+    stuck[u < model.p_stuck_on + model.p_stuck_off] = STUCK_OFF
     stuck[u < model.p_stuck_on] = STUCK_ON
-    stuck[(u >= model.p_stuck_on) & (u < model.p_stuck_on + model.p_stuck_off)] = STUCK_OFF
     return stuck
 
 
-def _apply_stuck(g: np.ndarray, r_on: np.ndarray, r_off: np.ndarray,
-                 stuck: np.ndarray) -> None:
-    g[stuck == STUCK_ON] = 1.0 / r_on[stuck == STUCK_ON]
-    g[stuck == STUCK_OFF] = 1.0 / r_off[stuck == STUCK_OFF]
+def _unprogrammed(r_on: np.ndarray, r_off: np.ndarray, stuck: np.ndarray) -> np.ndarray:
+    """Conductances before programming: 1/r_off, stuck-on devices at 1/r_on."""
+    g = 1.0 / r_off
+    on = stuck == STUCK_ON
+    g[on] = 1.0 / r_on[on]
+    return g
 
 
 def sample_devices(seed: int, plan: MappingPlan, model: DeviceModel,
@@ -180,9 +191,8 @@ def sample_devices(seed: int, plan: MappingPlan, model: DeviceModel,
             r_on = _truncated_normal(gen, model.r_on_mean, model.r_on_std, (t, t))
             r_off = _truncated_normal(gen, model.r_off_mean, model.r_off_std, (t, t))
             stuck = _stuck_from_uniform(gen.random((t, t)), model)
-            g = 1.0 / r_off.copy()
-            _apply_stuck(g, r_on, r_off, stuck)
-            tiles[(tp.tile_row, tp.tile_col)] = TileArray(g, r_on, r_off, stuck)
+            tiles[(tp.tile_row, tp.tile_col)] = TileArray(
+                _unprogrammed(r_on, r_off, stuck), r_on, r_off, stuck)
         return tiles
     if key_mode != "logical":
         raise ValueError("key_mode must be 'physical' or 'logical'")
@@ -199,10 +209,24 @@ def sample_devices(seed: int, plan: MappingPlan, model: DeviceModel,
             r_on[tp.rows, cols] = r_on_l[tp.logical_rows, tp.logical_cols]
             r_off[tp.rows, cols] = r_off_l[tp.logical_rows, tp.logical_cols]
             stuck[tp.rows, cols] = stuck_l[tp.logical_rows, tp.logical_cols]
-        g = 1.0 / r_off.copy()
-        _apply_stuck(g, r_on, r_off, stuck)
-        tiles[(tp.tile_row, tp.tile_col)] = TileArray(g, r_on, r_off, stuck)
+        tiles[(tp.tile_row, tp.tile_col)] = TileArray(
+            _unprogrammed(r_on, r_off, stuck), r_on, r_off, stuck)
     return tiles
+
+
+def _pair_targets(codes: np.ndarray, r_on: np.ndarray, r_off: np.ndarray,
+                  w_max: int, model: DeviceModel) -> np.ndarray:
+    """Target conductances of the device pairs of cells ``codes``. The device
+    arrays carry one more trailing axis than ``codes``: (positive, negative)."""
+    mag = np.abs(codes) / w_max if w_max else np.zeros(codes.shape)
+    active = np.sign(codes)[..., None] == (1, -1)
+    frac = np.where(active, mag[..., None], 0.0)
+    if model.n_states is not None:
+        levels = model.n_states - 1
+        frac = np.clip(_round_half_away(frac * levels), 0, levels) / levels
+    g_on = 1.0 / r_on
+    g_off = 1.0 / r_off
+    return g_off + frac * (g_on - g_off)
 
 
 def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
@@ -216,6 +240,12 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
     uniform grid. Stuck devices ignore programming. G holds each mapped
     cell's device pair as programmed (stuck devices at their stuck value)
     at columns 2n and 2n + 1; cells without devices stay 0.
+
+    Full layouts (``row_permutations is None``) hold, in tile (tr, tc), the
+    row-major rectangle of cells from (r0, c0) = (tr * t, tc * pair_capacity)
+    spanning min(t, rows - r0) x min(pair_capacity, cols - c0), so each tile
+    is written and copied into G through basic slices. Routed layouts place
+    cells through the tile's index arrays.
     """
     if plan.geometry is None:
         if plan.rows != weights.codes.shape[1] or plan.cols != weights.codes.shape[0]:
@@ -226,23 +256,30 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
             raise ValueError("weight tensor does not match plan geometry")
     w_max = int(np.abs(weights.codes).max(initial=0))
     g_layer = np.zeros((plan.rows, 2 * plan.cols))
+    t = plan.tile_size
+    cap = mapping.pair_capacity(t)
     for tp in plan.tiles:
         ta = tiles.get((tp.tile_row, tp.tile_col))
         if ta is None:
             raise ValueError(f"no sampled tile for {(tp.tile_row, tp.tile_col)}")
-        mag = np.abs(tp.codes) / w_max if w_max else np.zeros(tp.codes.shape)
-        for offset, active in ((0, tp.codes > 0), (1, tp.codes < 0)):
-            cols = 2 * tp.pair_slots + offset
-            g_on = 1.0 / ta.r_on[tp.rows, cols]
-            g_off = 1.0 / ta.r_off[tp.rows, cols]
-            frac = np.where(active, mag, 0.0)
-            if model.n_states is not None:
-                levels = model.n_states - 1
-                frac = np.clip(_round_half_away(frac * levels), 0, levels) / levels
-            target = g_off + frac * (g_on - g_off)
-            free = ta.stuck[tp.rows, cols] == FREE
-            ta.g[tp.rows[free], cols[free]] = target[free]
-            g_layer[tp.logical_rows, 2 * tp.logical_cols + offset] = ta.g[tp.rows, cols]
+        if plan.row_permutations is None:
+            r0, c0 = tp.tile_row * t, tp.tile_col * cap
+            nr, nc = min(t, plan.rows - r0), min(cap, plan.cols - c0)
+            dev = np.s_[:nr, :2 * nc]
+            target = _pair_targets(tp.codes.reshape(nr, nc),
+                                   ta.r_on[dev].reshape(nr, nc, 2),
+                                   ta.r_off[dev].reshape(nr, nc, 2), w_max, model)
+            np.copyto(ta.g[dev], target.reshape(nr, 2 * nc),
+                      where=ta.stuck[dev] == FREE)
+            g_layer[r0:r0 + nr, 2 * c0:2 * (c0 + nc)] = ta.g[dev]
+        else:
+            rows = tp.rows[:, None]
+            cols = 2 * tp.pair_slots[:, None] + (0, 1)
+            target = _pair_targets(tp.codes, ta.r_on[rows, cols], ta.r_off[rows, cols],
+                                   w_max, model)
+            g = np.where(ta.stuck[rows, cols] == FREE, target, ta.g[rows, cols])
+            ta.g[rows, cols] = g
+            g_layer[tp.logical_rows[:, None], 2 * tp.logical_cols[:, None] + (0, 1)] = g
     return g_layer
 
 

@@ -64,6 +64,12 @@ class TestGridSearch:
             assert (ra.tsa, ra.raw_score, ra.normalized_score) == \
                    (rb.tsa, rb.raw_score, rb.normalized_score)
 
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2"])
+    def test_jobs_must_be_a_positive_integer(self, jobs, fixture_net, test_data):
+        space = SearchSpace(network=[fixture_net.name])
+        with pytest.raises(ValueError, match="jobs"):
+            grid_search(space, test_data, {fixture_net.name: fixture_net}, jobs=jobs)
+
     def test_single_point_equals_direct_eval(self, fixture_net, test_data):
         space = SearchSpace(network=[fixture_net.name], scheme=["dense_kernel"],
                             tile_size=[64], io_bit_width=[8], batch_size=[64])

@@ -1,3 +1,6 @@
+import copy
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,96 @@ def per_tile_currents(plan, tiles, v):
             i[:, 2 * c0: 2 * (c0 + ncols)] += tile_vmm(v[:, r0: r0 + nrows],
                                                        g[:nrows, : 2 * ncols])
     return i
+
+
+def per_tile_program(tiles, plan, weights, model):
+    """Reference programming, tile by tile, through each tile's index arrays
+    for every layout; returns the layer conductance matrix like ``program``."""
+    w_max = int(np.abs(weights.codes).max(initial=0))
+    g_layer = np.zeros((plan.rows, 2 * plan.cols))
+    for tp in plan.tiles:
+        ta = tiles[(tp.tile_row, tp.tile_col)]
+        mag = np.abs(tp.codes) / w_max if w_max else np.zeros(tp.codes.shape)
+        for offset, active in ((0, tp.codes > 0), (1, tp.codes < 0)):
+            cols = 2 * tp.pair_slots + offset
+            g_on = 1.0 / ta.r_on[tp.rows, cols]
+            g_off = 1.0 / ta.r_off[tp.rows, cols]
+            frac = np.where(active, mag, 0.0)
+            if model.n_states is not None:
+                levels = model.n_states - 1
+                frac = np.clip(qnet._round_half_away(frac * levels), 0, levels) / levels
+            target = g_off + frac * (g_on - g_off)
+            free = ta.stuck[tp.rows, cols] == xbar.FREE
+            ta.g[tp.rows[free], cols[free]] = target[free]
+            g_layer[tp.logical_rows, 2 * tp.logical_cols + offset] = ta.g[tp.rows, cols]
+    return g_layer
+
+
+def reference_stream(*parts):
+    digest = hashlib.blake2b("|".join(str(p) for p in parts).encode(),
+                             digest_size=16).digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+
+
+def reference_truncated_normal(gen, mean, std, shape, rounds):
+    """3-sigma truncation that re-checks the whole array after every redraw;
+    appends the number of redraw rounds to ``rounds``."""
+    vals = gen.normal(mean, std, shape)
+    if std == 0:
+        return vals
+    for i in range(100):
+        bad = np.abs(vals - mean) > 3.0 * std
+        count = int(bad.sum())
+        if count == 0:
+            rounds.append(i)
+            return vals
+        vals[bad] = gen.normal(mean, std, count)
+    rounds.append(100)
+    return np.clip(vals, mean - 3.0 * std, mean + 3.0 * std)
+
+
+def reference_sample(seed, plan, model, cfg_hash, layer_index, rounds):
+    """Reference physical-keyed sampler: one Philox stream per tile, drawing
+    r_on, r_off, then the stuck uniforms over the whole (t, t) tile."""
+    t = plan.tile_size
+    tiles = {}
+    for tp in plan.tiles:
+        gen = reference_stream(seed, cfg_hash, layer_index, tp.tile_row, tp.tile_col)
+        r_on = reference_truncated_normal(gen, model.r_on_mean, model.r_on_std, (t, t),
+                                          rounds)
+        r_off = reference_truncated_normal(gen, model.r_off_mean, model.r_off_std, (t, t),
+                                           rounds)
+        u = gen.random((t, t))
+        stuck = np.zeros((t, t), dtype=np.int8)
+        stuck[u < model.p_stuck_on] = xbar.STUCK_ON
+        stuck[(u >= model.p_stuck_on)
+              & (u < model.p_stuck_on + model.p_stuck_off)] = xbar.STUCK_OFF
+        g = 1.0 / r_off.copy()
+        g[stuck == xbar.STUCK_ON] = 1.0 / r_on[stuck == xbar.STUCK_ON]
+        g[stuck == xbar.STUCK_OFF] = 1.0 / r_off[stuck == xbar.STUCK_OFF]
+        tiles[(tp.tile_row, tp.tile_col)] = xbar.TileArray(g, r_on, r_off, stuck)
+    return tiles
+
+
+def assert_same_tiles(got, want):
+    assert list(got) == list(want)
+    for key, ta in want.items():
+        for name in ("g", "r_on", "r_off", "stuck"):
+            a, b = getattr(got[key], name), getattr(ta, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
+                f"tile {key} {name}"
+
+
+def random_net(name, arch, input_shape, seed, zero_frac=0.4):
+    """Random-code network over ``arch``; zero_frac=1 gives all-zero layers."""
+    specs, _ = qnet.propagate_shapes(arch, input_shape)
+    rng = np.random.default_rng(seed)
+    layers = []
+    for spec in specs:
+        codes = rng.integers(-7, 8, size=spec.weight_shape())
+        codes[rng.random(codes.shape) < zero_frac] = 0
+        layers.append(qnet.Layer(spec, qnet.WeightTensor(codes, 0.1, 4)))
+    return qnet.QuantizedNetwork(name, 4, input_shape, layers)
 
 
 def random_conv2d_net():
@@ -134,6 +227,23 @@ class TestSampling:
         assert abs((stuck == xbar.STUCK_ON).mean() - 0.005) < 0.001
         assert abs((stuck == xbar.STUCK_OFF).mean() - 0.005) < 0.001
 
+    @pytest.mark.parametrize("model, shape, t, tiles, redraw_rounds", [
+        (DeviceModel(p_stuck_on=0.05, p_stuck_off=0.05), (20, 30), 8, 24, 1),
+        (DeviceModel(r_on_std=0.0, r_off_std=0.0), (9, 9), 4, 15, 0),
+        (DeviceModel(r_on_std=2_000.0, r_off_std=20_000.0), (40, 40), 16, 15, 1),
+        (DeviceModel(p_stuck_on=0.4, p_stuck_off=0.6), (12, 12), 8, 6, 1),
+        (DeviceModel(p_stuck_on=0.0, p_stuck_off=1.0), (12, 12), 8, 6, 1),
+        (DeviceModel(), (1024, 512), 1024, 1, 2),
+    ], ids=["multi_tile", "std_zero", "std_multiplier_2", "stuck_sum_one",
+            "all_stuck_off", "redraw_rounds"])
+    def test_draws_match_per_tile_reference(self, model, shape, t, tiles, redraw_rounds):
+        plan = mapping.map_linear_sparse(np.ones(shape), t)
+        rounds = []
+        want = reference_sample(3, plan, model, "ref", 2, rounds)
+        assert_same_tiles(sample_devices(3, plan, model, "ref", 2), want)
+        assert len(plan.tiles) == tiles
+        assert max(rounds, default=0) >= redraw_rounds
+
 
 class TestProgramming:
     def test_full_scale_weight_hits_endpoints(self):
@@ -204,6 +314,34 @@ class TestProgramming:
         wt = qnet.WeightTensor(np.zeros((3, 3), dtype=np.int64), 1.0, 4)
         with pytest.raises(ValueError):
             program(tiles, plan, wt, IDEAL_DEVICES)
+
+    @pytest.mark.parametrize("scheme", mapping.SCHEMES)
+    def test_program_matches_per_tile_reference(self, scheme):
+        arch = [qnet.conv1d(kernels=11, kernel_h=3), qnet.linear(5)]
+        nets = [random_net("conv1d-random", arch, (1, 12), 8),
+                random_conv2d_net(),
+                random_net("conv1d-zero", arch, (1, 12), 8, zero_frac=1.0)]
+        full_layout = set()
+        for n_states in (None, 16):
+            model = DeviceModel(p_stuck_on=0.05, p_stuck_off=0.05, n_states=n_states)
+            for net in nets:
+                for t in (4, 5, 7, 8, 10):
+                    for li, layer in enumerate(net.layers):
+                        try:
+                            plan = mapping.layer_plan(layer.spec, layer.weights, scheme, t)
+                        except mapping.MappingError:
+                            continue   # dense_kernel: kernel footprint exceeds t
+                        sampled = sample_devices(1, plan, model, "prog", li)
+                        ref_tiles = copy.deepcopy(sampled)
+                        g = program(sampled, plan, layer.weights, model)
+                        ref = per_tile_program(ref_tiles, plan, layer.weights, model)
+                        assert np.array_equal(g, ref), (net.name, t, li, n_states)
+                        for key, ta in ref_tiles.items():
+                            assert np.array_equal(sampled[key].g, ta.g), (net.name, t, li, key)
+                        full_layout.add(plan.row_permutations is None)
+        expected = {"sparse_staggered": {True}, "dense_kernel": {True, False},
+                    "dense_routed": {False}}
+        assert full_layout == expected[scheme]
 
 
 class TestEncode:
