@@ -30,8 +30,15 @@ class NetworkFormatError(ValueError):
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, halves away from zero."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    """Round to the nearest integer, halves away from zero.
+
+    Equal to sign(x) * floor(|x| + 0.5) in value; computed in one buffer,
+    with the sign copied back, so -0.0 stays -0.0.
+    """
+    y = np.asarray(np.abs(x), dtype=float)
+    y += 0.5
+    np.floor(y, out=y)
+    return np.copysign(y, x, out=y)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,18 @@ A full-layout tile holds a row-major rectangle of cells, so ``program``
 writes it, and copies it into G, through basic slices; routed tiles go
 through their index arrays.
 
+Scaling groups, the io.batch_size rows that share one input-voltage scale
+per layer, are defined in ``simulate_forward`` alone: it reads a chunk of
+whole groups per layer at once, each row with its group's scale.
+
 All randomness flows through counter-based Philox streams keyed by
 (seed, configuration hash, layer, tile), with devices drawn in a fixed
 canonical order inside each tile, so results never depend on evaluation
-order or worker count. Resistance samples are truncated at three standard
-deviations and redrawn, which keeps them positive and preserves
-r_on < r_off for the default parameters; after the first pass only the
-redrawn positions are re-checked, which consumes the same draws.
+order or worker count; ``sample_devices`` re-keys one bit generator per
+stream rather than building one per tile. Resistance samples are truncated
+at three standard deviations and redrawn, which keeps them positive and
+preserves r_on < r_off for the default parameters; after the first pass
+only the redrawn positions are re-checked, which consumes the same draws.
 """
 
 from __future__ import annotations
@@ -74,7 +79,9 @@ class DeviceModel:
 
 @dataclass(frozen=True)
 class IOConfig:
-    """DAC/ADC resolution, encoding voltage ceiling, and scaling-group size."""
+    """DAC/ADC resolution, encoding voltage ceiling, and scaling-group size:
+    ``simulate_forward`` gives each batch_size rows of its batch, the last
+    group possibly short, one input-voltage scale per layer."""
 
     io_bit_width: int | None = None
     v_max: float = 0.3
@@ -114,10 +121,18 @@ def config_hash(net: QuantizedNetwork, scheme: str, hw: HardwareConfig) -> str:
                            digest_size=8).hexdigest()
 
 
-def _stream(*parts) -> np.random.Generator:
+def _rekey(gen: np.random.Generator, *parts) -> None:
+    """Restart ``gen``'s Philox bit generator on the stream keyed by the
+    blake2b digest of ``parts``: counter 0 and empty output buffers, the state
+    ``np.random.Philox(key=...)`` starts in, without building a new one."""
     digest = hashlib.blake2b("|".join(str(p) for p in parts).encode(),
                              digest_size=16).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.frombuffer(digest, dtype="<u8").astype(np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
 
 
 def _truncated_normal(gen: np.random.Generator, mean: float, std: float,
@@ -185,9 +200,10 @@ def sample_devices(seed: int, plan: MappingPlan, model: DeviceModel,
     """
     t = plan.tile_size
     tiles: dict[tuple[int, int], TileArray] = {}
+    gen = np.random.Generator(np.random.Philox(key=0))   # re-keyed for every stream
     if key_mode == "physical":
         for tp in plan.tiles:
-            gen = _stream(seed, cfg_hash, layer_index, tp.tile_row, tp.tile_col)
+            _rekey(gen, seed, cfg_hash, layer_index, tp.tile_row, tp.tile_col)
             r_on = _truncated_normal(gen, model.r_on_mean, model.r_on_std, (t, t))
             r_off = _truncated_normal(gen, model.r_off_mean, model.r_off_std, (t, t))
             stuck = _stuck_from_uniform(gen.random((t, t)), model)
@@ -196,7 +212,7 @@ def sample_devices(seed: int, plan: MappingPlan, model: DeviceModel,
         return tiles
     if key_mode != "logical":
         raise ValueError("key_mode must be 'physical' or 'logical'")
-    gen = _stream(seed, "logical", layer_index, plan.rows, plan.cols)
+    _rekey(gen, seed, "logical", layer_index, plan.rows, plan.cols)
     r_on_l = _truncated_normal(gen, model.r_on_mean, model.r_on_std, (plan.rows, plan.cols))
     r_off_l = _truncated_normal(gen, model.r_off_mean, model.r_off_std, (plan.rows, plan.cols))
     stuck_l = _stuck_from_uniform(gen.random((plan.rows, plan.cols)), model)
@@ -283,22 +299,25 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
     return g_layer
 
 
-def encode_inputs(batch: np.ndarray, io: IOConfig) -> tuple[np.ndarray, float]:
+def encode_inputs(batch: np.ndarray, io: IOConfig, scale: float | np.ndarray | None = None
+                  ) -> tuple[np.ndarray, float | np.ndarray]:
     """Scale a batch of activations into voltages: v = x / max|x| * v_max,
     then quantize to the signed mid-tread DAC grid (step v_max / 2^(b-1)).
 
     Returns (voltages, voltage_scale); an all-zero batch maps to zero volts
-    with scale 0.
+    with scale 0. A given ``scale`` replaces v_max / max|x|: an (rows, 1)
+    column gives each row of a 2-D batch its own scaling group's scale.
     """
     x = np.asarray(batch, dtype=float)
     if x.size == 0:
         raise ValueError("empty batch")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite inputs")
-    peak = float(np.max(np.abs(x)))
-    if peak == 0.0:
-        return np.zeros_like(x), 0.0
-    scale = io.v_max / peak
+    if scale is None:
+        peak = float(np.max(np.abs(x)))
+        if peak == 0.0:
+            return np.zeros_like(x), 0.0
+        scale = io.v_max / peak
     v = x * scale
     if io.quantizes:
         half = 2 ** (io.io_bit_width - 1)
@@ -318,9 +337,10 @@ def tile_vmm(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReadoutCalibration:
-    voltage_scale: float          # volts per input unit (from encode_inputs)
-    weight_scale: float           # siemens per weight unit
-    out_lo: float | None = None   # ADC range, per layer
+    voltage_scale: float | np.ndarray   # volts per input unit (from encode_inputs),
+                                        # or an (rows, 1) column of them
+    weight_scale: float                 # siemens per weight unit
+    out_lo: float | None = None         # ADC range, per layer
     out_hi: float | None = None
 
 
@@ -328,7 +348,7 @@ def readout(i_pos: np.ndarray, i_neg: np.ndarray, cal: ReadoutCalibration,
             io: IOConfig) -> np.ndarray:
     """Differential currents back to the weight-times-input domain, then
     ADC-quantized to 2^b uniform levels over the calibrated output range."""
-    if cal.voltage_scale == 0 or cal.weight_scale == 0:
+    if not np.all(cal.voltage_scale) or cal.weight_scale == 0:
         raise ValueError("zero calibration scale")
     y = (np.asarray(i_pos) - np.asarray(i_neg)) / (cal.voltage_scale * cal.weight_scale)
     if io.quantizes and cal.out_lo is not None and cal.out_hi is not None:
@@ -349,49 +369,91 @@ def simulate_forward(net: QuantizedNetwork, plans: list[MappingPlan],
     layer conductance matrix from ``program`` (tile partial sums included)
     -> differential readout -> activation. Dense kernel layouts read every
     output position of the sliding-read schedule as one row of the batch.
+
+    The batch is split into scaling groups of io.batch_size rows, the last
+    possibly short; each group has its own input-voltage scale per layer.
+    Groups go through in chunks of as many whole groups as keep the largest
+    layer current matrix (reads_per_sample * 2 * cols per sample) within
+    ``qnet._CONV_CHUNK_ELEMENTS`` elements, at least one group. Each layer of
+    a chunk is encoded, read with one ``tile_vmm`` and read out once, with
+    the per-row scales as an (rows, 1) column, or as one scalar when a
+    single group is read. A group whose input peak is 0, and a layer whose
+    weights are all 0, give zero pre-activations.
     """
     x = np.asarray(batch, dtype=float)
     if x.shape[1:] != tuple(net.input_shape):
         raise ValueError(
             f"batch feature shape {x.shape[1:]} != network input {net.input_shape}")
+    if len(x) == 0:
+        raise ValueError("empty batch")
+    per_sample = max(plan.reads_per_sample * 2 * plan.cols for plan in plans)
+    step = io.batch_size * max(1, qnet._CONV_CHUNK_ELEMENTS // (io.batch_size * per_sample))
+    return np.concatenate([_forward_chunk(net, plans, conductances, x[start:start + step],
+                                          io, model, adc_ranges)
+                           for start in range(0, len(x), step)])
+
+
+def _forward_chunk(net: QuantizedNetwork, plans: list[MappingPlan],
+                   conductances: list[np.ndarray], x: np.ndarray, io: IOConfig,
+                   model: DeviceModel,
+                   adc_ranges: list[tuple[float, float]] | None) -> np.ndarray:
+    """``simulate_forward`` of whole scaling groups, each layer read once."""
     n = x.shape[0]
+    starts = np.arange(0, n, io.batch_size)
+    sizes = np.diff(starts, append=n)
     last = len(net.layers) - 1
     for li, (layer, plan) in enumerate(zip(net.layers, plans)):
         spec = layer.spec
-        geom = plan.geometry
         if spec.kind == "linear":
             flat = x.reshape(n, -1)
             out_shape = (spec.out_features,)
         else:
             flat = qnet._pad_flat(spec, x)
-            out_shape = ((spec.kernels, geom.out_x) if spec.kind == "conv1d"
-                         else (spec.kernels, geom.out_x, geom.out_y))
-        w_max = float(np.abs(layer.weights.dequantized()).max(initial=0.0))
-        v, v_scale = encode_inputs(flat, io)
-        if v_scale == 0.0 or w_max == 0.0:
-            z = np.zeros((n, *out_shape))
+            out_shape = ((spec.kernels, plan.geometry.out_x) if spec.kind == "conv1d"
+                         else (spec.kernels, plan.geometry.out_x, plan.geometry.out_y))
+        peaks = np.maximum.reduceat(np.abs(flat).max(axis=1), starts)
+        live = peaks != 0
+        scale = io.v_max / peaks[live]
+        # numpy scales by a scalar several times faster than by a column
+        scale = scale[0] if scale.size == 1 else np.repeat(scale, sizes[live])[:, None]
+        layer_args = (layer, plan, conductances[li], out_shape, io, model,
+                      adc_ranges[li] if adc_ranges is not None else (None, None))
+        if live.all():
+            z = _read_layer(flat, scale, *layer_args)
         else:
-            dense_conv = geom is not None and plan.scheme != "sparse_staggered"
-            if dense_conv:
-                vread = v[:, geom.read_indices()].reshape(n * geom.out_positions, -1)
-            else:
-                vread = v
-            i = tile_vmm(vread, conductances[li])
-            i_pos, i_neg = i[:, 0::2], i[:, 1::2]
-            lo, hi = adc_ranges[li] if adc_ranges is not None else (None, None)
-            cal = ReadoutCalibration(v_scale, model.g_span / w_max, lo, hi)
-            y = readout(i_pos, i_neg, cal, io)
-            if geom is None:
-                z = y
-            elif dense_conv:
-                # (n, P, K) -> (n, K, P)
-                z = np.moveaxis(y.reshape(n, geom.out_positions, geom.kernels), 1, 2)
-            else:
-                # staggered columns are ordered k * P + p
-                z = y.reshape(n, geom.kernels, geom.out_positions)
-            z = z.reshape(n, *out_shape)
+            # rows of all-zero groups stay out of the DAC, the read and the ADC
+            z = np.zeros((n, *out_shape))
+            if live.any():
+                rows = np.repeat(live, sizes)
+                z[rows] = _read_layer(flat[rows], scale, *layer_args)
         x = np.maximum(z, 0.0) if li < last else z
     return x
+
+
+def _read_layer(flat: np.ndarray, scale: float | np.ndarray, layer: qnet.Layer,
+                plan: MappingPlan, g: np.ndarray, out_shape: tuple, io: IOConfig,
+                model: DeviceModel, adc_range: tuple) -> np.ndarray:
+    """One layer's pre-activations, shaped (rows, *out_shape), for flattened
+    inputs ``flat`` with voltage scale ``scale`` (one, or an (rows, 1) column),
+    read against the layer conductance matrix ``g``."""
+    m = flat.shape[0]
+    geom = plan.geometry
+    v, _ = encode_inputs(flat, io, scale)
+    w_max = float(np.abs(layer.weights.dequantized()).max(initial=0.0))
+    if w_max == 0.0:
+        return np.zeros((m, *out_shape))
+    dense_conv = geom is not None and plan.scheme != "sparse_staggered"
+    if dense_conv:
+        v = v[:, geom.read_indices()].reshape(m * geom.out_positions, -1)
+    # one row per sample, so the scale column broadcasts over all its reads
+    i = tile_vmm(v, g).reshape(m, -1)
+    y = readout(i[:, 0::2], i[:, 1::2],
+                ReadoutCalibration(scale, model.g_span / w_max, *adc_range), io)
+    if dense_conv:
+        # (m, P, K) -> (m, K, P)
+        y = np.moveaxis(y.reshape(m, geom.out_positions, geom.kernels), 1, 2)
+    # staggered columns are ordered k * P + p; linear ones are the outputs
+    return y.reshape(m, *out_shape)
 
 
 def calibrate_adc_ranges(net: QuantizedNetwork, data: qnet.Dataset) -> list[tuple[float, float]]:
@@ -407,8 +469,9 @@ def evaluate_accuracy(net: QuantizedNetwork, scheme: str, hw: HardwareConfig,
                       plans: list[MappingPlan] | None = None) -> float:
     """Test-set accuracy of the simulated crossbar implementation.
 
-    The dataset is processed in scaling groups of io.batch_size samples;
-    each group shares one dynamic input-voltage scale per layer. ``plans``
+    The whole dataset goes through one ``simulate_forward`` call, which
+    splits it into scaling groups of io.batch_size samples, each sharing one
+    dynamic input-voltage scale per layer, and reads them in chunks. ``plans``
     are the layer plans of (scheme, hw.tile_size) if the caller has built
     them already; otherwise they are built here.
     """
@@ -421,10 +484,6 @@ def evaluate_accuracy(net: QuantizedNetwork, scheme: str, hw: HardwareConfig,
                             plan, net.layers[li].weights, hw.device)
                     for li, plan in enumerate(plans)]
     adc_ranges = calibrate_adc_ranges(net, data) if hw.io.quantizes else None
-    correct = 0
-    for start in range(0, len(data), hw.io.batch_size):
-        chunk = slice(start, start + hw.io.batch_size)
-        logits = simulate_forward(net, plans, conductances, data.features[chunk],
-                                  hw.io, hw.device, adc_ranges)
-        correct += int(np.sum(np.argmax(logits, axis=1) == data.labels[chunk]))
-    return correct / len(data)
+    logits = simulate_forward(net, plans, conductances, data.features, hw.io, hw.device,
+                              adc_ranges)
+    return int(np.sum(np.argmax(logits, axis=1) == data.labels)) / len(data)

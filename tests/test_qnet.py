@@ -69,6 +69,24 @@ class TestQuantize:
             wt = quantize_weights(rng.normal(size=100), b)
             assert np.abs(wt.codes).max() <= 2 ** (b - 1) - 1
 
+    def test_round_half_away_matches_sign_floor_reference(self):
+        rng = np.random.default_rng(3)
+        halves = np.arange(-40, 41) / 2
+        near_halves = np.concatenate([np.nextafter(halves, np.inf),
+                                      np.nextafter(halves, -np.inf)])
+        big = np.array([2.0 ** 52 - 0.5, 2.0 ** 52 + 1, 2.0 ** 53, 2.0 ** 53 + 2,
+                        np.finfo(float).max, np.finfo(float).tiny, 5e-324,
+                        0.49999999999999994, np.inf])
+        x = np.concatenate([rng.normal(scale=s, size=2000) for s in (0.3, 7.0, 1e9)]
+                           + [halves, near_halves, big, -big, [0.0, -0.0]])
+        want = np.sign(x) * np.floor(np.abs(x) + 0.5)
+        got = qnet._round_half_away(x)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        negative_zero = (x == 0) & np.signbit(x)
+        assert negative_zero.sum() == 1
+        assert got[~negative_zero].tobytes() == want[~negative_zero].tobytes()
+        assert np.signbit(got[negative_zero]).all()
+
 
 class TestSparsity:
     def test_direct_count(self):

@@ -122,6 +122,14 @@ def reference_sample(seed, plan, model, cfg_hash, layer_index, rounds):
     return tiles
 
 
+def per_group_forward(net, plans, mats, batch, io, model, adc_ranges=None):
+    """Reference grouped read: one ``simulate_forward`` call per scaling group
+    of io.batch_size rows, so each call shares one voltage scale per layer."""
+    return np.concatenate([simulate_forward(net, plans, mats, batch[s:s + io.batch_size],
+                                            io, model, adc_ranges)
+                           for s in range(0, len(batch), io.batch_size)])
+
+
 def assert_same_tiles(got, want):
     assert list(got) == list(want)
     for key, ta in want.items():
@@ -243,6 +251,19 @@ class TestSampling:
         assert_same_tiles(sample_devices(3, plan, model, "ref", 2), want)
         assert len(plan.tiles) == tiles
         assert max(rounds, default=0) >= redraw_rounds
+
+    def test_rekey_matches_fresh_philox(self):
+        gen = np.random.Generator(np.random.Philox())
+        xbar._rekey(gen, 5, "first", 0, 1, 2)
+        gen.integers(0, 2 ** 32, size=3, dtype=np.uint32)   # odd: half a word left
+        gen.random(1)                                       # part of the buffer left
+        state = gen.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        xbar._rekey(gen, 5, "second", 0, 3, 4)
+        fresh = reference_stream(5, "second", 0, 3, 4)
+        for draw in (lambda g: g.integers(0, 2 ** 32, size=5, dtype=np.uint32),
+                     lambda g: g.random(7), lambda g: g.normal(size=9)):
+            assert draw(gen).tobytes() == draw(fresh).tobytes()
 
 
 class TestProgramming:
@@ -470,6 +491,61 @@ class TestSimulation:
                 ref = simulate_forward(net, plans, mats, batch, io, model)
             assert reads == list(range(len(net.layers)))
             assert np.abs(logits - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("scheme", mapping.SCHEMES)
+    def test_grouped_read_matches_per_group_reference(self, scheme, fixture_net,
+                                                      test_data, monkeypatch):
+        model = DeviceModel(p_stuck_on=0.05, p_stuck_off=0.05, n_states=16)
+        arch = [qnet.conv1d(kernels=4, kernel_h=3), qnet.linear(4)]
+        bs = 16
+        batches = {"fixture": test_data.features[:5 * bs + 7].copy(),
+                   "conv2d": np.random.default_rng(7).normal(size=(5 * bs + 7, 1, 6, 6))}
+        for batch in batches.values():
+            batch[2 * bs:3 * bs] = 0.0            # an all-zero group in the middle
+        cases = [(fixture_net, 8, batches["fixture"]),
+                 (random_conv2d_net(), 10, batches["conv2d"]),
+                 (random_net("conv1d-zero", arch, (1, 16), 8, zero_frac=1.0), 8,
+                  batches["fixture"])]
+        chunk_elements = qnet._CONV_CHUNK_ELEMENTS
+        for net, t, batch in cases:
+            plans = mapping.network_plans(net, scheme, t)
+            mats = [program(sample_devices(2, plan, model, "groups", li), plan,
+                            net.layers[li].weights, model)
+                    for li, plan in enumerate(plans)]
+            per_sample = max(plan.reads_per_sample * 2 * plan.cols for plan in plans)
+            calibrated = xbar.calibrate_adc_ranges(net, qnet.Dataset(
+                batch, np.zeros(len(batch), dtype=np.int64), 4))
+            inverted = [(0.25, -0.5)] * len(plans)   # hi <= lo: every ADC sample at lo
+            groups = np.split(np.arange(len(batch)), range(bs, len(batch), bs))
+            live = [bool(np.abs(batch[g]).max()) for g in groups]
+            assert len(groups) == 6 and len(groups[-1]) == 7 and live.count(False) == 1
+            weighted = sum(bool(layer.weights.codes.any()) for layer in net.layers)
+            for bits, adc_ranges in ((None, None), (4, None), (4, calibrated),
+                                     (6, calibrated), (6, inverted)):
+                io = IOConfig(io_bit_width=bits, batch_size=bs)
+                ref = per_group_forward(net, plans, mats, batch, io, model, adc_ranges)
+                assert not ref[groups[2]].any()
+                # default constant (one chunk), then 1, 2 and 4 groups per chunk
+                for per_chunk in (None, 1, 2, 4):
+                    elements = (chunk_elements if per_chunk is None
+                                else per_chunk * bs * per_sample + bs * per_sample - 1)
+                    step = max(1, elements // (bs * per_sample))
+                    chunks = [live[c:c + step] for c in range(0, len(groups), step)]
+                    assert per_chunk is None or step == per_chunk
+                    reads = []
+
+                    def counted_read(v, g, reads=reads):
+                        reads.append(g)
+                        return tile_vmm(v, g)
+
+                    with monkeypatch.context() as patch:
+                        patch.setattr(qnet, "_CONV_CHUNK_ELEMENTS", elements)
+                        patch.setattr(xbar, "tile_vmm", counted_read)
+                        logits = simulate_forward(net, plans, mats, batch, io, model,
+                                                  adc_ranges)
+                    assert np.array_equal(logits, ref), (net.name, bits, per_chunk)
+                    assert len(reads) == weighted * sum(any(c) for c in chunks), \
+                        (net.name, per_chunk)
 
     def test_same_seed_identical_logits(self, fixture_net, test_data):
         hw = HardwareConfig(tile_size=32, io=IOConfig(io_bit_width=8, batch_size=64))
