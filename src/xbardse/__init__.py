@@ -51,6 +51,7 @@ from .xbar import (
     encode_inputs,
     evaluate_accuracy,
     program,
+    program_network,
     readout,
     sample_devices,
     simulate_forward,

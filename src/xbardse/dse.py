@@ -1,13 +1,17 @@
 """Grid-search design-space exploration with weighted device/read/accuracy
 scoring, min-max normalization, contour grids, and deterministic ranking.
 
-Every configuration is evaluated exactly once, serially and in-process; the
-result list is ordered lexicographically over the dimension value lists, so
-reruns are bit-identical.
+Every configuration is evaluated exactly once, serially and in-process,
+population-major: the points of one device population (every dimension
+except the I/O ones, io_bit_width, v_max and batch_size) run one after
+another and share its conductance matrices, which are sampled and programmed
+once and then only read. The result list is still ordered lexicographically
+over the dimension value lists, so reruns are bit-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -19,6 +23,9 @@ from .qnet import Dataset, QuantizedNetwork
 DIMENSIONS = ("network", "scheme", "tile_size", "io_bit_width", "v_max",
               "batch_size", "n_states", "p_stuck_on", "p_stuck_off",
               "std_multiplier")
+# dimensions that set the sampled and programmed devices; the others are I/O
+POPULATION = ("network", "scheme", "tile_size", "n_states", "p_stuck_on",
+              "p_stuck_off", "std_multiplier")
 
 
 class EvaluationError(RuntimeError):
@@ -123,11 +130,18 @@ def _device_model(base: xbar.DeviceModel, cfg: dict) -> xbar.DeviceModel:
 
 
 def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
-                    seed: int, base_model: xbar.DeviceModel) -> ConfigResult:
+                    seed: int, base_model: xbar.DeviceModel,
+                    conductances: list[np.ndarray] | None = None) -> ConfigResult:
     """Evaluate one design point: simulated accuracy plus the constructive
     cost report of the simulated scheme only, so a point never fails on
     another scheme's infeasibility. The layer plans are built once and
-    serve both."""
+    serve both.
+
+    ``conductances`` is the shared list of layer conductance matrices of the
+    point's device population, if the caller keeps one: an empty list is
+    filled, read-only, from this point's plans, and a filled one is read.
+    With None the point samples and programs its own devices.
+    """
     try:
         net = networks[cfg["network"]]
         hw = xbar.HardwareConfig(
@@ -136,7 +150,12 @@ def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
                              batch_size=cfg["batch_size"]),
             device=_device_model(base_model, cfg))
         plans = mapping.network_plans(net, cfg["scheme"], cfg["tile_size"])
-        tsa = xbar.evaluate_accuracy(net, cfg["scheme"], hw, data, seed, plans=plans)
+        if conductances is not None and not conductances:
+            conductances += xbar.program_network(net, cfg["scheme"], hw, seed, plans)
+            for g in conductances:
+                g.setflags(write=False)
+        tsa = xbar.evaluate_accuracy(net, cfg["scheme"], hw, data, seed, plans=plans,
+                                     conductances=conductances)
         report, _ = mapping.plans_cost(cfg["scheme"], plans)
         raw = weighted_score(tsa, report.rd, report.rwo)
         return ConfigResult(config=dict(cfg), order_index=order_index, tsa=tsa,
@@ -149,18 +168,38 @@ def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
 def grid_search(space: SearchSpace, data: Dataset, networks: dict,
                 seed: int = 0, base_model: xbar.DeviceModel | None = None,
                 jobs: int = 1) -> list[ConfigResult]:
-    """Evaluate every configuration exactly once, in lexicographic order.
+    """Evaluate every configuration exactly once; results in lexicographic
+    order.
 
-    Points are evaluated serially in-process; a thread pool measured slower.
-    ``jobs`` must be a positive integer and is otherwise ignored. Randomness
-    is keyed per configuration, so the output is the same for any value.
+    Points run serially in-process (a thread pool measured slower),
+    population-major: device populations (the ``POPULATION`` dimensions) in
+    the order they first appear, each one's points in lexicographic order.
+    A population's first point samples and programs its conductance
+    matrices, the rest read them, and they are freed before the next
+    population. So a failure that depends only on the I/O dimensions, or
+    only on the population, raises ``EvaluationError`` for the configuration
+    a lexicographic walk would reach first. ``jobs`` must be a positive
+    integer and is otherwise ignored. Randomness is keyed per structural
+    identity (network, scheme, tile size), so the output does not depend on
+    ``jobs`` or the visiting order.
     """
     space.validate()
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError("jobs must be a positive integer")
     base_model = base_model or xbar.DeviceModel()
-    results = [evaluate_config(cfg, i, networks, data, seed, base_model)
-               for i, cfg in enumerate(space.points())]
+    points = list(space.points())
+    # keyed by positions in the value lists, so values need not be hashable
+    axes = [DIMENSIONS.index(name) for name in POPULATION]
+    positions = itertools.product(*(range(len(getattr(space, name))) for name in DIMENSIONS))
+    populations: dict[tuple, list[int]] = {}
+    for i, pos in enumerate(positions):
+        populations.setdefault(tuple(pos[a] for a in axes), []).append(i)
+    results: list[ConfigResult] = [None] * len(points)
+    for members in populations.values():
+        shared: list[np.ndarray] = []   # filled by the population's first point
+        for i in members:
+            results[i] = evaluate_config(points[i], i, networks, data, seed, base_model,
+                                         shared)
     normalized = min_max_normalize([r.raw_score for r in results])
     for res, norm in zip(results, normalized):
         res.normalized_score = norm

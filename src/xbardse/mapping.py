@@ -26,11 +26,11 @@ dense_routed
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, issparse
 
 from . import qnet
 from .qnet import ConvGeometry, LayerSpec, QuantizedNetwork, WeightTensor
@@ -136,7 +136,10 @@ def _full_allocation(matrix: np.ndarray, weight_ids: np.ndarray, tile_size: int,
 
 
 def _as_dense(matrix) -> np.ndarray:
-    if issparse(matrix):
+    # a scipy sparse matrix can only exist once scipy.sparse is imported, and
+    # importing it here would cost every run that passes arrays (22 MB RSS)
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(matrix):
         return np.asarray(matrix.todense())
     return np.asarray(matrix)
 
@@ -178,37 +181,21 @@ def map_linear_dense(matrix, tile_size: int, weight_ids: np.ndarray | None = Non
         weight_ids = _default_ids(m, n)
     weight_ids = np.asarray(weight_ids)
     cap = pair_capacity(tile_size)
-    perms: dict[int, np.ndarray] = {}
-    buckets: dict[tuple[int, int], list] = {}
-    for col in range(n):
-        nz = np.flatnonzero(mat[:, col])
-        perms[col] = nz.copy()
-        if nz.size == 0:
-            continue
-        phys = np.arange(nz.size)
-        tc = col // cap
-        slot = col % cap
-        for tr in range(-(-nz.size // tile_size)):
-            sel = slice(tr * tile_size, (tr + 1) * tile_size)
-            part = phys[sel]
-            buckets.setdefault((tr, tc), []).append((
-                part - tr * tile_size,
-                np.full(part.size, slot),
-                nz[sel],
-                np.full(part.size, col),
-                mat[nz[sel], col],
-                weight_ids[nz[sel], col]))
-    tiles = []
-    for (tr, tc) in sorted(buckets):
-        parts = buckets[(tr, tc)]
-        tiles.append(TilePlan(
-            tile_row=tr, tile_col=tc,
-            rows=np.concatenate([p[0] for p in parts]),
-            pair_slots=np.concatenate([p[1] for p in parts]),
-            logical_rows=np.concatenate([p[2] for p in parts]),
-            logical_cols=np.concatenate([p[3] for p in parts]),
-            codes=np.concatenate([p[4] for p in parts]),
-            weight_ids=np.concatenate([p[5] for p in parts])))
+    tile_cols = -(-n // cap)
+    cols, rows = np.nonzero(mat.T)                # by column, then row
+    counts = np.bincount(cols, minlength=n)
+    ends = np.cumsum(counts)
+    perms = dict(zip(range(n), np.split(rows, ends[:-1])))
+    phys = np.arange(rows.size) - (ends - counts)[cols]   # packed row within the column
+    tile = phys // tile_size * tile_cols + cols // cap
+    # stable, so inside a tile the cells stay by column, then row
+    order = np.argsort(tile, kind="stable")
+    rows, cols, phys, tile = rows[order], cols[order], phys[order], tile[order]
+    fields = (phys % tile_size, cols % cap, rows, cols, mat[rows, cols],
+              weight_ids[rows, cols])
+    firsts = np.flatnonzero(np.diff(tile, prepend=-1)).tolist()
+    tiles = [TilePlan(*divmod(int(tile[a]), tile_cols), *(f[a:b] for f in fields))
+             for a, b in zip(firsts, firsts[1:] + [tile.size])]
     return MappingPlan(scheme, tile_size, m, n, tiles, perms, geometry, reads)
 
 
@@ -216,10 +203,12 @@ def map_linear_dense(matrix, tile_size: int, weight_ids: np.ndarray | None = Non
 # convolution layouts
 
 
-def unroll_conv_staggered(geom: ConvGeometry, kernel: np.ndarray | None = None) -> csr_matrix:
-    """Toeplitz-style unrolled logical matrix: rows = padded input cells x
-    channels, columns = output positions x kernels; column k*P + p holds the
-    copy of kernel k shifted to output position p."""
+def unroll_conv_staggered(geom: ConvGeometry, kernel: np.ndarray | None = None):
+    """Toeplitz-style unrolled logical matrix, as a scipy ``csr_matrix``:
+    rows = padded input cells x channels, columns = output positions x
+    kernels; column k*P + p holds the copy of kernel k shifted to output
+    position p. A test oracle, so scipy is imported only here."""
+    from scipy.sparse import coo_matrix
     idx = geom.read_indices()                       # (P, F)
     k, p, f = geom.kernels, geom.out_positions, geom.footprint
     if kernel is None:

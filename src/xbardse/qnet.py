@@ -367,6 +367,18 @@ class Dataset:
 _CONV_CHUNK_ELEMENTS = 1 << 18
 
 
+def _zero_pad(x: np.ndarray, p: int) -> np.ndarray:
+    """``x`` with ``p`` zeros on both sides of every spatial axis (axes 2 on),
+    ``x`` itself when p is 0; callers only read it. The values of ``np.pad``,
+    which costs several times more on the small batches the simulator pads
+    per layer and copies even when there is nothing to pad."""
+    if p == 0:
+        return x
+    xp = np.zeros((*x.shape[:2], *(n + 2 * p for n in x.shape[2:])), dtype=x.dtype)
+    xp[(..., *(slice(p, p + n) for n in x.shape[2:]))] = x
+    return xp
+
+
 def _conv_forward(spec: LayerSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Direct sliding-window convolution; the reference for everything else.
 
@@ -382,13 +394,12 @@ def _conv_forward(spec: LayerSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     is several times slower.
     """
     p, s, d = spec.padding, spec.stride, spec.dilation
+    xp = _zero_pad(x, p)
     if spec.kind == "conv1d":
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p)))
         span = d * (spec.kernel_h - 1) + 1
         win = sliding_window_view(xp, span, axis=2)[:, :, ::s, ::d]  # (n, c, x, h)
         spatial, axes = win.shape[2:3], ([1, 3], [1, 2])
     else:
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         span_h = d * (spec.kernel_h - 1) + 1
         span_w = d * (spec.kernel_w - 1) + 1
         win = sliding_window_view(xp, (span_h, span_w), axis=(2, 3))[:, :, ::s, ::s, ::d, ::d]
@@ -470,12 +481,7 @@ def generate_synthetic_dataset(seed: int, n: int, classes: int,
 
 
 def _pad_flat(spec: LayerSpec, x: np.ndarray) -> np.ndarray:
-    p = spec.padding
-    if spec.kind == "conv1d":
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p)))
-    else:
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    return xp.reshape(x.shape[0], -1)
+    return _zero_pad(x, spec.padding).reshape(x.shape[0], -1)
 
 
 def _forward_cache(specs, weights, x):

@@ -299,6 +299,18 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
     return g_layer
 
 
+def program_network(net: QuantizedNetwork, scheme: str, hw: HardwareConfig, seed: int,
+                    plans: list[MappingPlan], key_mode: str = "physical") -> list[np.ndarray]:
+    """Sample and program every layer of ``net`` under its ``plans``; returns
+    the layer conductance matrices ``simulate_forward`` reads. They depend on
+    the device population alone (network, scheme, tile size, device model,
+    seed and key mode), never on ``hw.io``."""
+    chash = config_hash(net, scheme, hw)
+    return [program(sample_devices(seed, plan, hw.device, chash, li, key_mode),
+                    plan, net.layers[li].weights, hw.device)
+            for li, plan in enumerate(plans)]
+
+
 def encode_inputs(batch: np.ndarray, io: IOConfig, scale: float | np.ndarray | None = None
                   ) -> tuple[np.ndarray, float | np.ndarray]:
     """Scale a batch of activations into voltages: v = x / max|x| * v_max,
@@ -386,6 +398,13 @@ def simulate_forward(net: QuantizedNetwork, plans: list[MappingPlan],
             f"batch feature shape {x.shape[1:]} != network input {net.input_shape}")
     if len(x) == 0:
         raise ValueError("empty batch")
+    if not len(plans) == len(conductances) == len(net.layers):
+        raise ValueError(f"{len(net.layers)} layers, {len(plans)} plans and "
+                         f"{len(conductances)} conductance matrices")
+    for li, (plan, g) in enumerate(zip(plans, conductances)):
+        if np.shape(g) != (plan.rows, 2 * plan.cols):
+            raise ValueError(f"layer {li}: conductance matrix of shape {np.shape(g)}, "
+                             f"plan needs {(plan.rows, 2 * plan.cols)}")
     per_sample = max(plan.reads_per_sample * 2 * plan.cols for plan in plans)
     step = io.batch_size * max(1, qnet._CONV_CHUNK_ELEMENTS // (io.batch_size * per_sample))
     return np.concatenate([_forward_chunk(net, plans, conductances, x[start:start + step],
@@ -466,23 +485,27 @@ def calibrate_adc_ranges(net: QuantizedNetwork, data: qnet.Dataset) -> list[tupl
 def evaluate_accuracy(net: QuantizedNetwork, scheme: str, hw: HardwareConfig,
                       data: qnet.Dataset, seed: int,
                       key_mode: str = "physical",
-                      plans: list[MappingPlan] | None = None) -> float:
+                      plans: list[MappingPlan] | None = None,
+                      conductances: list[np.ndarray] | None = None) -> float:
     """Test-set accuracy of the simulated crossbar implementation.
 
     The whole dataset goes through one ``simulate_forward`` call, which
     splits it into scaling groups of io.batch_size samples, each sharing one
     dynamic input-voltage scale per layer, and reads them in chunks. ``plans``
     are the layer plans of (scheme, hw.tile_size) if the caller has built
-    them already; otherwise they are built here.
+    them already; otherwise they are built here. ``conductances`` are the
+    layer matrices ``program_network`` returns for this device population
+    (scheme, hw.tile_size, hw.device, seed, key_mode) if the caller holds
+    them, as ``dse.grid_search`` does for points that differ only in
+    ``hw.io``; they are only read. Otherwise they are sampled and programmed
+    here.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
     if plans is None:
         plans = mapping.network_plans(net, scheme, hw.tile_size)
-    chash = config_hash(net, scheme, hw)
-    conductances = [program(sample_devices(seed, plan, hw.device, chash, li, key_mode),
-                            plan, net.layers[li].weights, hw.device)
-                    for li, plan in enumerate(plans)]
+    if conductances is None:
+        conductances = program_network(net, scheme, hw, seed, plans, key_mode)
     adc_ranges = calibrate_adc_ranges(net, data) if hw.io.quantizes else None
     logits = simulate_forward(net, plans, conductances, data.features, hw.io, hw.device,
                               adc_ranges)

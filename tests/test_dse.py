@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from xbardse import dse, mapping, xbar
+from xbardse import cli, dse, mapping, qnet, xbar
 from xbardse.dse import (
     ConfigResult,
     SearchSpace,
@@ -117,6 +123,120 @@ class TestGridSearch:
         analytic = mapping.analytic_network_cost(fixture_net, scheme, 16)
         for rep in (constructive, analytic):
             assert (res.rd, res.rwo, res.tiles) == (rep.rd, rep.rwo, rep.tiles)
+
+
+def device_space(net_name, **dims):
+    """Two values of every I/O dimension and of most device dimensions,
+    including std 0, p_stuck_on + p_stuck_off = 1 and n_states None / 4."""
+    base = dict(network=[net_name], scheme=list(mapping.SCHEMES), tile_size=[8, 32],
+                io_bit_width=[None, 4], v_max=[0.3, 0.2], batch_size=[64, 200],
+                n_states=[None, 4], p_stuck_on=[0.5], p_stuck_off=[0.01, 0.5],
+                std_multiplier=[0.0, 1.0])
+    return SearchSpace(**{**base, **dims})
+
+
+def per_point_search(space, data, networks, seed):
+    """grid_search's results with each point sampling and programming its own
+    devices (``conductances=None``), in lexicographic order."""
+    results = [dse.evaluate_config(cfg, i, networks, data, seed, xbar.DeviceModel())
+               for i, cfg in enumerate(space.points())]
+    for res, norm in zip(results, min_max_normalize([r.raw_score for r in results])):
+        res.normalized_score = norm
+    return results
+
+
+def population_count(space):
+    return int(np.prod([len(getattr(space, name)) for name in dse.POPULATION]))
+
+
+class TestPopulationSharing:
+    def test_results_equal_the_per_point_reference(self, fixture_net, test_data, tmp_path):
+        nets = {fixture_net.name: fixture_net}
+        space = device_space(fixture_net.name)
+        got = grid_search(space, test_data, nets, seed=3)
+        want = per_point_search(space, test_data, nets, seed=3)
+        assert got == want
+        assert [r.config for r in got] == list(space.points())
+        assert [r.order_index for r in got] == list(range(space.size()))
+        cli.write_results_csv(tmp_path / "got.csv", got)
+        cli.write_results_csv(tmp_path / "want.csv", want)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_samples_each_population_once(self, fixture_net, test_data, monkeypatch):
+        calls = {"sample_devices": 0, "program": 0, "network_plans": 0}
+        for module, name in ((xbar, "sample_devices"), (xbar, "program"),
+                             (mapping, "network_plans")):
+            def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        space = device_space(fixture_net.name, scheme=["dense_routed"])
+        grid_search(space, test_data, {fixture_net.name: fixture_net}, seed=0)
+        layers = len(fixture_net.layers)
+        assert population_count(space) == 16 and space.size() == 128
+        assert calls == {"sample_devices": 16 * layers, "program": 16 * layers,
+                         "network_plans": 128}
+
+    def test_points_only_read_the_shared_matrices(self, fixture_net, test_data, monkeypatch):
+        seen = []
+        forward = xbar.simulate_forward
+
+        def capturing(net, plans, conductances, *args, **kwargs):
+            seen.append(conductances)
+            return forward(net, plans, conductances, *args, **kwargs)
+
+        monkeypatch.setattr(xbar, "simulate_forward", capturing)
+        space = device_space(fixture_net.name, scheme=["sparse_staggered"], tile_size=[8],
+                             n_states=[None], p_stuck_off=[0.01, 0.02], std_multiplier=[1.0])
+        grid_search(space, test_data, {fixture_net.name: fixture_net}, seed=0)
+        assert len(seen) == space.size() == 16
+        # points visited population-major: 8 I/O settings per population
+        assert all(seen[i] is seen[0] for i in range(8))
+        assert all(seen[i] is seen[8] for i in range(8, 16)) and seen[8] is not seen[0]
+        for g in seen[0] + seen[8]:
+            assert not g.flags.writeable
+            with pytest.raises(ValueError):
+                g[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [{"batch_size": [64, 0]}, {"v_max": [0.3, -1.0]},
+                                     {"n_states": [None, 1]}])
+    def test_failure_reports_the_lexicographic_config(self, bad, fixture_net, test_data):
+        nets = {fixture_net.name: fixture_net}
+        space = device_space(fixture_net.name, scheme=["dense_kernel", "sparse_staggered"],
+                             tile_size=[8], io_bit_width=[4], p_stuck_off=[0.01, 0.02],
+                             std_multiplier=[1.0], **bad)
+        with pytest.raises(dse.EvaluationError) as err:
+            grid_search(space, test_data, nets, seed=0)
+        first = None
+        for i, cfg in enumerate(space.points()):
+            try:
+                dse.evaluate_config(cfg, i, nets, test_data, 0, xbar.DeviceModel())
+            except dse.EvaluationError as failure:
+                first = failure
+                break
+        assert err.value.config == first.config
+        assert str(err.value.cause) == str(first.cause)
+
+
+def test_import_and_search_leave_scipy_unloaded(fixture_net, test_data, tmp_path):
+    qnet.save_network(fixture_net, tmp_path / "net.json")
+    qnet.save_dataset(test_data, tmp_path / "data.txt")
+    script = textwrap.dedent(f"""
+        import sys
+        import xbardse
+        from xbardse import dse, qnet
+        net = qnet.load_network({str(tmp_path / "net.json")!r})
+        data = qnet.load_dataset({str(tmp_path / "data.txt")!r})
+        space = dse.SearchSpace(network=[net.name], scheme=["sparse_staggered", "dense_routed"],
+                                tile_size=[16], io_bit_width=[4, None])
+        assert len(dse.grid_search(space, data, {{net.name: net}})) == 4
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = Path(dse.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestWeightedScore:

@@ -125,6 +125,78 @@ class TestLinearDense:
             assert perm.tolist() == list(range(4))
 
 
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    def test_matches_per_column_reference(self, kind):
+        rng = np.random.default_rng(17 if kind == "int" else 18)
+        cases = [np.zeros((5, 3)), np.zeros((1, 1)), np.zeros((0, 4)), np.zeros((3, 0))]
+        for _ in range(200):
+            m, n = rng.integers(1, 40, size=2)
+            mat = (rng.integers(-127, 128, size=(m, n)) if kind == "int"
+                   else rng.normal(size=(m, n)))
+            mat[rng.random((m, n)) < rng.random()] = 0
+            mat[:, rng.random(n) < 0.2] = 0                 # all-zero columns
+            cases.append(mat)
+        for i, mat in enumerate(cases):
+            t = int(rng.integers(2, 21))
+            ids = rng.permutation(mat.size).reshape(mat.shape) if i % 2 else None
+            got = map_linear_dense(mat, t, ids)
+            want = per_column_dense(mat, t, ids)
+            assert (got.rows, got.cols, got.tile_size) == (want.rows, want.cols, want.tile_size)
+            assert len(got.tiles) == len(want.tiles)
+            for tp, ref in zip(got.tiles, want.tiles):
+                assert (tp.tile_row, tp.tile_col) == (ref.tile_row, ref.tile_col)
+                assert type(tp.tile_row) is type(tp.tile_col) is int
+                for name in ("rows", "pair_slots", "logical_rows", "logical_cols",
+                             "codes", "weight_ids"):
+                    a, b = getattr(tp, name), getattr(ref, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert list(got.row_permutations) == list(want.row_permutations)
+            for col, perm in want.row_permutations.items():
+                a = got.row_permutations[col]
+                assert a.dtype == perm.dtype and a.shape == perm.shape
+                assert np.array_equal(a, perm)
+
+    @pytest.mark.parametrize("build", [map_linear_sparse, map_linear_dense])
+    def test_sparse_input_gives_the_dense_input_plan(self, build):
+        from scipy.sparse import csr_matrix
+
+        rng = np.random.default_rng(5)
+        mat = rng.integers(-3, 4, size=(23, 11)) * (rng.random((23, 11)) < 0.4)
+        got, want = build(csr_matrix(mat), 6), build(mat, 6)
+        perms = [plan.row_permutations and {c: p.tolist() for c, p in
+                                            plan.row_permutations.items()}
+                 for plan in (got, want)]
+        assert perms[0] == perms[1]
+        assert len(got.tiles) == len(want.tiles)
+        for tp, ref in zip(got.tiles, want.tiles):
+            for name in ("tile_row", "tile_col", "rows", "pair_slots", "logical_rows",
+                         "logical_cols", "codes", "weight_ids"):
+                assert np.array_equal(getattr(tp, name), getattr(ref, name)), name
+
+
+def per_column_dense(mat, tile_size, weight_ids=None):
+    """map_linear_dense's plan built column by column, one bucket per tile."""
+    m, n = mat.shape
+    if weight_ids is None:
+        weight_ids = np.arange(m * n, dtype=np.int64).reshape(m, n)
+    cap = tile_size // 2
+    perms, buckets = {}, {}
+    for col in range(n):
+        nz = np.flatnonzero(mat[:, col])
+        perms[col] = nz.copy()
+        phys = np.arange(nz.size)
+        for tr in range(-(-nz.size // tile_size)):
+            sel = slice(tr * tile_size, (tr + 1) * tile_size)
+            part = phys[sel]
+            buckets.setdefault((tr, col // cap), []).append((
+                part - tr * tile_size, np.full(part.size, col % cap), nz[sel],
+                np.full(part.size, col), mat[nz[sel], col], weight_ids[nz[sel], col]))
+    tiles = [mapping.TilePlan(tr, tc, *(np.concatenate([p[k] for p in buckets[(tr, tc)]])
+                                        for k in range(6)))
+             for tr, tc in sorted(buckets)]
+    return mapping.MappingPlan("dense_routed", tile_size, m, n, tiles, perms)
+
+
 class TestConvMappings:
     def test_staggered_counts(self):
         codes = np.ones((1, 1, 3), dtype=np.int64)

@@ -456,6 +456,29 @@ class TestSimulation:
             rel = np.abs(logits - ref) / np.maximum(np.abs(ref), 1e-12)
             assert rel.max() < 1e-6
 
+    @pytest.mark.parametrize("key_mode", ["physical", "logical"])
+    def test_program_network_programs_every_layer(self, key_mode, fixture_net):
+        hw = HardwareConfig(tile_size=8, device=DeviceModel(p_stuck_on=0.05, n_states=4))
+        plans = mapping.network_plans(fixture_net, "dense_routed", 8)
+        chash = xbar.config_hash(fixture_net, "dense_routed", hw)
+        got = xbar.program_network(fixture_net, "dense_routed", hw, 5, plans, key_mode)
+        assert len(got) == len(plans)
+        for li, (plan, g) in enumerate(zip(plans, got)):
+            want = program(sample_devices(5, plan, hw.device, chash, li, key_mode), plan,
+                           fixture_net.layers[li].weights, hw.device)
+            assert np.array_equal(g, want)
+
+    def test_rejects_conductances_that_do_not_fit_the_plans(self, fixture_net, test_data):
+        hw = HardwareConfig(tile_size=8)
+        plans = mapping.network_plans(fixture_net, "sparse_staggered", 8)
+        mats = xbar.program_network(fixture_net, "sparse_staggered", hw, 0, plans)
+        batch = test_data.features[:8]
+        for bad, match in (([mats[0].T, mats[1]], "layer 0"),
+                           ([mats[0], mats[1][:, :-2]], "layer 1"),
+                           (mats[:1], "1 conductance matrices")):
+            with pytest.raises(ValueError, match=match):
+                simulate_forward(fixture_net, plans, bad, batch, hw.io, hw.device)
+
     @pytest.mark.parametrize("scheme", mapping.SCHEMES)
     def test_layer_matrix_read_matches_per_tile_reference(self, scheme, fixture_net,
                                                           test_data, monkeypatch):
