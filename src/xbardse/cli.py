@@ -48,8 +48,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # run configuration
 
 
-DEFAULT_SPACE = {name: None for name in dse.DIMENSIONS}
-
 JOBS_HELP = ("positive integer, accepted for compatibility; design points are "
              "evaluated serially in-process")
 
@@ -179,15 +177,18 @@ def write_results_csv(path: Path, results: list[dse.ConfigResult]) -> None:
 
 
 def _parse_cell(column: str, text: str):
+    """A results cell as ``_fmt`` wrote it: empty is None, network and scheme
+    are text, any other cell an int if it reads as one, else a float. A
+    dimension value then keeps the type its config gave it, so ``report``
+    re-emits the ranking and contour files ``dse`` wrote, byte for byte."""
     if text == "":
         return None
-    if column in ("order_index", "tile_size", "batch_size", "rd", "rwo",
-                  "tiles", "seed", "io_bit_width", "n_states"):
+    if column in ("network", "scheme"):
+        return text
+    try:
         return int(text)
-    if column in ("v_max", "p_stuck_on", "p_stuck_off", "std_multiplier",
-                  "tsa", "raw_score", "normalized_score"):
+    except ValueError:
         return float(text)
-    return text
 
 
 def load_results_csv(path) -> list[dse.ConfigResult]:

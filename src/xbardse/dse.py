@@ -218,16 +218,14 @@ class ContourGrid:
 
 
 def contour_grid(results: list[ConfigResult], x_dim: str, y_dim: str,
-                 metric: str = "tsa", reduce: str = "max") -> ContourGrid:
+                 metric: str = "tsa") -> ContourGrid:
     """Dense metric matrix over two chosen dimensions; remaining dimensions
-    collapse under the reducer (max). Cells with no result are flagged."""
+    collapse to their maximum. Cells with no result are flagged."""
     if x_dim == y_dim:
         raise ValueError("x_dim and y_dim must differ")
     for dim in (x_dim, y_dim):
         if dim not in DIMENSIONS:
             raise ValueError(f"unknown dimension {dim!r}")
-    if reduce != "max":
-        raise ValueError("only the 'max' reducer is supported")
     x_values: list = []
     y_values: list = []
     for res in results:

@@ -148,10 +148,8 @@ def _default_ids(m: int, n: int) -> np.ndarray:
     return np.arange(m * n, dtype=np.int64).reshape(m, n)
 
 
-def map_linear_sparse(matrix, tile_size: int, weight_ids: np.ndarray | None = None,
-                      scheme: str = "sparse_staggered",
-                      geometry: ConvGeometry | None = None,
-                      reads: int = 1) -> MappingPlan:
+def map_linear_sparse(matrix, tile_size: int,
+                      weight_ids: np.ndarray | None = None) -> MappingPlan:
     """Map a 2-D logical matrix with no reconfiguration: every cell, zero or
     not, consumes a differential pair. RD therefore counts all allocated
     devices including zeros."""
@@ -160,8 +158,8 @@ def map_linear_sparse(matrix, tile_size: int, weight_ids: np.ndarray | None = No
         raise MappingError("expected a 2-D logical matrix")
     if weight_ids is None:
         weight_ids = _default_ids(*mat.shape)
-    return _full_allocation(mat, np.asarray(weight_ids), tile_size, scheme,
-                            geometry, reads)
+    return _full_allocation(mat, np.asarray(weight_ids), tile_size, "sparse_staggered",
+                            None, 1)
 
 
 def map_linear_dense(matrix, tile_size: int, weight_ids: np.ndarray | None = None,
@@ -182,7 +180,7 @@ def map_linear_dense(matrix, tile_size: int, weight_ids: np.ndarray | None = Non
     weight_ids = np.asarray(weight_ids)
     cap = pair_capacity(tile_size)
     tile_cols = -(-n // cap)
-    cols, rows = np.nonzero(mat.T)                # by column, then row
+    cols, rows = np.divmod(np.flatnonzero(mat.T != 0), m)   # by column, then row
     counts = np.bincount(cols, minlength=n)
     ends = np.cumsum(counts)
     perms = dict(zip(range(n), np.split(rows, ends[:-1])))
@@ -257,8 +255,6 @@ def _kernel_matrix(geom: ConvGeometry, codes: np.ndarray) -> tuple[np.ndarray, n
 def map_conv_staggered(geom: ConvGeometry, codes: np.ndarray, tile_size: int) -> MappingPlan:
     """Staggered (sparse) kernel arrangement: unroll, then map without
     reclamation. One read per tile row-group serves all output positions."""
-    if geom.out_positions < 1:
-        raise MappingError("non-positive output extent")
     values, ids = _staggered_cells(geom, codes)
     return _full_allocation(values, ids, tile_size, "sparse_staggered", geom, reads=1)
 
@@ -266,8 +262,6 @@ def map_conv_staggered(geom: ConvGeometry, codes: np.ndarray, tile_size: int) ->
 def map_conv_dense(geom: ConvGeometry, codes: np.ndarray, tile_size: int) -> MappingPlan:
     """Dense kernel arrangement: each kernel stored once as a contiguous
     footprint column pair; output positions computed by sliding reads."""
-    if geom.out_positions < 1:
-        raise MappingError("non-positive output extent")
     if geom.footprint > tile_size:
         raise MappingError(
             f"kernel footprint {geom.footprint} exceeds tile size {tile_size}")
@@ -278,8 +272,6 @@ def map_conv_dense(geom: ConvGeometry, codes: np.ndarray, tile_size: int) -> Map
 
 def map_conv_routed(geom: ConvGeometry, codes: np.ndarray, tile_size: int) -> MappingPlan:
     """Dense kernel arrangement with per-column zero reclamation."""
-    if geom.out_positions < 1:
-        raise MappingError("non-positive output extent")
     matrix, ids = _kernel_matrix(geom, codes)
     return map_linear_dense(matrix, tile_size, ids, scheme="dense_routed",
                             geometry=geom, reads=geom.out_positions)
@@ -471,8 +463,6 @@ def _analytic_layer_cost(spec: LayerSpec, weights: WeightTensor, scheme: str,
         raise MappingError("tile size must be >= 2 to hold a differential pair")
     cap = pair_capacity(tile_size)
     geom = None if spec.kind == "linear" else ConvGeometry.from_spec(spec)
-    if geom is not None and geom.out_positions < 1:
-        raise MappingError("non-positive output extent")
 
     if scheme == "sparse_staggered":
         if geom is None:

@@ -112,7 +112,10 @@ def linear(out_features: int) -> LayerSpec:
 
 def out_extent(extent: int, kernel: int, stride: int, padding: int,
                dilation: int) -> int:
-    """Output length of one convolved dimension (standard formula)."""
+    """Output length of one convolved dimension (standard formula); always
+    >= 1, so the mappers and the cost model need no check of their own."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     span = extent + 2 * padding - dilation * (kernel - 1) - 1
     if span < 0:
         raise ValueError(

@@ -13,17 +13,20 @@ writes it, and copies it into G, through basic slices; routed tiles go
 through their index arrays.
 
 Scaling groups, the io.batch_size rows that share one input-voltage scale
-per layer, are defined in ``simulate_forward`` alone: it reads a chunk of
-whole groups per layer at once, each row with its group's scale.
+per layer, and their scale v_max / max|x| are defined in ``simulate_forward``
+alone: it reads a chunk of whole groups per layer at once, each row with
+its group's scale, and keeps all-zero groups out of the read.
+``encode_inputs`` only applies a given scale and the DAC grid.
 
 All randomness flows through counter-based Philox streams keyed by
-(seed, configuration hash, layer, tile), with devices drawn in a fixed
-canonical order inside each tile, so results never depend on evaluation
-order or worker count; ``sample_devices`` re-keys one bit generator per
-stream rather than building one per tile. Resistance samples are truncated
-at three standard deviations and redrawn, which keeps them positive and
-preserves r_on < r_off for the default parameters; after the first pass
-only the redrawn positions are re-checked, which consumes the same draws.
+(seed, configuration hash, layer, tile), the tile's position in the tile
+grid, with devices drawn in a fixed canonical order inside each tile, so
+results never depend on evaluation order or worker count;
+``sample_devices`` re-keys one bit generator per stream rather than
+building one per tile. Resistance samples are truncated at three standard
+deviations and redrawn, which keeps them positive and preserves
+r_on < r_off for the default parameters; after the first pass only the
+redrawn positions are re-checked, which consumes the same draws.
 """
 
 from __future__ import annotations
@@ -188,43 +191,19 @@ def _unprogrammed(r_on: np.ndarray, r_off: np.ndarray, stuck: np.ndarray) -> np.
 
 
 def sample_devices(seed: int, plan: MappingPlan, model: DeviceModel,
-                   cfg_hash: str = "", layer_index: int = 0,
-                   key_mode: str = "physical") -> dict:
+                   cfg_hash: str, layer_index: int) -> dict:
     """Draw per-device (r_on, r_off) and stuck states for every tile a plan
-    occupies. Returns {(tile_row, tile_col): TileArray}.
-
-    key_mode="physical" (default) keys each tile's stream by position in the
-    tile grid. key_mode="logical" draws one sample per logical matrix cell,
-    shared by both polarities of its pair and independent of scheme and tile
-    size — the instrument behind permutation-invariance checks.
+    occupies, each tile from the stream keyed by (seed, cfg_hash,
+    layer_index, tile_row, tile_col). Returns {(tile_row, tile_col): TileArray}.
     """
     t = plan.tile_size
     tiles: dict[tuple[int, int], TileArray] = {}
     gen = np.random.Generator(np.random.Philox(key=0))   # re-keyed for every stream
-    if key_mode == "physical":
-        for tp in plan.tiles:
-            _rekey(gen, seed, cfg_hash, layer_index, tp.tile_row, tp.tile_col)
-            r_on = _truncated_normal(gen, model.r_on_mean, model.r_on_std, (t, t))
-            r_off = _truncated_normal(gen, model.r_off_mean, model.r_off_std, (t, t))
-            stuck = _stuck_from_uniform(gen.random((t, t)), model)
-            tiles[(tp.tile_row, tp.tile_col)] = TileArray(
-                _unprogrammed(r_on, r_off, stuck), r_on, r_off, stuck)
-        return tiles
-    if key_mode != "logical":
-        raise ValueError("key_mode must be 'physical' or 'logical'")
-    _rekey(gen, seed, "logical", layer_index, plan.rows, plan.cols)
-    r_on_l = _truncated_normal(gen, model.r_on_mean, model.r_on_std, (plan.rows, plan.cols))
-    r_off_l = _truncated_normal(gen, model.r_off_mean, model.r_off_std, (plan.rows, plan.cols))
-    stuck_l = _stuck_from_uniform(gen.random((plan.rows, plan.cols)), model)
     for tp in plan.tiles:
-        r_on = np.full((t, t), model.r_on_mean)
-        r_off = np.full((t, t), model.r_off_mean)
-        stuck = np.zeros((t, t), dtype=np.int8)
-        for offset in (0, 1):
-            cols = 2 * tp.pair_slots + offset
-            r_on[tp.rows, cols] = r_on_l[tp.logical_rows, tp.logical_cols]
-            r_off[tp.rows, cols] = r_off_l[tp.logical_rows, tp.logical_cols]
-            stuck[tp.rows, cols] = stuck_l[tp.logical_rows, tp.logical_cols]
+        _rekey(gen, seed, cfg_hash, layer_index, tp.tile_row, tp.tile_col)
+        r_on = _truncated_normal(gen, model.r_on_mean, model.r_on_std, (t, t))
+        r_off = _truncated_normal(gen, model.r_off_mean, model.r_off_std, (t, t))
+        stuck = _stuck_from_uniform(gen.random((t, t)), model)
         tiles[(tp.tile_row, tp.tile_col)] = TileArray(
             _unprogrammed(r_on, r_off, stuck), r_on, r_off, stuck)
     return tiles
@@ -300,42 +279,34 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
 
 
 def program_network(net: QuantizedNetwork, scheme: str, hw: HardwareConfig, seed: int,
-                    plans: list[MappingPlan], key_mode: str = "physical") -> list[np.ndarray]:
+                    plans: list[MappingPlan]) -> list[np.ndarray]:
     """Sample and program every layer of ``net`` under its ``plans``; returns
     the layer conductance matrices ``simulate_forward`` reads. They depend on
-    the device population alone (network, scheme, tile size, device model,
-    seed and key mode), never on ``hw.io``."""
+    the device population alone (network, scheme, tile size, device model
+    and seed), never on ``hw.io``."""
     chash = config_hash(net, scheme, hw)
-    return [program(sample_devices(seed, plan, hw.device, chash, li, key_mode),
+    return [program(sample_devices(seed, plan, hw.device, chash, li),
                     plan, net.layers[li].weights, hw.device)
             for li, plan in enumerate(plans)]
 
 
-def encode_inputs(batch: np.ndarray, io: IOConfig, scale: float | np.ndarray | None = None
-                  ) -> tuple[np.ndarray, float | np.ndarray]:
-    """Scale a batch of activations into voltages: v = x / max|x| * v_max,
-    then quantize to the signed mid-tread DAC grid (step v_max / 2^(b-1)).
-
-    Returns (voltages, voltage_scale); an all-zero batch maps to zero volts
-    with scale 0. A given ``scale`` replaces v_max / max|x|: an (rows, 1)
-    column gives each row of a 2-D batch its own scaling group's scale.
+def encode_inputs(batch: np.ndarray, io: IOConfig, scale: float | np.ndarray) -> np.ndarray:
+    """Voltages of a batch of activations: v = x * scale, quantized to the
+    signed mid-tread DAC grid (step v_max / 2^(b-1)). ``scale`` is one value
+    or an (rows, 1) column giving each row of a 2-D batch its own scaling
+    group's scale; ``simulate_forward`` sets it to v_max / max|x| per group.
     """
     x = np.asarray(batch, dtype=float)
     if x.size == 0:
         raise ValueError("empty batch")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite inputs")
-    if scale is None:
-        peak = float(np.max(np.abs(x)))
-        if peak == 0.0:
-            return np.zeros_like(x), 0.0
-        scale = io.v_max / peak
     v = x * scale
     if io.quantizes:
         half = 2 ** (io.io_bit_width - 1)
         step = io.v_max / half
         v = np.clip(_round_half_away(v / step), -half, half) * step
-    return v, scale
+    return v
 
 
 def tile_vmm(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -349,8 +320,8 @@ def tile_vmm(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReadoutCalibration:
-    voltage_scale: float | np.ndarray   # volts per input unit (from encode_inputs),
-                                        # or an (rows, 1) column of them
+    voltage_scale: float | np.ndarray   # volts per input unit: v_max / max|x| of a
+                                        # scaling group, or an (rows, 1) column of them
     weight_scale: float                 # siemens per weight unit
     out_lo: float | None = None         # ADC range, per layer
     out_hi: float | None = None
@@ -457,7 +428,7 @@ def _read_layer(flat: np.ndarray, scale: float | np.ndarray, layer: qnet.Layer,
     read against the layer conductance matrix ``g``."""
     m = flat.shape[0]
     geom = plan.geometry
-    v, _ = encode_inputs(flat, io, scale)
+    v = encode_inputs(flat, io, scale)
     w_max = float(np.abs(layer.weights.dequantized()).max(initial=0.0))
     if w_max == 0.0:
         return np.zeros((m, *out_shape))
@@ -484,7 +455,6 @@ def calibrate_adc_ranges(net: QuantizedNetwork, data: qnet.Dataset) -> list[tupl
 
 def evaluate_accuracy(net: QuantizedNetwork, scheme: str, hw: HardwareConfig,
                       data: qnet.Dataset, seed: int,
-                      key_mode: str = "physical",
                       plans: list[MappingPlan] | None = None,
                       conductances: list[np.ndarray] | None = None) -> float:
     """Test-set accuracy of the simulated crossbar implementation.
@@ -495,17 +465,16 @@ def evaluate_accuracy(net: QuantizedNetwork, scheme: str, hw: HardwareConfig,
     are the layer plans of (scheme, hw.tile_size) if the caller has built
     them already; otherwise they are built here. ``conductances`` are the
     layer matrices ``program_network`` returns for this device population
-    (scheme, hw.tile_size, hw.device, seed, key_mode) if the caller holds
-    them, as ``dse.grid_search`` does for points that differ only in
-    ``hw.io``; they are only read. Otherwise they are sampled and programmed
-    here.
+    (scheme, hw.tile_size, hw.device, seed) if the caller holds them, as
+    ``dse.grid_search`` does for points that differ only in ``hw.io``; they
+    are only read. Otherwise they are sampled and programmed here.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
     if plans is None:
         plans = mapping.network_plans(net, scheme, hw.tile_size)
     if conductances is None:
-        conductances = program_network(net, scheme, hw, seed, plans, key_mode)
+        conductances = program_network(net, scheme, hw, seed, plans)
     adc_ranges = calibrate_adc_ranges(net, data) if hw.io.quantizes else None
     logits = simulate_forward(net, plans, conductances, data.features, hw.io, hw.device,
                               adc_ranges)

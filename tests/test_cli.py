@@ -151,6 +151,21 @@ class TestReportCommand:
         for name in ("ranking.csv", "contour_tsa_scheme=sparse_staggered.csv"):
             assert (out / name).read_bytes() == (rep / name).read_bytes()
 
+    def test_round_trip_keeps_value_types(self, workdir, tmp_path_factory):
+        """Integer-valued v_max and p_stuck_on and a float io_bit_width come
+        back as written, in the cells and in the contour file names."""
+        out = tmp_path_factory.mktemp("dse")
+        cfg = dse_config(workdir, out, v_max=[1, 0.3], p_stuck_on=[0], io_bit_width=[4.0])
+        assert main(["dse", "--config", str(cfg)]) == 0
+        rep = tmp_path_factory.mktemp("rep")
+        assert main(["report", "--results", str(out / "results.csv"),
+                     "--out", str(rep)]) == 0
+        contours = sorted(path.name for path in out.glob("contour_tsa*.csv"))
+        assert "contour_tsa_scheme=dense_kernel_v_max=1.csv" in contours
+        assert sorted(path.name for path in rep.glob("contour_tsa*.csv")) == contours
+        for name in ["ranking.csv", *contours]:
+            assert (out / name).read_bytes() == (rep / name).read_bytes(), name
+
     def test_missing_results_exit_2(self, tmp_path):
         assert main(["report", "--results", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2

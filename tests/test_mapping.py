@@ -231,6 +231,23 @@ class TestConvMappings:
     def test_zero_output_extent_errors(self):
         with pytest.raises(ValueError):
             geom_1d(in_x=2).out_positions
+        # the geometry itself rejects the extent, or a stride that would make
+        # it non-positive, before any mapper or cost
+        codes = np.ones((1, 1, 3), dtype=np.int64)
+        weights = qnet.WeightTensor(codes, 1.0, 4)
+        for fields, message in (({"in_x": 2}, "non-positive output extent: input 2"),
+                                ({"stride": -1}, "stride must be >= 1, got -1"),
+                                ({"stride": 0}, "stride must be >= 1, got 0")):
+            spec = qnet.LayerSpec("conv1d", in_channels=1, kernels=1, kernel_h=3,
+                                  **{"in_x": 5, "in_y": 1, **fields})
+            calls = [(build, (geom_1d(**fields), codes, 8))
+                     for build in (map_conv_staggered, map_conv_dense, mapping.map_conv_routed)]
+            calls += [(mapping._analytic_layer_cost, (spec, weights, scheme, 8))
+                      for scheme in SCHEMES]
+            for fn, args in calls:
+                with pytest.raises(ValueError, match=message) as err:
+                    fn(*args)
+                assert type(err.value) is ValueError, (fn.__name__, args[2])
         spec, = qnet.propagate_shapes([qnet.conv1d(kernels=1, kernel_h=3)], (1, 3))[0]
         plan = map_conv_staggered(ConvGeometry.from_spec(spec),
                                   np.ones((1, 1, 3), dtype=np.int64), 8)

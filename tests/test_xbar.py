@@ -122,6 +122,34 @@ def reference_sample(seed, plan, model, cfg_hash, layer_index, rounds):
     return tiles
 
 
+def logical_sample(seed, plan, model, layer_index):
+    """Logical-keyed sampler: one stream per layer draws a sample per logical
+    matrix cell, shared by both polarities of its pair and independent of
+    scheme and tile size, then scatters it into the plan's tiles. Devices
+    without a cell stay at the means, unstuck."""
+    t = plan.tile_size
+    tiles = {}
+    gen = np.random.Generator(np.random.Philox(key=0))
+    xbar._rekey(gen, seed, "logical", layer_index, plan.rows, plan.cols)
+    r_on_l = xbar._truncated_normal(gen, model.r_on_mean, model.r_on_std,
+                                    (plan.rows, plan.cols))
+    r_off_l = xbar._truncated_normal(gen, model.r_off_mean, model.r_off_std,
+                                     (plan.rows, plan.cols))
+    stuck_l = xbar._stuck_from_uniform(gen.random((plan.rows, plan.cols)), model)
+    for tp in plan.tiles:
+        r_on = np.full((t, t), model.r_on_mean)
+        r_off = np.full((t, t), model.r_off_mean)
+        stuck = np.zeros((t, t), dtype=np.int8)
+        for offset in (0, 1):
+            cols = 2 * tp.pair_slots + offset
+            r_on[tp.rows, cols] = r_on_l[tp.logical_rows, tp.logical_cols]
+            r_off[tp.rows, cols] = r_off_l[tp.logical_rows, tp.logical_cols]
+            stuck[tp.rows, cols] = stuck_l[tp.logical_rows, tp.logical_cols]
+        tiles[(tp.tile_row, tp.tile_col)] = xbar.TileArray(
+            xbar._unprogrammed(r_on, r_off, stuck), r_on, r_off, stuck)
+    return tiles
+
+
 def per_group_forward(net, plans, mats, batch, io, model, adc_ranges=None):
     """Reference grouped read: one ``simulate_forward`` call per scaling group
     of io.batch_size rows, so each call shares one voltage scale per layer."""
@@ -214,7 +242,7 @@ class TestSampling:
 
     def test_logical_mode_shares_pair_samples(self):
         plan = ones_plan()
-        tiles = sample_devices(0, plan, DeviceModel(), "h", 0, key_mode="logical")
+        tiles = logical_sample(0, plan, DeviceModel(), 0)
         ta = tiles[(0, 0)]
         tp = plan.tiles[0]
         pos = ta.r_on[tp.rows, 2 * tp.pair_slots]
@@ -367,23 +395,18 @@ class TestProgramming:
 
 class TestEncode:
     def test_linear_scaling(self):
-        v, scale = encode_inputs(np.array([1.0, 2.0]), IOConfig())
+        v = encode_inputs(np.array([1.0, 2.0]), IOConfig(), 0.15)
         assert v[0] == pytest.approx(0.15)
         assert v[1] == pytest.approx(0.3)
-        assert scale == pytest.approx(0.15)
-
-    def test_zero_maps_to_zero(self):
-        v, scale = encode_inputs(np.zeros(4), IOConfig())
-        assert not v.any() and scale == 0.0
 
     def test_one_bit_levels(self):
-        rng = np.random.default_rng(0)
-        v, _ = encode_inputs(rng.normal(size=1000), IOConfig(io_bit_width=1))
+        x = np.random.default_rng(0).normal(size=1000)
+        v = encode_inputs(x, IOConfig(io_bit_width=1), 0.3 / np.abs(x).max())
         assert set(np.round(v, 10)) <= {-0.3, 0.0, 0.3}
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            encode_inputs(np.array([np.inf]), IOConfig())
+            encode_inputs(np.array([np.inf]), IOConfig(), 1.0)
 
 
 class TestVmmAndReadout:
@@ -456,15 +479,14 @@ class TestSimulation:
             rel = np.abs(logits - ref) / np.maximum(np.abs(ref), 1e-12)
             assert rel.max() < 1e-6
 
-    @pytest.mark.parametrize("key_mode", ["physical", "logical"])
-    def test_program_network_programs_every_layer(self, key_mode, fixture_net):
+    def test_program_network_programs_every_layer(self, fixture_net):
         hw = HardwareConfig(tile_size=8, device=DeviceModel(p_stuck_on=0.05, n_states=4))
         plans = mapping.network_plans(fixture_net, "dense_routed", 8)
         chash = xbar.config_hash(fixture_net, "dense_routed", hw)
-        got = xbar.program_network(fixture_net, "dense_routed", hw, 5, plans, key_mode)
+        got = xbar.program_network(fixture_net, "dense_routed", hw, 5, plans)
         assert len(got) == len(plans)
         for li, (plan, g) in enumerate(zip(plans, got)):
-            want = program(sample_devices(5, plan, hw.device, chash, li, key_mode), plan,
+            want = program(sample_devices(5, plan, hw.device, chash, li), plan,
                            fixture_net.layers[li].weights, hw.device)
             assert np.array_equal(g, want)
 
@@ -570,6 +592,55 @@ class TestSimulation:
                     assert len(reads) == weighted * sum(any(c) for c in chunks), \
                         (net.name, per_chunk)
 
+    @pytest.mark.parametrize("scheme", mapping.SCHEMES)
+    def test_encodes_each_live_group_at_its_own_scale(self, scheme, monkeypatch):
+        """``simulate_forward`` hands ``encode_inputs`` every live scaling group
+        at scale v_max / max|x| and never an all-zero group. Positive codes on
+        non-negative inputs and ideal devices keep each non-zero group live
+        at every layer."""
+        bs, v_max = 16, 0.25
+        io = IOConfig(io_bit_width=6, v_max=v_max, batch_size=bs)
+        sizes = [bs] * 5 + [7]
+        live = [True, True, False, False, True, True]
+        rng = np.random.default_rng(9)
+        nets = (([qnet.conv1d(kernels=4, kernel_h=3), qnet.linear(4)], (1, 16)),
+                ([qnet.conv2d(3, 3, 3, padding=1), qnet.linear(4)], (1, 6, 6)))
+        for arch, input_shape in nets:
+            specs, _ = qnet.propagate_shapes(arch, input_shape)
+            net = qnet.QuantizedNetwork("positive", 4, input_shape, [
+                qnet.Layer(spec, qnet.WeightTensor(rng.integers(1, 8, spec.weight_shape()),
+                                                   0.1, 4)) for spec in specs])
+            batch = np.abs(rng.normal(size=(sum(sizes), *input_shape)))
+            batch[2 * bs:4 * bs] = 0.0            # groups 2 and 3 all zero
+            plans = mapping.network_plans(net, scheme, 10)
+            mats = xbar.program_network(net, scheme, HardwareConfig(10, device=IDEAL_DEVICES),
+                                        0, plans)
+            per_sample = max(plan.reads_per_sample * 2 * plan.cols for plan in plans)
+            # one chunk, then two groups per chunk: the middle chunk is all zero
+            for per_chunk in (len(sizes), 2):
+                calls = []
+
+                def recording_encode(x, io, scale, calls=calls):
+                    calls.append((np.array(x), np.broadcast_to(scale, (len(x), 1))[:, 0]))
+                    return encode_inputs(x, io, scale)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(qnet, "_CONV_CHUNK_ELEMENTS", per_chunk * bs * per_sample)
+                    patch.setattr(xbar, "encode_inputs", recording_encode)
+                    simulate_forward(net, plans, mats, batch, io, IDEAL_DEVICES)
+                encoded = []                      # live group sizes of each call
+                for c in range(0, len(sizes), per_chunk):
+                    chunk = [n for n, on in zip(sizes[c:c + per_chunk], live[c:c + per_chunk])
+                             if on]
+                    encoded += [chunk] * len(net.layers) if chunk else []
+                assert len(calls) == len(encoded), (scheme, per_chunk)
+                for (x, scale), group_sizes in zip(calls, encoded):
+                    assert len(x) == sum(group_sizes)
+                    for rows in np.split(np.arange(len(x)), np.cumsum(group_sizes)[:-1]):
+                        peak = np.abs(x[rows]).max()
+                        assert peak > 0 and np.all(scale[rows] == scale[rows[0]])
+                        assert peak * scale[rows[0]] == pytest.approx(v_max, rel=1e-15)
+
     def test_same_seed_identical_logits(self, fixture_net, test_data):
         hw = HardwareConfig(tile_size=32, io=IOConfig(io_bit_width=8, batch_size=64))
         a = evaluate_accuracy(fixture_net, "sparse_staggered", hw, test_data, 7)
@@ -585,11 +656,15 @@ class TestSimulation:
 
     def test_permutation_invariance_logical_keying(self, linear_net, test_data):
         hw = HardwareConfig(tile_size=16, io=IOConfig(io_bit_width=None, batch_size=64))
-        a = evaluate_accuracy(linear_net, "sparse_staggered", hw, test_data, 0,
-                              key_mode="logical")
-        b = evaluate_accuracy(linear_net, "dense_routed", hw, test_data, 0,
-                              key_mode="logical")
-        assert a == b
+        tsa = []
+        for scheme in ("sparse_staggered", "dense_routed"):
+            plans = mapping.network_plans(linear_net, scheme, hw.tile_size)
+            mats = [program(logical_sample(0, plan, hw.device, li), plan,
+                            linear_net.layers[li].weights, hw.device)
+                    for li, plan in enumerate(plans)]
+            tsa.append(evaluate_accuracy(linear_net, scheme, hw, test_data, 0,
+                                         plans=plans, conductances=mats))
+        assert tsa[0] == tsa[1]
 
     def test_batch_size_changes_scaling_groups(self, fixture_net, test_data):
         hw16 = HardwareConfig(tile_size=32, io=IOConfig(io_bit_width=4, batch_size=16))
