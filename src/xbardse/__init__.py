@@ -40,7 +40,6 @@ from .mapping import (
     network_plans,
     plans_cost,
     steps_dense_eq3,
-    tile_count,
     unroll_conv_staggered,
 )
 from .xbar import (

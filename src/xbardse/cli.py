@@ -338,27 +338,36 @@ def cmd_cost(args) -> int:
     if args.tile_size < 2:
         raise ConfigError("tile size must be >= 2")
     net = qnet.load_network(args.net)
-    total, reports = mapping.cost_network(net, args.scheme, args.tile_size)
+    try:
+        total, reports = mapping.cost_network(net, args.scheme, args.tile_size)
+    except mapping.MappingError as err:
+        raise ConfigError(str(err)) from None
     header = ["layer", "kind", "rd", "tiles", "rwo", "programming_writes",
               "eq1_staggered_devices", "eq1_remainder", "eq2_dense_devices",
               "eq3_dense_steps", "eq3_remainder"]
-    rows = []
-    for i, (layer, rep) in enumerate(zip(net.layers, reports)):
-        if layer.spec.kind == "linear":
-            eq_cells = ["", "", "", "", ""]
-        else:
+    # closed-form (Eq. 1, its remainder, Eq. 2, Eq. 3 floor, Eq. 3 remainder)
+    # per conv layer; Eq. 1 stays an exact Fraction until it is printed
+    closed = {}
+    for i, layer in enumerate(net.layers):
+        if layer.spec.kind != "linear":
             geom = mapping.ConvGeometry.from_spec(layer.spec)
             eq1 = mapping.devices_sparse_eq1(geom)
-            eq3, rem3 = mapping.steps_dense_eq3(geom)
-            eq_cells = [float(eq1), eq1.denominator != 1,
-                        mapping.devices_dense_eq2(geom), eq3, rem3]
-        rows.append([i, layer.spec.kind, rep.rd, rep.tiles, rep.rwo,
-                     rep.programming_writes, *eq_cells])
-    rows.append(["total", args.scheme, total.rd, total.tiles, total.rwo,
-                 total.programming_writes,
-                 float(total.eq_devices) if total.eq_devices is not None else "",
-                 total.remainder_flag,
-                 "", total.eq_steps if total.eq_steps is not None else "", ""])
+            closed[i] = (eq1, eq1.denominator != 1, mapping.devices_dense_eq2(geom),
+                         *mapping.steps_dense_eq3(geom))
+
+    def eq_cells(eq1, rem1, eq2, eq3, rem3):
+        return [float(eq1), rem1, eq2, eq3, rem3]
+
+    # a device is programmed once, so the programming writes are rd
+    rows = [[i, layer.spec.kind, rep.rd, rep.tiles, rep.rwo, rep.rd,
+             *(eq_cells(*closed[i]) if i in closed else [""] * 5)]
+            for i, (layer, rep) in enumerate(zip(net.layers, reports))]
+    total_eq = [""] * 5
+    if closed:
+        eq1, rem1, eq2, eq3, rem3 = zip(*closed.values())
+        total_eq = eq_cells(sum(eq1), any(rem1), sum(eq2), sum(eq3), any(rem3))
+    rows.append(["total", args.scheme, total.rd, total.tiles, total.rwo, total.rd,
+                 *total_eq])
     widths = [max(len(_fmt(r[c])) for r in [header] + rows) for c in range(len(header))]
     for row in [header] + rows:
         print("  ".join(_fmt(v).ljust(w) for v, w in zip(row, widths)).rstrip())
@@ -488,7 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l1", type=float, default=5e-4)
     p.set_defaults(func=cmd_fixture)
 
-    p = sub.add_parser("cost", help="per-layer mapping cost table")
+    p = sub.add_parser("cost", help="per-layer mapping cost table with the Eq. 1-3 "
+                       "values; the total row sums each column (Eq. 1-3 over the "
+                       "conv layers, a remainder if any layer has one)")
     p.add_argument("--net", required=True, help="network JSON file")
     p.add_argument("--scheme", required=True)
     p.add_argument("--tile-size", type=int, required=True)

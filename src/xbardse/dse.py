@@ -12,6 +12,7 @@ over the dimension value lists, so reruns are bit-identical.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -62,25 +63,13 @@ class SearchSpace:
                 raise ValueError(f"unknown scheme {scheme!r}")
 
     def size(self) -> int:
-        n = 1
-        for name in DIMENSIONS:
-            n *= len(getattr(self, name))
-        return n
+        return math.prod(len(getattr(self, name)) for name in DIMENSIONS)
 
     def points(self):
         """All configurations in lexicographic order over the value lists."""
         self.validate()
-        lists = [getattr(self, name) for name in DIMENSIONS]
-        idx = [0] * len(lists)
-        while True:
-            yield {name: lst[i] for name, lst, i in zip(DIMENSIONS, lists, idx)}
-            for d in range(len(lists) - 1, -1, -1):
-                idx[d] += 1
-                if idx[d] < len(lists[d]):
-                    break
-                idx[d] = 0
-            else:
-                return
+        for values in itertools.product(*(getattr(self, name) for name in DIMENSIONS)):
+            yield dict(zip(DIMENSIONS, values))
 
 
 @dataclass
@@ -105,8 +94,6 @@ def weighted_score(tsa: float, rd: float, rwo: float,
     if rd <= 0 or rwo <= 0:
         raise ValueError("RD and RWO must be positive to score")
     a, b, c = exponents
-    if (a, b, c) == (1.0, 1.0, 1.0):
-        return tsa / (rd * rwo)
     return tsa ** a / (rd ** b * rwo ** c)
 
 

@@ -375,71 +375,38 @@ def steps_dense_eq3(geom: ConvGeometry) -> tuple[int, bool]:
     return math.floor(frac), frac.denominator != 1
 
 
-def tile_count(rows: int, cols: int, tile_size: int) -> int:
-    """Modular symmetric tiling of a rows x cols region."""
-    if rows < 1 or cols < 1 or tile_size < 1:
-        raise ValueError("rows, cols and tile_size must be positive")
-    return -(-rows // tile_size) * (-(-cols // tile_size))
+# ---------------------------------------------------------------------------
+# constructive and analytic cost
 
 
 @dataclass
 class CostReport:
-    """Constructive device/tile/read counts plus the closed-form values.
+    """Constructive cost of a layer or network under one scheme: what the
+    DSE scores.
 
-    rwo counts read cycles per inference sample (reads per sample times
-    occupied tile row-groups); programming writes are reported separately
-    and equal the number of allocated devices. eq_devices holds the
-    staggered formula for the staggered scheme and the dense formula for
-    both dense schemes; eq_steps is the floored step formula (dense conv
-    only). remainder_flag marks any inexact formula division.
+    rd counts allocated devices, which is also the number of programming
+    writes; rwo counts read cycles per inference sample (reads per sample
+    times occupied tile row-groups). The closed-form Eq. 1-3 values are not
+    part of it: ``xbardse cost`` evaluates them next to these counts.
     """
 
     scheme: str
     rd: int
     tiles: int
     rwo: int
-    programming_writes: int
-    eq_devices: Fraction | None = None
-    eq_steps: int | None = None
-    remainder_flag: bool = False
-
-
-def _eq_fields(scheme: str, geom: ConvGeometry | None):
-    if geom is None:
-        return None, None, False
-    if scheme == "sparse_staggered":
-        eq1 = devices_sparse_eq1(geom)
-        return eq1, None, eq1.denominator != 1
-    eq2 = Fraction(devices_dense_eq2(geom))
-    floor3, rem3 = steps_dense_eq3(geom)
-    return eq2, floor3, rem3
 
 
 def cost(plan: MappingPlan) -> CostReport:
     """Constructive cost of one layer plan."""
-    rd = plan.device_count
-    eq_dev, eq_steps, rem = _eq_fields(plan.scheme, plan.geometry)
-    return CostReport(scheme=plan.scheme, rd=rd, tiles=len(plan.tiles),
-                      rwo=plan.reads_per_sample * plan.row_groups,
-                      programming_writes=rd, eq_devices=eq_dev,
-                      eq_steps=eq_steps, remainder_flag=rem)
+    return CostReport(scheme=plan.scheme, rd=plan.device_count, tiles=len(plan.tiles),
+                      rwo=plan.reads_per_sample * plan.row_groups)
 
 
 def _sum_reports(scheme: str, reports: list[CostReport]) -> CostReport:
-    eq_dev = None
-    eq_steps = None
-    for rep in reports:
-        if rep.eq_devices is not None:
-            eq_dev = (eq_dev or Fraction(0)) + rep.eq_devices
-        if rep.eq_steps is not None:
-            eq_steps = (eq_steps or 0) + rep.eq_steps
     return CostReport(scheme=scheme,
                       rd=sum(r.rd for r in reports),
                       tiles=sum(r.tiles for r in reports),
-                      rwo=sum(r.rwo for r in reports),
-                      programming_writes=sum(r.programming_writes for r in reports),
-                      eq_devices=eq_dev, eq_steps=eq_steps,
-                      remainder_flag=any(r.remainder_flag for r in reports))
+                      rwo=sum(r.rwo for r in reports))
 
 
 def plans_cost(scheme: str, plans: list[MappingPlan]) -> tuple[CostReport, list[CostReport]]:
@@ -451,8 +418,7 @@ def plans_cost(scheme: str, plans: list[MappingPlan]) -> tuple[CostReport, list[
 def cost_network(net: QuantizedNetwork, scheme: str,
                  tile_size: int) -> tuple[CostReport, list[CostReport]]:
     """Constructive network cost: builds every layer plan and sums."""
-    return plans_cost(scheme, [layer_plan(layer.spec, layer.weights, scheme, tile_size)
-                               for layer in net.layers])
+    return plans_cost(scheme, network_plans(net, scheme, tile_size))
 
 
 def _analytic_layer_cost(spec: LayerSpec, weights: WeightTensor, scheme: str,
@@ -494,10 +460,7 @@ def _analytic_layer_cost(spec: LayerSpec, weights: WeightTensor, scheme: str,
             peak = int(nnz[g0: g0 + cap].max(initial=0))
             tiles += -(-peak // tile_size)
         rwo = reads * (-(-int(nnz.max(initial=0)) // tile_size))
-    eq_dev, eq_steps, rem = _eq_fields(scheme, geom)
-    return CostReport(scheme=scheme, rd=rd, tiles=tiles, rwo=rwo,
-                      programming_writes=rd, eq_devices=eq_dev,
-                      eq_steps=eq_steps, remainder_flag=rem)
+    return CostReport(scheme=scheme, rd=rd, tiles=tiles, rwo=rwo)
 
 
 def analytic_network_cost(net: QuantizedNetwork, scheme: str,

@@ -78,10 +78,6 @@ class LayerSpec:
             raise ValueError("conv layer needs kernels >= 1")
         if self.kernel_h < 1 or self.kernel_w < 1:
             raise ValueError("kernel extents must be >= 1")
-        if self.stride < 1 or self.dilation < 1:
-            raise ValueError("stride and dilation must be >= 1")
-        if self.padding < 0:
-            raise ValueError("padding must be >= 0")
         if self.kind == "conv1d" and self.kernel_w != 1:
             raise ValueError("conv1d requires kernel_w == 1")
 
@@ -113,9 +109,15 @@ def linear(out_features: int) -> LayerSpec:
 def out_extent(extent: int, kernel: int, stride: int, padding: int,
                dilation: int) -> int:
     """Output length of one convolved dimension (standard formula); always
-    >= 1, so the mappers and the cost model need no check of their own."""
+    >= 1, so the mappers and the cost model need no check of their own. The
+    one check of stride, dilation and padding: ``propagate_shapes`` calls it
+    for every conv layer, and ``ConvGeometry`` for every extent it reads."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if dilation < 1:
+        raise ValueError(f"dilation must be >= 1, got {dilation}")
+    if padding < 0:
+        raise ValueError(f"padding must be >= 0, got {padding}")
     span = extent + 2 * padding - dilation * (kernel - 1) - 1
     if span < 0:
         raise ValueError(

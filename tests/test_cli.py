@@ -1,10 +1,11 @@
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xbardse import cli, qnet
+from xbardse import cli, mapping, qnet
 from xbardse.cli import load_contour_csv, load_results_csv, main
 
 
@@ -27,6 +28,11 @@ def dse_config(workdir, out, **space):
     path = out / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+COST_HEADER = ["layer", "kind", "rd", "tiles", "rwo", "programming_writes",
+               "eq1_staggered_devices", "eq1_remainder", "eq2_dense_devices",
+               "eq3_dense_steps", "eq3_remainder"]
 
 
 class TestFixtureCommand:
@@ -60,6 +66,70 @@ class TestCostCommand:
     def test_unknown_scheme_exit_2(self, workdir):
         assert main(["cost", "--net", str(workdir / "fixture_net.json"),
                      "--scheme", "bogus", "--tile-size", "32"]) == 2
+
+    def test_infeasible_point_exit_2(self, workdir, capsys):
+        assert main(["cost", "--net", str(workdir / "fixture_net.json"),
+                     "--scheme", "dense_kernel", "--tile-size", "2"]) == 2
+        assert "kernel footprint 3 exceeds tile size 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme, layer_rows, total", [
+        ("sparse_staggered", ["0,conv1d,1792,4,1,1792", "1,linear,448,2,2,448"],
+         "total,sparse_staggered,2240,6,3,2240"),
+        ("dense_routed", ["0,conv1d,24,1,14,24", "1,linear,428,2,2,428"],
+         "total,dense_routed,452,3,16,452"),
+        ("dense_kernel", ["0,conv1d,24,1,14,24", "1,linear,428,2,2,428"],
+         "total,dense_kernel,452,3,16,452")])
+    def test_fixture_cost_csv_golden(self, workdir, tmp_path, scheme, layer_rows, total):
+        assert main(["cost", "--net", str(workdir / "fixture_net.json"),
+                     "--scheme", scheme, "--tile-size", "32", "--out", str(tmp_path)]) == 0
+        closed = ",1664.0,False,12,6,True"
+        lines = [",".join(COST_HEADER), layer_rows[0] + closed, layer_rows[1] + ",,,,,",
+                 total + closed]
+        assert (tmp_path / "cost.csv").read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+    def test_total_sums_closed_form_columns(self, tmp_path):
+        # Eq. 1 is fractional on layer 0 only, and each remainder is set on
+        # one of the two conv layers
+        arch = [qnet.conv1d(kernels=2, kernel_h=2, stride=2),
+                qnet.conv1d(kernels=3, kernel_h=2), qnet.linear(3)]
+        specs, _ = qnet.propagate_shapes(arch, (1, 16))
+        rng = np.random.default_rng(0)
+        layers = [qnet.Layer(spec, qnet.WeightTensor(
+            rng.integers(-7, 8, size=spec.weight_shape()), 1.0, 4)) for spec in specs]
+        net_path = tmp_path / "net.json"
+        qnet.save_network(qnet.QuantizedNetwork("two-conv", 4, (1, 16), layers), net_path)
+        geoms = [mapping.ConvGeometry.from_spec(spec) for spec in specs[:2]]
+        for scheme in mapping.SCHEMES:
+            assert main(["cost", "--net", str(net_path), "--scheme", scheme,
+                         "--tile-size", "8", "--out", str(tmp_path)]) == 0
+            with open(tmp_path / "cost.csv", newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert header == COST_HEADER
+            *per_layer, total = [dict(zip(header, r)) for r in rows]
+            conv = per_layer[:2]
+            assert [r["eq1_remainder"] for r in conv] == ["True", "False"]
+            assert [r["eq3_remainder"] for r in conv] == ["True", "False"]
+            for col in ("eq1_remainder", "eq3_remainder"):
+                assert total[col] == str(any(r[col] == "True" for r in conv))
+            for col in ("eq2_dense_devices", "eq3_dense_steps"):
+                assert int(total[col]) == sum(int(r[col]) for r in conv)
+            exact = sum(mapping.devices_sparse_eq1(g) for g in geoms)
+            assert exact.denominator != 1
+            assert total["eq1_staggered_devices"] == repr(float(exact))
+            assert float(total["eq1_staggered_devices"]) == pytest.approx(
+                sum(float(r["eq1_staggered_devices"]) for r in conv), rel=1e-15)
+            for col in ("rd", "tiles", "rwo", "programming_writes"):
+                assert int(total[col]) == sum(int(r[col]) for r in per_layer)
+
+    def test_linear_only_total_has_no_closed_form_cells(self, tmp_path):
+        spec, = qnet.propagate_shapes([qnet.linear(3)], (4,))[0]
+        layer = qnet.Layer(spec, qnet.WeightTensor(np.ones((3, 4), dtype=np.int64), 1.0, 4))
+        net_path = tmp_path / "net.json"
+        qnet.save_network(qnet.QuantizedNetwork("linear", 4, (4,), [layer]), net_path)
+        assert main(["cost", "--net", str(net_path), "--scheme", "dense_routed",
+                     "--tile-size", "8", "--out", str(tmp_path)]) == 0
+        total = (tmp_path / "cost.csv").read_text().splitlines()[-1]
+        assert total == "total,dense_routed,24,1,1,24,,,,,"
 
 
 class TestSimulateCommand:

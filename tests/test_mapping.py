@@ -23,7 +23,6 @@ from xbardse.mapping import (
     plan_products,
     plans_cost,
     steps_dense_eq3,
-    tile_count,
     unroll_conv_staggered,
 )
 
@@ -231,13 +230,16 @@ class TestConvMappings:
     def test_zero_output_extent_errors(self):
         with pytest.raises(ValueError):
             geom_1d(in_x=2).out_positions
-        # the geometry itself rejects the extent, or a stride that would make
-        # it non-positive, before any mapper or cost
+        # the geometry itself rejects the extent, or a stride, dilation or
+        # padding that would make it wrong, before any mapper or cost
         codes = np.ones((1, 1, 3), dtype=np.int64)
         weights = qnet.WeightTensor(codes, 1.0, 4)
         for fields, message in (({"in_x": 2}, "non-positive output extent: input 2"),
                                 ({"stride": -1}, "stride must be >= 1, got -1"),
-                                ({"stride": 0}, "stride must be >= 1, got 0")):
+                                ({"stride": 0}, "stride must be >= 1, got 0"),
+                                ({"dilation": 0}, "dilation must be >= 1, got 0"),
+                                ({"dilation": -1}, "dilation must be >= 1, got -1"),
+                                ({"padding": -1}, "padding must be >= 0, got -1")):
             spec = qnet.LayerSpec("conv1d", in_channels=1, kernels=1, kernel_h=3,
                                   **{"in_x": 5, "in_y": 1, **fields})
             calls = [(build, (geom_1d(**fields), codes, 8))
@@ -297,26 +299,10 @@ class TestEquationEvaluators:
             assert cost(plan).rd == 2 * devices_dense_eq2(geom) * c
 
 
-class TestTileCount:
-    def test_examples(self):
-        assert tile_count(100, 100, 64) == 4
-        assert tile_count(64, 64, 64) == 1
-        assert tile_count(65, 1, 64) == 2
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            tile_count(0, 4, 8)
-
-
 class TestCost:
     def test_empty_plan_all_zero(self):
         rep = cost(map_linear_dense(np.zeros((3, 3)), 4))
-        assert (rep.rd, rep.tiles, rep.rwo, rep.programming_writes) == (0, 0, 0, 0)
-
-    def test_programming_writes_equal_rd(self, fixture_net):
-        for scheme in SCHEMES:
-            total, _ = cost_network(fixture_net, scheme, 32)
-            assert total.programming_writes == total.rd
+        assert (rep.rd, rep.tiles, rep.rwo) == (0, 0, 0)
 
     def test_tile_budget_invariant(self, fixture_net):
         for scheme in SCHEMES:
@@ -431,7 +417,7 @@ class TestCrossSchemeDerivation:
     def test_linear_only_network_schemes_coincide(self, linear_net):
         out = derive_costs_cross_scheme("sparse_staggered", linear_net, 16)
         # dense_kernel falls back to the compacted linear layout
-        for f in ("rd", "tiles", "rwo", "programming_writes"):
+        for f in ("rd", "tiles", "rwo"):
             assert getattr(out["dense_kernel"], f) == getattr(out["dense_routed"], f)
         assert out["sparse_staggered"].rd >= out["dense_routed"].rd
 

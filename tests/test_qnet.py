@@ -335,6 +335,21 @@ class TestFileFormats:
         with pytest.raises(NetworkFormatError, match="scale"):
             load_network(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("dilation", 0, "dilation must be >= 1, got 0"),
+        ("stride", 0, "stride must be >= 1, got 0"),
+        ("padding", -1, "padding must be >= 0, got -1")])
+    def test_bad_conv_geometry_names_layer(self, fixture_net, tmp_path, field, value,
+                                           message):
+        import json
+        path = tmp_path / "net.json"
+        save_network(fixture_net, path)
+        doc = json.loads(path.read_text())
+        doc["layers"][0][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NetworkFormatError, match=rf"layers\[0\]: {message}"):
+            load_network(path)
+
     def test_dataset_round_trip(self, test_data, tmp_path):
         path = tmp_path / "data.csv"
         save_dataset(test_data, path)
