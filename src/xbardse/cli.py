@@ -227,29 +227,6 @@ def write_contour_csv(path: Path, grid: dse.ContourGrid, seed: int,
             writer.writerow([_fmt(v) for v in row])
 
 
-def load_contour_csv(path) -> dse.ContourGrid:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        metric = "tsa"
-        if header and header[0].startswith("# seed:"):
-            for part in ",".join(header).split(","):
-                key, _, value = part.lstrip("# ").partition(":")
-                if key.strip() == "metric":
-                    metric = value.strip()
-            header = next(reader)
-        y_dim, _, x_dim = header[0].partition("\\")
-        x_values = header[1:]
-        y_values, rows = [], []
-        for row in reader:
-            y_values.append(row[0])
-            rows.append([np.nan if cell == "missing" else float(cell)
-                         for cell in row[1:]])
-        matrix = np.asarray(rows)
-    return dse.ContourGrid(x_dim, y_dim, metric, x_values, y_values, matrix,
-                           np.isnan(matrix))
-
-
 # ---------------------------------------------------------------------------
 # SVG heatmap (presentational only)
 
@@ -337,6 +314,8 @@ def cmd_cost(args) -> int:
                           f"(known: {', '.join(mapping.SCHEMES)})")
     if args.tile_size < 2:
         raise ConfigError("tile size must be >= 2")
+    if not Path(args.net).is_file():
+        raise ConfigError(f"network file not found: {args.net}")
     net = qnet.load_network(args.net)
     try:
         total, reports = mapping.cost_network(net, args.scheme, args.tile_size)

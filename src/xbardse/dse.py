@@ -118,16 +118,16 @@ def _device_model(base: xbar.DeviceModel, cfg: dict) -> xbar.DeviceModel:
 
 def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
                     seed: int, base_model: xbar.DeviceModel,
-                    conductances: list[np.ndarray] | None = None) -> ConfigResult:
+                    conductances: list[np.ndarray]) -> ConfigResult:
     """Evaluate one design point: simulated accuracy plus the constructive
     cost report of the simulated scheme only, so a point never fails on
     another scheme's infeasibility. The layer plans are built once and
     serve both.
 
-    ``conductances`` is the shared list of layer conductance matrices of the
-    point's device population, if the caller keeps one: an empty list is
-    filled, read-only, from this point's plans, and a filled one is read.
-    With None the point samples and programs its own devices.
+    ``conductances`` is the list of layer conductance matrices of the
+    point's device population: an empty list is filled, read-only, from this
+    point's plans, and a filled one is read. A fresh ``[]`` gives a point
+    that samples and programs its own devices.
     """
     try:
         net = networks[cfg["network"]]
@@ -137,7 +137,7 @@ def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
                              batch_size=cfg["batch_size"]),
             device=_device_model(base_model, cfg))
         plans = mapping.network_plans(net, cfg["scheme"], cfg["tile_size"])
-        if conductances is not None and not conductances:
+        if not conductances:
             conductances += xbar.program_network(net, cfg["scheme"], hw, seed, plans)
             for g in conductances:
                 g.setflags(write=False)

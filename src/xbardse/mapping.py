@@ -26,7 +26,6 @@ dense_routed
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,25 +134,16 @@ def _full_allocation(matrix: np.ndarray, weight_ids: np.ndarray, tile_size: int,
     return MappingPlan(scheme, tile_size, m, n, tiles, None, geometry, reads)
 
 
-def _as_dense(matrix) -> np.ndarray:
-    # a scipy sparse matrix can only exist once scipy.sparse is imported, and
-    # importing it here would cost every run that passes arrays (22 MB RSS)
-    sparse = sys.modules.get("scipy.sparse")
-    if sparse is not None and sparse.issparse(matrix):
-        return np.asarray(matrix.todense())
-    return np.asarray(matrix)
-
-
 def _default_ids(m: int, n: int) -> np.ndarray:
     return np.arange(m * n, dtype=np.int64).reshape(m, n)
 
 
 def map_linear_sparse(matrix, tile_size: int,
                       weight_ids: np.ndarray | None = None) -> MappingPlan:
-    """Map a 2-D logical matrix with no reconfiguration: every cell, zero or
-    not, consumes a differential pair. RD therefore counts all allocated
-    devices including zeros."""
-    mat = _as_dense(matrix)
+    """Map a 2-D logical matrix, given as an array, with no reconfiguration:
+    every cell, zero or not, consumes a differential pair. RD therefore
+    counts all allocated devices including zeros."""
+    mat = np.asarray(matrix)
     if mat.ndim != 2:
         raise MappingError("expected a 2-D logical matrix")
     if weight_ids is None:
@@ -166,12 +156,13 @@ def map_linear_dense(matrix, tile_size: int, weight_ids: np.ndarray | None = Non
                      scheme: str = "dense_routed",
                      geometry: ConvGeometry | None = None,
                      reads: int = 1) -> MappingPlan:
-    """Greedy per-column zero reclamation: surviving weights pack contiguously
-    from row 0 and a permutation table records logical row -> physical row.
-    Zero weights consume no devices; empty tiles are dropped."""
+    """Greedy per-column zero reclamation of a 2-D logical matrix, given as
+    an array: surviving weights pack contiguously from row 0 and a
+    permutation table records logical row -> physical row. Zero weights
+    consume no devices; empty tiles are dropped."""
     if tile_size < 2:
         raise MappingError("tile size must be >= 2 to hold a differential pair")
-    mat = _as_dense(matrix)
+    mat = np.asarray(matrix)
     if mat.ndim != 2:
         raise MappingError("expected a 2-D logical matrix")
     m, n = mat.shape

@@ -450,20 +450,20 @@ def ideal_forward(net: QuantizedNetwork, batch: np.ndarray,
 
 
 _MEANS_SEED = 0x5EED  # class means depend only on (classes, shape)
+_SEPARATION, _NOISE = 4.0, 1.0        # class-mean norm; per-feature sample std
+_EPOCHS, _LR, _BATCH = 60, 0.05, 32   # fixture trainer: epochs, step, batch size
 
 
-def class_means(classes: int, shape: tuple[int, ...],
-                separation: float = 4.0) -> np.ndarray:
+def class_means(classes: int, shape: tuple[int, ...]) -> np.ndarray:
     """Fixed per-class mean vectors, scaled to a common norm."""
     dim = int(np.prod(shape))
     rng = np.random.default_rng(_MEANS_SEED + classes * 1000 + dim)
     means = rng.normal(size=(classes, dim))
-    return means * (separation / np.linalg.norm(means, axis=1, keepdims=True))
+    return means * (_SEPARATION / np.linalg.norm(means, axis=1, keepdims=True))
 
 
 def generate_synthetic_dataset(seed: int, n: int, classes: int,
-                               shape: tuple[int, ...], separation: float = 4.0,
-                               noise: float = 1.0) -> Dataset:
+                               shape: tuple[int, ...]) -> Dataset:
     """Class-conditional Gaussian blobs around fixed per-class means.
 
     The means depend only on (classes, shape), so differently seeded draws
@@ -476,12 +476,12 @@ def generate_synthetic_dataset(seed: int, n: int, classes: int,
         raise ValueError("need at least one sample per class")
     rng = np.random.default_rng(seed)
     dim = int(np.prod(shape))
-    means = class_means(classes, shape, separation)
+    means = class_means(classes, shape)
     counts = np.full(classes, n // classes)
     counts[: n % classes] += 1
     labels = np.repeat(np.arange(classes), counts)
     labels = labels[rng.permutation(n)]
-    feats = means[labels] + noise * rng.normal(size=(n, dim))
+    feats = means[labels] + _NOISE * rng.normal(size=(n, dim))
     return Dataset(feats.reshape(n, *shape), labels.astype(np.int64), classes)
 
 
@@ -554,8 +554,7 @@ def _softmax_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
 
 
 def train_fixture(seed: int, arch: list[LayerSpec], data: Dataset, l1: float,
-                  bit_width: int = 8, epochs: int = 60, lr: float = 0.05,
-                  batch_size: int = 32, name: str = "fixture") -> QuantizedNetwork:
+                  bit_width: int = 8, name: str = "fixture") -> QuantizedNetwork:
     """Mini-batch gradient descent with an L1 penalty, then quantize.
 
     The L1 term is applied as a soft-threshold step after each gradient
@@ -575,16 +574,16 @@ def train_fixture(seed: int, arch: list[LayerSpec], data: Dataset, l1: float,
         weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), shape))
     x_all = data.features.astype(float)
     y_all = data.labels
-    for _ in range(epochs):
+    for _ in range(_EPOCHS):
         order = rng.permutation(len(data))
-        for start in range(0, len(data), batch_size):
-            idx = order[start: start + batch_size]
+        for start in range(0, len(data), _BATCH):
+            idx = order[start: start + _BATCH]
             logits, cache = _forward_cache(specs, weights, x_all[idx])
             _, dlogits = _softmax_grad(logits, y_all[idx])
             grads = _backward(specs, weights, cache, dlogits)
             for w, g in zip(weights, grads):
-                w -= lr * g
-                np.copyto(w, np.sign(w) * np.maximum(np.abs(w) - lr * l1, 0.0))
+                w -= _LR * g
+                np.copyto(w, np.sign(w) * np.maximum(np.abs(w) - _LR * l1, 0.0))
     layers = [Layer(spec, quantize_weights(w, bit_width)) for spec, w in zip(specs, weights)]
     net = QuantizedNetwork(name, bit_width, tuple(data.feature_shape), layers, seed=seed)
     net.validate()
@@ -676,10 +675,6 @@ def load_network(path) -> QuantizedNetwork:
         if codes.size != expected:
             raise NetworkFormatError(
                 f"{where}.codes: {codes.size} values, expected {expected}")
-        limit = 2 ** (bit_width - 1) - 1
-        if codes.size and np.abs(codes).max() > limit:
-            raise NetworkFormatError(
-                f"{where}.codes: values exceed {bit_width}-bit symmetric range")
         layers.append(Layer(spec, WeightTensor(codes.reshape(shape), float(scale), bit_width)))
     net = QuantizedNetwork(str(name), int(bit_width), input_shape, layers,
                            seed=doc.get("seed"))

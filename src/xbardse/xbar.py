@@ -9,8 +9,8 @@ gathers the programmed pairs into the layer conductance matrix G of shape
 layouts place a pair on every cell, so stuck devices on zero weights
 contribute; routed layouts place none there, and those entries of G stay 0.
 A full-layout tile holds a row-major rectangle of cells, so ``program``
-writes it, and copies it into G, through basic slices; routed tiles go
-through their index arrays.
+reads it, and writes its block of G, through basic slices; routed tiles go
+through their index arrays. The sampled tiles are only read.
 
 Scaling groups, the io.batch_size rows that share one input-voltage scale
 per layer, and their scale v_max / max|x| are defined in ``simulate_forward``
@@ -159,19 +159,13 @@ def _truncated_normal(gen: np.random.Generator, mean: float, std: float,
 
 @dataclass
 class TileArray:
-    """Sampled device population of one physical tile."""
+    """Sampled device population of one physical tile; ``g`` is each device's
+    conductance before programming: 1/r_off, or 1/r_on if stuck on."""
 
     g: np.ndarray
     r_on: np.ndarray
     r_off: np.ndarray
     stuck: np.ndarray
-
-    def validate(self) -> None:
-        g_on = 1.0 / self.r_on
-        g_off = 1.0 / self.r_off
-        slack = 1e-12
-        if np.any(self.g > g_on * (1 + slack)) or np.any(self.g < g_off * (1 - slack)):
-            raise ValueError("conductance outside the device's own [1/r_off, 1/r_on]")
 
 
 def _stuck_from_uniform(u: np.ndarray, model: DeviceModel) -> np.ndarray:
@@ -224,10 +218,17 @@ def _pair_targets(codes: np.ndarray, r_on: np.ndarray, r_off: np.ndarray,
     return g_off + frac * (g_on - g_off)
 
 
+def _code_peak(weights: WeightTensor) -> int:
+    """Largest |code| of a layer; times ``weights.scale`` it is the peak
+    |weight|, since the scale is positive."""
+    return int(np.abs(weights.codes).max(initial=0))
+
+
 def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
             model: DeviceModel) -> np.ndarray:
-    """Write the plan's weights into the sampled tiles, in place, and return
-    the layer's conductance matrix G of shape (plan.rows, 2 * plan.cols).
+    """The layer's conductance matrix G, of shape (plan.rows, 2 * plan.cols),
+    with the plan's weights programmed onto the devices of the sampled
+    ``tiles``; the tiles themselves are only read.
 
     A weight w with layer peak w_max targets, on its own device,
     g = g_off + (|w| / w_max)(g_on - g_off) on the polarity matching its
@@ -239,8 +240,8 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
     Full layouts (``row_permutations is None``) hold, in tile (tr, tc), the
     row-major rectangle of cells from (r0, c0) = (tr * t, tc * pair_capacity)
     spanning min(t, rows - r0) x min(pair_capacity, cols - c0), so each tile
-    is written and copied into G through basic slices. Routed layouts place
-    cells through the tile's index arrays.
+    is read, and its block of G written, through basic slices. Routed
+    layouts place cells through the tile's index arrays.
     """
     if plan.geometry is None:
         if plan.rows != weights.codes.shape[1] or plan.cols != weights.codes.shape[0]:
@@ -249,7 +250,7 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
         geom = plan.geometry
         if weights.codes.size != geom.kernels * geom.footprint:
             raise ValueError("weight tensor does not match plan geometry")
-    w_max = int(np.abs(weights.codes).max(initial=0))
+    w_max = _code_peak(weights)
     g_layer = np.zeros((plan.rows, 2 * plan.cols))
     t = plan.tile_size
     cap = mapping.pair_capacity(t)
@@ -264,17 +265,15 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
             target = _pair_targets(tp.codes.reshape(nr, nc),
                                    ta.r_on[dev].reshape(nr, nc, 2),
                                    ta.r_off[dev].reshape(nr, nc, 2), w_max, model)
-            np.copyto(ta.g[dev], target.reshape(nr, 2 * nc),
-                      where=ta.stuck[dev] == FREE)
-            g_layer[r0:r0 + nr, 2 * c0:2 * (c0 + nc)] = ta.g[dev]
+            g_layer[r0:r0 + nr, 2 * c0:2 * (c0 + nc)] = np.where(
+                ta.stuck[dev] == FREE, target.reshape(nr, 2 * nc), ta.g[dev])
         else:
             rows = tp.rows[:, None]
             cols = 2 * tp.pair_slots[:, None] + (0, 1)
             target = _pair_targets(tp.codes, ta.r_on[rows, cols], ta.r_off[rows, cols],
                                    w_max, model)
-            g = np.where(ta.stuck[rows, cols] == FREE, target, ta.g[rows, cols])
-            ta.g[rows, cols] = g
-            g_layer[tp.logical_rows[:, None], 2 * tp.logical_cols[:, None] + (0, 1)] = g
+            g_layer[tp.logical_rows[:, None], 2 * tp.logical_cols[:, None] + (0, 1)] = \
+                np.where(ta.stuck[rows, cols] == FREE, target, ta.g[rows, cols])
     return g_layer
 
 
@@ -429,7 +428,7 @@ def _read_layer(flat: np.ndarray, scale: float | np.ndarray, layer: qnet.Layer,
     m = flat.shape[0]
     geom = plan.geometry
     v = encode_inputs(flat, io, scale)
-    w_max = float(np.abs(layer.weights.dequantized()).max(initial=0.0))
+    w_max = _code_peak(layer.weights) * layer.weights.scale
     if w_max == 0.0:
         return np.zeros((m, *out_shape))
     dense_conv = geom is not None and plan.scheme != "sparse_staggered"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xbardse import cli, mapping, qnet
-from xbardse.cli import load_contour_csv, load_results_csv, main
+from xbardse.cli import load_results_csv, main
 
 
 @pytest.fixture(scope="module")
@@ -180,9 +180,14 @@ class TestDseCommand:
         assert sorted(r.normalized_score for r in results) == \
                sorted(r.normalized_score for r in ranking)
         for scheme in ("sparse_staggered", "dense_kernel"):
-            grid = load_contour_csv(tmp_path / f"contour_tsa_scheme={scheme}.csv")
-            assert grid.matrix.shape == (2, 2)
-            assert not np.isnan(grid.matrix).any()
+            with open(tmp_path / f"contour_tsa_scheme={scheme}.csv", newline="") as fh:
+                comment, header, *rows = csv.reader(fh)
+            assert comment[0] == "# seed: 0"
+            assert header[0] == "batch_size\\tile_size"
+            # a "missing" cell would not parse as a float
+            matrix = np.array([[float(cell) for cell in row[1:]] for row in rows])
+            assert matrix.shape == (2, 2)
+            assert np.isfinite(matrix).all()
             assert (tmp_path / f"contour_tsa_scheme={scheme}.svg").exists()
         resolved = json.loads((tmp_path / "config_resolved.json").read_text())
         assert resolved["seed"] == 0
@@ -239,3 +244,16 @@ class TestReportCommand:
     def test_missing_results_exit_2(self, tmp_path):
         assert main(["report", "--results", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["dse", "--config", "{path}"],
+    ["report", "--results", "{path}", "--out", "{dir}"],
+    ["cost", "--net", "{path}", "--scheme", "dense_kernel", "--tile-size", "32"],
+    ["cost", "--net", "{dir}", "--scheme", "dense_kernel", "--tile-size", "32"],
+], ids=["dse", "report", "cost", "cost-directory"])
+def test_missing_input_exit_2_names_path(argv, tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    named = path if "{path}" in argv else str(tmp_path)
+    assert main([arg.format(path=path, dir=tmp_path) for arg in argv]) == 2
+    assert named in capsys.readouterr().err

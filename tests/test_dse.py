@@ -116,7 +116,7 @@ class TestGridSearch:
         cfg = next(SearchSpace(network=[fixture_net.name], scheme=[scheme], tile_size=[16],
                                io_bit_width=[6], batch_size=[64]).points())
         res = dse.evaluate_config(cfg, 0, {fixture_net.name: fixture_net}, test_data, 0,
-                                  xbar.DeviceModel())
+                                  xbar.DeviceModel(), [])
         assert calls == [scheme] * len(fixture_net.layers)
         monkeypatch.undo()
         constructive, _ = mapping.cost_network(fixture_net, scheme, 16)
@@ -137,8 +137,8 @@ def device_space(net_name, **dims):
 
 def per_point_search(space, data, networks, seed):
     """grid_search's results with each point sampling and programming its own
-    devices (``conductances=None``), in lexicographic order."""
-    results = [dse.evaluate_config(cfg, i, networks, data, seed, xbar.DeviceModel())
+    devices (a fresh conductance list per point), in lexicographic order."""
+    results = [dse.evaluate_config(cfg, i, networks, data, seed, xbar.DeviceModel(), [])
                for i, cfg in enumerate(space.points())]
     for res, norm in zip(results, min_max_normalize([r.raw_score for r in results])):
         res.normalized_score = norm
@@ -210,7 +210,7 @@ class TestPopulationSharing:
         first = None
         for i, cfg in enumerate(space.points()):
             try:
-                dse.evaluate_config(cfg, i, nets, test_data, 0, xbar.DeviceModel())
+                dse.evaluate_config(cfg, i, nets, test_data, 0, xbar.DeviceModel(), [])
             except dse.EvaluationError as failure:
                 first = failure
                 break

@@ -155,23 +155,6 @@ class TestLinearDense:
                 assert a.dtype == perm.dtype and a.shape == perm.shape
                 assert np.array_equal(a, perm)
 
-    @pytest.mark.parametrize("build", [map_linear_sparse, map_linear_dense])
-    def test_sparse_input_gives_the_dense_input_plan(self, build):
-        from scipy.sparse import csr_matrix
-
-        rng = np.random.default_rng(5)
-        mat = rng.integers(-3, 4, size=(23, 11)) * (rng.random((23, 11)) < 0.4)
-        got, want = build(csr_matrix(mat), 6), build(mat, 6)
-        perms = [plan.row_permutations and {c: p.tolist() for c, p in
-                                            plan.row_permutations.items()}
-                 for plan in (got, want)]
-        assert perms[0] == perms[1]
-        assert len(got.tiles) == len(want.tiles)
-        for tp, ref in zip(got.tiles, want.tiles):
-            for name in ("tile_row", "tile_col", "rows", "pair_slots", "logical_rows",
-                         "logical_cols", "codes", "weight_ids"):
-                assert np.array_equal(getattr(tp, name), getattr(ref, name)), name
-
 
 def per_column_dense(mat, tile_size, weight_ids=None):
     """map_linear_dense's plan built column by column, one bucket per tile."""

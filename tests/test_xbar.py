@@ -55,7 +55,9 @@ def per_tile_currents(plan, tiles, v):
 
 def per_tile_program(tiles, plan, weights, model):
     """Reference programming, tile by tile, through each tile's index arrays
-    for every layout; returns the layer conductance matrix like ``program``."""
+    for every layout. Unlike ``program`` it writes the programmed values into
+    the tiles' ``g``, which ``per_tile_currents`` reads, and returns the layer
+    conductance matrix."""
     w_max = int(np.abs(weights.codes).max(initial=0))
     g_layer = np.zeros((plan.rows, 2 * plan.cols))
     for tp in plan.tiles:
@@ -74,6 +76,18 @@ def per_tile_program(tiles, plan, weights, model):
             ta.g[tp.rows[free], cols[free]] = target[free]
             g_layer[tp.logical_rows, 2 * tp.logical_cols + offset] = ta.g[tp.rows, cols]
     return g_layer
+
+
+def layer_layout(plan, tiles, name):
+    """Tile field ``name`` of every mapped device, laid out like G: cell
+    (m, n)'s pair at columns 2n and 2n + 1, NaN where no device is mapped."""
+    out = np.full((plan.rows, 2 * plan.cols), np.nan)
+    for tp in plan.tiles:
+        values = getattr(tiles[(tp.tile_row, tp.tile_col)], name)
+        for offset in (0, 1):
+            out[tp.logical_rows, 2 * tp.logical_cols + offset] = \
+                values[tp.rows, 2 * tp.pair_slots + offset]
+    return out
 
 
 def reference_stream(*parts):
@@ -299,19 +313,17 @@ class TestProgramming:
         wt = qnet.WeightTensor(np.array([[7]]), 1.0, 4)
         plan = mapping.map_linear_sparse(wt.codes.T, 4)
         tiles = sample_devices(0, plan, IDEAL_DEVICES, "h", 0)
-        program(tiles, plan, wt, IDEAL_DEVICES)
-        ta = tiles[(0, 0)]
-        assert ta.g[0, 0] == pytest.approx(1e-4)   # positive column at 1/r_on
-        assert ta.g[0, 1] == pytest.approx(1e-5)   # negative column at 1/r_off
+        g = program(tiles, plan, wt, IDEAL_DEVICES)
+        assert g[0, 0] == pytest.approx(1e-4)   # positive column at 1/r_on
+        assert g[0, 1] == pytest.approx(1e-5)   # negative column at 1/r_off
 
     def test_zero_weight_both_off(self):
         wt = qnet.WeightTensor(np.array([[0]]), 1.0, 4)
         plan = mapping.map_linear_sparse(wt.codes.T, 4)
         tiles = sample_devices(0, plan, IDEAL_DEVICES, "h", 0)
-        program(tiles, plan, wt, IDEAL_DEVICES)
-        ta = tiles[(0, 0)]
-        assert ta.g[0, 0] == pytest.approx(1e-5)
-        assert ta.g[0, 1] == pytest.approx(1e-5)
+        g = program(tiles, plan, wt, IDEAL_DEVICES)
+        assert g[0, 0] == pytest.approx(1e-5)
+        assert g[0, 1] == pytest.approx(1e-5)
 
     def test_state_snapping_error_bound(self):
         model = DeviceModel(r_on_std=0.0, r_off_std=0.0, p_stuck_on=0.0,
@@ -323,28 +335,27 @@ class TestProgramming:
         plan = mapping.layer_plan(qnet.propagate_shapes([qnet.linear(15)], (1,))[0][0],
                                   wt, "sparse_staggered", 32)
         tiles = sample_devices(0, plan, model, "h", 0)
-        program(tiles, plan, wt, model)
-        ta = tiles[(0, 0)]
+        g_layer = program(tiles, plan, wt, model)
         g_levels = 1e-5 + (1e-4 - 1e-5) * np.arange(4) / 3
         tp = plan.tiles[0]
-        for g in ta.g[tp.rows, 2 * tp.pair_slots]:
+        programmed = g_layer[tp.logical_rows, 2 * tp.logical_cols]
+        assert programmed.size == 15
+        for g in programmed:
             assert np.min(np.abs(g_levels - g)) < 1e-12
         # snap error bounded by half a level gap
         span = 1e-4 - 1e-5
         targets = 1e-5 + span * np.abs(tp.codes) / 15
-        programmed = ta.g[tp.rows, 2 * tp.pair_slots]
         assert np.all(np.abs(programmed - targets) <= span / 3 / 2 + 1e-15)
 
     def test_stuck_devices_ignore_programming(self):
         model = DeviceModel(p_stuck_on=0.5, p_stuck_off=0.5)
         plan = ones_plan(16, 16, 16)
         tiles = sample_devices(0, plan, model, "h", 0)
-        ta = tiles[(0, 0)]
-        before = ta.g.copy()
         wt = qnet.WeightTensor(np.full((16, 16), 7, dtype=np.int64), 1.0, 4)
-        program(tiles, plan, wt, model)
-        changed = ta.g != before
-        assert not changed[ta.stuck != xbar.FREE].any()
+        g = program(tiles, plan, wt, model)
+        stuck = layer_layout(plan, tiles, "stuck") != xbar.FREE
+        assert stuck.any()
+        assert np.array_equal(g[stuck], layer_layout(plan, tiles, "g")[stuck])
 
     def test_conductance_bounds_invariant(self):
         model = DeviceModel(n_states=16)
@@ -353,9 +364,11 @@ class TestProgramming:
         rng = np.random.default_rng(0)
         codes = rng.integers(-7, 8, size=(16, 16))
         wt = qnet.WeightTensor(codes, 1.0, 4)
-        program(tiles, plan, wt, model)
-        for ta in tiles.values():
-            ta.validate()  # raises if any g outside its own [1/r_off, 1/r_on]
+        g = program(tiles, plan, wt, model)
+        # every entry of G within its own device's [1/r_off, 1/r_on]
+        slack = 1e-12
+        assert np.all(g <= 1.0 / layer_layout(plan, tiles, "r_on") * (1 + slack))
+        assert np.all(g >= 1.0 / layer_layout(plan, tiles, "r_off") * (1 - slack))
 
     def test_mismatched_plan_rejected(self):
         plan = ones_plan(4, 4, 8)
@@ -381,12 +394,11 @@ class TestProgramming:
                         except mapping.MappingError:
                             continue   # dense_kernel: kernel footprint exceeds t
                         sampled = sample_devices(1, plan, model, "prog", li)
-                        ref_tiles = copy.deepcopy(sampled)
+                        before = copy.deepcopy(sampled)
                         g = program(sampled, plan, layer.weights, model)
-                        ref = per_tile_program(ref_tiles, plan, layer.weights, model)
+                        assert_same_tiles(sampled, before)   # the tiles are only read
+                        ref = per_tile_program(before, plan, layer.weights, model)
                         assert np.array_equal(g, ref), (net.name, t, li, n_states)
-                        for key, ta in ref_tiles.items():
-                            assert np.array_equal(sampled[key].g, ta.g), (net.name, t, li, key)
                         full_layout.add(plan.row_permutations is None)
         expected = {"sparse_staggered": {True}, "dense_kernel": {True, False},
                     "dense_routed": {False}}
@@ -521,6 +533,8 @@ class TestSimulation:
                 assert np.unique(cells).size == cells.size
                 sampled.append(sample_devices(0, plan, model, "ref", li))
                 mats.append(program(sampled[-1], plan, net.layers[li].weights, model))
+                # the per-tile read takes the programmed tiles
+                per_tile_program(sampled[-1], plan, net.layers[li].weights, model)
             logits = simulate_forward(net, plans, mats, batch, io, model)
 
             layer_of = {id(g): li for li, g in enumerate(mats)}
