@@ -133,6 +133,22 @@ def load_run_config(path: str, seed_override: int | None = None,
     for t in space.tile_size:
         if not isinstance(t, int) or t < 2:
             errors.append(f"space.tile_size: {t!r} is not an integer >= 2")
+    # build each I/O and device model the grid will, so that their own
+    # checks report every bad value before any point runs
+    def device(**dims):
+        return dse._device_model(base_model, dims)
+
+    checks = [(xbar.IOConfig, {key: value}) for key in ("io_bit_width", "v_max", "batch_size")
+              for value in getattr(space, key)]
+    checks += [(device, {key: value}) for key in ("n_states", "std_multiplier")
+               for value in getattr(space, key)]
+    checks += [(device, {"p_stuck_on": on, "p_stuck_off": off})
+               for on in space.p_stuck_on for off in space.p_stuck_off]
+    for build, dims in checks:
+        try:
+            build(**dims)
+        except (TypeError, ValueError) as err:
+            errors.append(f"space.{'/'.join(dims)}: {'/'.join(map(repr, dims.values()))}: {err}")
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
 

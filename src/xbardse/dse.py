@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -107,13 +107,14 @@ def min_max_normalize(scores: list[float]) -> list[float]:
     return [(s - lo) / (hi - lo) for s in scores]
 
 
-def _device_model(base: xbar.DeviceModel, cfg: dict) -> xbar.DeviceModel:
-    mult = cfg["std_multiplier"]
-    return xbar.DeviceModel(
-        r_on_mean=base.r_on_mean, r_on_std=base.r_on_std * mult,
-        r_off_mean=base.r_off_mean, r_off_std=base.r_off_std * mult,
-        n_states=cfg["n_states"], p_stuck_on=cfg["p_stuck_on"],
-        p_stuck_off=cfg["p_stuck_off"])
+def _device_model(base: xbar.DeviceModel, dims: dict) -> xbar.DeviceModel:
+    """``base`` with the device dimensions in ``dims`` (any of n_states,
+    p_stuck_on, p_stuck_off and std_multiplier, which scales both
+    resistance stds) applied."""
+    mult = dims.get("std_multiplier", 1.0)
+    return replace(
+        base, r_on_std=base.r_on_std * mult, r_off_std=base.r_off_std * mult,
+        **{k: dims[k] for k in ("n_states", "p_stuck_on", "p_stuck_off") if k in dims})
 
 
 def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,

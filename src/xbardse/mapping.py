@@ -6,6 +6,12 @@ Logical matrices are oriented rows = inputs (word lines), columns = outputs
 adjacent physical columns inside one tile; a pair never straddles a tile
 boundary, so a tile of size t holds t // 2 logical columns.
 
+A plan holds its physical matrix once: the code and weight id of each
+physical cell, one column per logical column. Full layouts, which give every
+logical cell a pair, use the logical matrix itself; compacted layouts also
+record each physical cell's logical row. Tile (tr, tc) covers the physical
+cells [tr * t, +t) x [tc * (t // 2), +t // 2).
+
 Schemes
 -------
 sparse_staggered
@@ -19,8 +25,8 @@ dense_kernel
     back to the compacted dense layout.
 dense_routed
     Dense kernel arrangement with per-column zero reclamation: zero weights
-    consume no devices and surviving rows are packed from row 0, recorded in
-    per-column permutation tables.
+    consume no devices, and column c's k-th nonzero weight sits on physical
+    row k of column c.
 """
 
 from __future__ import annotations
@@ -52,37 +58,36 @@ def pair_capacity(tile_size: int) -> int:
 
 @dataclass
 class TilePlan:
-    """Device assignments inside one physical tile. Parallel arrays hold one
-    element per mapped logical cell; each cell owns the adjacent column pair
-    (2 * pair_slot, 2 * pair_slot + 1)."""
+    """One occupied physical tile; ``MappingPlan.tile_slices`` gives its cells."""
 
     tile_row: int
     tile_col: int
-    rows: np.ndarray          # device row within the tile
-    pair_slots: np.ndarray    # column-pair slot within the tile
-    logical_rows: np.ndarray
-    logical_cols: np.ndarray
-    codes: np.ndarray         # signed weight codes (0 allowed in full layouts)
-    weight_ids: np.ndarray    # flat index into the layer tensor, -1 structural zero
-
-    def __len__(self) -> int:
-        return self.rows.size
 
 
 @dataclass
 class MappingPlan:
+    """A layer's physical matrix and the tiles it occupies. ``codes`` and
+    ``weight_ids`` (flat index into the layer tensor, -1 for a structural
+    zero or an empty cell) have one column per logical column. ``row_map``
+    is None for full layouts, whose physical matrix is the logical one;
+    compacted layouts hold there each physical cell's logical row, -1 if
+    the cell is empty."""
+
     scheme: str
     tile_size: int
     rows: int                 # logical matrix rows M
     cols: int                 # logical matrix columns N
     tiles: list
-    row_permutations: dict | None = None  # dense_routed: col -> logical rows in physical order
+    codes: np.ndarray
+    weight_ids: np.ndarray
+    row_map: np.ndarray | None = None
     geometry: ConvGeometry | None = None
     reads_per_sample: int = 1
 
     @property
     def device_count(self) -> int:
-        return 2 * sum(len(tp) for tp in self.tiles)
+        cells = self.codes.size if self.row_map is None else np.count_nonzero(self.row_map >= 0)
+        return 2 * int(cells)
 
     @property
     def row_groups(self) -> int:
@@ -90,48 +95,27 @@ class MappingPlan:
             return 0
         return max(tp.tile_row for tp in self.tiles) + 1
 
-    def validate(self) -> None:
-        cap = pair_capacity(self.tile_size)
-        seen = set()
-        for tp in self.tiles:
-            if tp.rows.size == 0:
-                continue
-            if tp.rows.max() >= self.tile_size or tp.pair_slots.max() >= cap:
-                raise MappingError("tile entries exceed tile bounds")
-            for r, c in zip(tp.rows.tolist(), tp.pair_slots.tolist()):
-                key = (tp.tile_row, tp.tile_col, r, c)
-                if key in seen:
-                    raise MappingError(f"device pair {key} assigned twice")
-                seen.add(key)
+    def tile_slices(self, tp: TilePlan) -> tuple[slice, slice]:
+        """Physical rows and columns of tile ``tp``: [tile_row * t, +t) x
+        [tile_col * pair_capacity, +pair_capacity), clipped to the matrix."""
+        t, cap = self.tile_size, pair_capacity(self.tile_size)
+        return (slice(tp.tile_row * t, (tp.tile_row + 1) * t),
+                slice(tp.tile_col * cap, (tp.tile_col + 1) * cap))
 
 
 def _full_allocation(matrix: np.ndarray, weight_ids: np.ndarray, tile_size: int,
                      scheme: str, geometry: ConvGeometry | None,
                      reads: int) -> MappingPlan:
-    """Allocate a device pair for every logical cell, zeros included. Tile
-    (tr, tc) holds the row-major rectangle of cells from (tr * tile_size,
-    tc * pair_capacity); ``xbar.program`` relies on this layout."""
+    """Allocate a device pair for every logical cell, zeros included: the
+    physical matrix is the logical one, and every tile of its grid is
+    occupied."""
     if tile_size < 2:
         raise MappingError("tile size must be >= 2 to hold a differential pair")
     m, n = matrix.shape
-    cap = pair_capacity(tile_size)
-    grid_rows, grid_cols = np.indices((m, n))
-    tiles = []
-    for tr in range(-(-m // tile_size)):
-        r0 = tr * tile_size
-        rs = slice(r0, r0 + tile_size)
-        for tc in range(-(-n // cap)):
-            c0 = tc * cap
-            cs = slice(c0, c0 + cap)
-            lr = grid_rows[rs, cs].ravel()
-            lc = grid_cols[rs, cs].ravel()
-            tiles.append(TilePlan(
-                tile_row=tr, tile_col=tc,
-                rows=lr - r0, pair_slots=lc - c0,
-                logical_rows=lr, logical_cols=lc,
-                codes=matrix[rs, cs].ravel(),
-                weight_ids=weight_ids[rs, cs].ravel()))
-    return MappingPlan(scheme, tile_size, m, n, tiles, None, geometry, reads)
+    tiles = [TilePlan(tr, tc) for tr in range(-(-m // tile_size))
+             for tc in range(-(-n // pair_capacity(tile_size)))]
+    return MappingPlan(scheme, tile_size, m, n, tiles, matrix, weight_ids, None,
+                       geometry, reads)
 
 
 def _default_ids(m: int, n: int) -> np.ndarray:
@@ -157,9 +141,10 @@ def map_linear_dense(matrix, tile_size: int, weight_ids: np.ndarray | None = Non
                      geometry: ConvGeometry | None = None,
                      reads: int = 1) -> MappingPlan:
     """Greedy per-column zero reclamation of a 2-D logical matrix, given as
-    an array: surviving weights pack contiguously from row 0 and a
-    permutation table records logical row -> physical row. Zero weights
-    consume no devices; empty tiles are dropped."""
+    an array: column c's k-th nonzero weight goes to physical row k, and
+    ``row_map`` records its logical row. Zero weights consume no devices; a
+    tile is kept only if some column of its group is deeper than its first
+    physical row."""
     if tile_size < 2:
         raise MappingError("tile size must be >= 2 to hold a differential pair")
     mat = np.asarray(matrix)
@@ -169,23 +154,20 @@ def map_linear_dense(matrix, tile_size: int, weight_ids: np.ndarray | None = Non
     if weight_ids is None:
         weight_ids = _default_ids(m, n)
     weight_ids = np.asarray(weight_ids)
-    cap = pair_capacity(tile_size)
-    tile_cols = -(-n // cap)
     cols, rows = np.divmod(np.flatnonzero(mat.T != 0), m)   # by column, then row
     counts = np.bincount(cols, minlength=n)
-    ends = np.cumsum(counts)
-    perms = dict(zip(range(n), np.split(rows, ends[:-1])))
-    phys = np.arange(rows.size) - (ends - counts)[cols]   # packed row within the column
-    tile = phys // tile_size * tile_cols + cols // cap
-    # stable, so inside a tile the cells stay by column, then row
-    order = np.argsort(tile, kind="stable")
-    rows, cols, phys, tile = rows[order], cols[order], phys[order], tile[order]
-    fields = (phys % tile_size, cols % cap, rows, cols, mat[rows, cols],
-              weight_ids[rows, cols])
-    firsts = np.flatnonzero(np.diff(tile, prepend=-1)).tolist()
-    tiles = [TilePlan(*divmod(int(tile[a]), tile_cols), *(f[a:b] for f in fields))
-             for a, b in zip(firsts, firsts[1:] + [tile.size])]
-    return MappingPlan(scheme, tile_size, m, n, tiles, perms, geometry, reads)
+    phys = np.arange(rows.size) - (np.cumsum(counts) - counts)[cols]   # k-th nonzero: row k
+    depth = int(counts.max(initial=0))
+    codes = np.zeros((depth, n), dtype=mat.dtype)
+    ids = np.full((depth, n), -1, dtype=np.int64)
+    row_map = np.full((depth, n), -1, dtype=np.int64)
+    codes[phys, cols] = mat[rows, cols]
+    ids[phys, cols] = weight_ids[rows, cols]
+    row_map[phys, cols] = rows
+    group_depth = np.maximum.reduceat(counts, np.arange(0, n, pair_capacity(tile_size)))
+    tiles = [TilePlan(tr, tc) for tr in range(-(-depth // tile_size))
+             for tc in np.flatnonzero(group_depth > tr * tile_size).tolist()]
+    return MappingPlan(scheme, tile_size, m, n, tiles, codes, ids, row_map, geometry, reads)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +281,15 @@ def network_plans(net: QuantizedNetwork, scheme: str, tile_size: int) -> list[Ma
             for layer in net.layers]
 
 
+def _cells(plan: MappingPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(logical row, logical column, code, weight id) of every mapped cell,
+    in physical row-major order."""
+    mapped = np.ones(plan.codes.shape, bool) if plan.row_map is None else plan.row_map >= 0
+    phys, cols = np.nonzero(mapped)
+    rows = phys if plan.row_map is None else plan.row_map[phys, cols]
+    return rows, cols, plan.codes[phys, cols], plan.weight_ids[phys, cols]
+
+
 def plan_matvec(plan: MappingPlan, x: np.ndarray) -> np.ndarray:
     """Ideal logical product of the mapped layer: y[n] = sum_m x[m] * code[m, n].
 
@@ -307,9 +298,9 @@ def plan_matvec(plan: MappingPlan, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != plan.rows:
         raise ValueError(f"input length {x.shape[1]} != logical rows {plan.rows}")
+    rows, cols, codes, _ = _cells(plan)
     y = np.zeros((plan.cols, x.shape[0]))
-    for tp in plan.tiles:
-        np.add.at(y, tp.logical_cols, (x[:, tp.logical_rows] * tp.codes).T)
+    np.add.at(y, cols, (x[:, rows] * codes).T)
     return y.T if y.shape[1] > 1 else y[:, 0]
 
 
@@ -322,23 +313,16 @@ def plan_products(plan: MappingPlan) -> set[tuple[int, int, int]]:
     each kernel column over output positions; output ids follow the
     staggered convention k * out_positions + p.
     """
-    products: set[tuple[int, int, int]] = set()
-    dense_conv = plan.geometry is not None and plan.scheme != "sparse_staggered"
-    if dense_conv:
-        idx = plan.geometry.read_indices()
-        pn = plan.geometry.out_positions
-        for tp in plan.tiles:
-            for lr, lc, wid in zip(tp.logical_rows, tp.logical_cols, tp.weight_ids):
-                if wid < 0:
-                    continue
-                for p in range(pn):
-                    products.add((int(idx[p, lr]), int(lc) * pn + p, int(wid)))
-        return products
-    for tp in plan.tiles:
-        for lr, lc, wid in zip(tp.logical_rows, tp.logical_cols, tp.weight_ids):
-            if wid >= 0:
-                products.add((int(lr), int(lc), int(wid)))
-    return products
+    rows, cols, _, wids = _cells(plan)
+    kept = wids >= 0
+    rows, cols, wids = rows[kept], cols[kept], wids[kept]
+    if plan.geometry is None or plan.scheme == "sparse_staggered":
+        return set(zip(rows.tolist(), cols.tolist(), wids.tolist()))
+    pn = plan.geometry.out_positions
+    inputs = plan.geometry.read_indices()[:, rows]             # (P, cells)
+    outputs = cols * pn + np.arange(pn)[:, None]
+    return set(zip(inputs.ravel().tolist(), outputs.ravel().tolist(),
+                   np.broadcast_to(wids, inputs.shape).ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -725,8 +725,14 @@ def load_dataset(path) -> Dataset:
         parts = line.split(",")
         if len(parts) != dim + 1:
             raise NetworkFormatError(f"dataset row {i}: {len(parts) - 1} features, expected {dim}")
-        labels[i] = int(parts[0])
-        feats[i] = [float(v) for v in parts[1:]]
+        try:
+            labels[i] = int(parts[0])
+            feats[i] = [float(v) for v in parts[1:]]
+        except (ValueError, OverflowError) as err:
+            raise NetworkFormatError(f"dataset row {i}: {err}") from err
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise NetworkFormatError(f"dataset row {bad[0]}: non-finite feature")
     data = Dataset(feats.reshape(len(rows), *shape), labels, class_count)
     try:
         data.validate()

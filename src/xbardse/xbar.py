@@ -5,12 +5,11 @@ Every scheme places logical cell (m, n) of a layer on one differential
 device pair, and tile partial sums add before readout. So ``program`` also
 gathers the programmed pairs into the layer conductance matrix G of shape
 (rows, 2 * cols), cell (m, n) at columns 2n and 2n + 1, and
-``simulate_forward`` reads each layer with one ``tile_vmm`` against G. Full
-layouts place a pair on every cell, so stuck devices on zero weights
-contribute; routed layouts place none there, and those entries of G stay 0.
-A full-layout tile holds a row-major rectangle of cells, so ``program``
-reads it, and writes its block of G, through basic slices; routed tiles go
-through their index arrays. The sampled tiles are only read.
+``simulate_forward`` reads each layer with one ``tile_vmm`` against G.
+Each tile is a rectangle of its plan's physical matrix, programmed through
+basic slices; the sampled tiles are only read. A full layout's physical G
+is G, so stuck devices on zero weights contribute; a compacted layout's
+cells go to their logical rows through its ``row_map``, the rest of G 0.
 
 Scaling groups, the io.batch_size rows that share one input-voltage scale
 per layer, and their scale v_max / max|x| are defined in ``simulate_forward``
@@ -237,11 +236,8 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
     cell's device pair as programmed (stuck devices at their stuck value)
     at columns 2n and 2n + 1; cells without devices stay 0.
 
-    Full layouts (``row_permutations is None``) hold, in tile (tr, tc), the
-    row-major rectangle of cells from (r0, c0) = (tr * t, tc * pair_capacity)
-    spanning min(t, rows - r0) x min(pair_capacity, cols - c0), so each tile
-    is read, and its block of G written, through basic slices. Routed
-    layouts place cells through the tile's index arrays.
+    Each tile's nr x nc block of the physical matrix (``plan.tile_slices``)
+    sits on its first nr device rows and 2 * nc device columns.
     """
     if plan.geometry is None:
         if plan.rows != weights.codes.shape[1] or plan.cols != weights.codes.shape[0]:
@@ -251,30 +247,25 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
         if weights.codes.size != geom.kernels * geom.footprint:
             raise ValueError("weight tensor does not match plan geometry")
     w_max = _code_peak(weights)
-    g_layer = np.zeros((plan.rows, 2 * plan.cols))
-    t = plan.tile_size
-    cap = mapping.pair_capacity(t)
+    g = np.zeros((plan.codes.shape[0], 2 * plan.cols))
     for tp in plan.tiles:
         ta = tiles.get((tp.tile_row, tp.tile_col))
         if ta is None:
             raise ValueError(f"no sampled tile for {(tp.tile_row, tp.tile_col)}")
-        if plan.row_permutations is None:
-            r0, c0 = tp.tile_row * t, tp.tile_col * cap
-            nr, nc = min(t, plan.rows - r0), min(cap, plan.cols - c0)
-            dev = np.s_[:nr, :2 * nc]
-            target = _pair_targets(tp.codes.reshape(nr, nc),
-                                   ta.r_on[dev].reshape(nr, nc, 2),
-                                   ta.r_off[dev].reshape(nr, nc, 2), w_max, model)
-            g_layer[r0:r0 + nr, 2 * c0:2 * (c0 + nc)] = np.where(
-                ta.stuck[dev] == FREE, target.reshape(nr, 2 * nc), ta.g[dev])
-        else:
-            rows = tp.rows[:, None]
-            cols = 2 * tp.pair_slots[:, None] + (0, 1)
-            target = _pair_targets(tp.codes, ta.r_on[rows, cols], ta.r_off[rows, cols],
-                                   w_max, model)
-            g_layer[tp.logical_rows[:, None], 2 * tp.logical_cols[:, None] + (0, 1)] = \
-                np.where(ta.stuck[rows, cols] == FREE, target, ta.g[rows, cols])
-    return g_layer
+        rows, cols = plan.tile_slices(tp)
+        codes = plan.codes[rows, cols]
+        nr, nc = codes.shape
+        dev = np.s_[:nr, :2 * nc]
+        target = _pair_targets(codes, ta.r_on[dev].reshape(nr, nc, 2),
+                               ta.r_off[dev].reshape(nr, nc, 2), w_max, model)
+        g[rows, 2 * cols.start:2 * cols.start + 2 * nc] = np.where(
+            ta.stuck[dev] == FREE, target.reshape(nr, 2 * nc), ta.g[dev])
+    if plan.row_map is None:
+        return g
+    mapped = plan.row_map >= 0
+    g_layer = np.zeros((plan.rows, plan.cols, 2))
+    g_layer[plan.row_map[mapped], np.nonzero(mapped)[1]] = g.reshape(*mapped.shape, 2)[mapped]
+    return g_layer.reshape(plan.rows, 2 * plan.cols)
 
 
 def program_network(net: QuantizedNetwork, scheme: str, hw: HardwareConfig, seed: int,

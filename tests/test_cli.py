@@ -168,8 +168,55 @@ class TestSimulateCommand:
         for fragment in ("network", "dataset", "seed", "scheme", "tile_size"):
             assert fragment in err
 
+    @pytest.mark.parametrize("field, text, message", [
+        (0, "x", "invalid literal for int() with base 10: 'x'"),
+        (4, "abc", "could not convert string to float: 'abc'"),
+        (4, "nan", "non-finite feature"),
+    ], ids=["label", "unparsable-feature", "non-finite-feature"])
+    def test_malformed_dataset_row_exit_2_names_row(self, workdir, tmp_path, capsys,
+                                                     field, text, message):
+        lines = (workdir / "fixture_test.csv").read_text().splitlines()
+        row = lines[2 + 5].split(",")        # data row 5, after the two header lines
+        row[field] = text
+        lines[2 + 5] = ",".join(row)
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        cfg = dse_config(workdir, tmp_path, scheme=["dense_kernel"],
+                         tile_size=[64], batch_size=[64])
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
+                                   "dataset": str(tmp_path / "bad.csv")}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: dataset row 5: {message}\n"
+        assert not (tmp_path / "simulate_result.json").exists()
+
+
+BAD_DIMENSIONS = {
+    "batch_size": ({"batch_size": [16, 0]}, "space.batch_size: 0: batch_size must be >= 1"),
+    "io_bit_width": ({"io_bit_width": [0]}, "space.io_bit_width: 0: io_bit_width must be >= 1"),
+    "v_max": ({"v_max": [0.0]}, "space.v_max: 0.0: v_max must be > 0"),
+    "n_states": ({"n_states": [1]},
+                 "space.n_states: 1: n_states must be >= 2 (or None for continuous)"),
+    "stuck": ({"p_stuck_on": [0.7], "p_stuck_off": [0.7]},
+              "space.p_stuck_on/p_stuck_off: 0.7/0.7: "
+              "stuck probabilities must be >= 0 and sum to <= 1"),
+    "std_multiplier": ({"std_multiplier": [1.0, -1.0]},
+                       "space.std_multiplier: -1.0: resistance std must be >= 0"),
+}
+
 
 class TestDseCommand:
+    @pytest.mark.parametrize("names", [[name] for name in BAD_DIMENSIONS] + [list(BAD_DIMENSIONS)],
+                             ids=[*BAD_DIMENSIONS, "all"])
+    def test_bad_dimension_values_exit_2_at_load(self, workdir, tmp_path, capsys, names):
+        space = {k: v for name in names for k, v in BAD_DIMENSIONS[name][0].items()}
+        cfg = dse_config(workdir, tmp_path, **space)
+        assert main(["dse", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration:\n")
+        assert err.count("\n  ") == len(names)       # one line per bad value, all at once
+        for name in names:
+            assert f"\n  {BAD_DIMENSIONS[name][1]}\n" in err
+        assert not (tmp_path / "results.csv").exists()
+
     def test_full_run(self, workdir, tmp_path):
         cfg = dse_config(workdir, tmp_path)
         assert main(["dse", "--config", str(cfg), "--svg"]) == 0

@@ -1,3 +1,4 @@
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,34 @@ def geom_1d(kernels=1, kernel_h=3, in_x=5, stride=1, padding=0, dilation=1, chan
     return ConvGeometry(kernels=kernels, kernel_h=kernel_h, kernel_w=1,
                         in_x=in_x, in_y=1, stride=stride, padding=padding,
                         dilation=dilation, channels=channels, one_d=True)
+
+
+TileCells = namedtuple("TileCells", "tile_row tile_col rows pair_slots logical_rows "
+                                    "logical_cols codes weight_ids")
+
+
+def tile_cells(plan):
+    """Each tile's mapped cells as parallel arrays: device row and column-pair
+    slot inside the tile, logical row and column, code and weight id.
+    Row-major inside full tiles; by column, then row, inside routed tiles.
+    Tile (tr, tc) holds physical rows [tr * t, +t) and columns
+    [tc * (t // 2), +t // 2)."""
+    t = plan.tile_size
+    cap = t // 2
+    out = []
+    for tp in plan.tiles:
+        r0, c0 = tp.tile_row * t, tp.tile_col * cap
+        block = np.s_[r0:r0 + t, c0:c0 + cap]
+        if plan.row_map is None:
+            rows, slots = np.nonzero(np.ones(plan.codes[block].shape, bool))
+            logical_rows = rows + r0
+        else:
+            slots, rows = np.nonzero(plan.row_map[block].T >= 0)
+            logical_rows = plan.row_map[block][rows, slots]
+        out.append(TileCells(tp.tile_row, tp.tile_col, rows, slots, logical_rows, slots + c0,
+                             plan.codes[block][rows, slots],
+                             plan.weight_ids[block][rows, slots]))
+    return out
 
 
 def random_quantized(rng, shape, zero_frac=0.3, bits=8):
@@ -100,10 +129,10 @@ class TestLinearDense:
         mat = np.array([[1.0], [0.0], [2.0], [0.0]])
         plan = map_linear_dense(mat, 4)
         assert cost(plan).rd == 4  # 2 weights x pair
-        tp = plan.tiles[0]
+        tp, = tile_cells(plan)
         assert tp.rows.tolist() == [0, 1]
         assert tp.logical_rows.tolist() == [0, 2]
-        assert plan.row_permutations[0].tolist() == [0, 2]
+        assert plan.row_map[:, 0].tolist() == [0, 2]
 
     def test_all_zero_matrix(self):
         plan = map_linear_dense(np.zeros((4, 4)), 4)
@@ -115,13 +144,13 @@ class TestLinearDense:
         dense = map_linear_dense(mat, 4)
         sparse = map_linear_sparse(mat, 4)
         assert cost(dense).rd == cost(sparse).rd
-        for td, ts in zip(dense.tiles, sparse.tiles):
+        for td, ts in zip(tile_cells(dense), tile_cells(sparse)):
             order_d = np.lexsort((td.pair_slots, td.rows))
             order_s = np.lexsort((ts.pair_slots, ts.rows))
             assert np.array_equal(td.logical_rows[order_d], ts.logical_rows[order_s])
             assert np.array_equal(td.codes[order_d], ts.codes[order_s])
-        for col, perm in dense.row_permutations.items():
-            assert perm.tolist() == list(range(4))
+        for col in range(4):
+            assert dense.row_map[:, col].tolist() == list(range(4))
 
 
     @pytest.mark.parametrize("kind", ["int", "float"])
@@ -139,25 +168,28 @@ class TestLinearDense:
             t = int(rng.integers(2, 21))
             ids = rng.permutation(mat.size).reshape(mat.shape) if i % 2 else None
             got = map_linear_dense(mat, t, ids)
-            want = per_column_dense(mat, t, ids)
-            assert (got.rows, got.cols, got.tile_size) == (want.rows, want.cols, want.tile_size)
-            assert len(got.tiles) == len(want.tiles)
-            for tp, ref in zip(got.tiles, want.tiles):
-                assert (tp.tile_row, tp.tile_col) == (ref.tile_row, ref.tile_col)
+            want, perms = per_column_dense(mat, t, ids)
+            assert (got.rows, got.cols, got.tile_size) == (*mat.shape, t)
+            assert len(got.tiles) == len(want)
+            for tp in got.tiles:
                 assert type(tp.tile_row) is type(tp.tile_col) is int
+            for tp, ref in zip(tile_cells(got), want):
+                assert (tp.tile_row, tp.tile_col) == (ref.tile_row, ref.tile_col)
                 for name in ("rows", "pair_slots", "logical_rows", "logical_cols",
                              "codes", "weight_ids"):
                     a, b = getattr(tp, name), getattr(ref, name)
                     assert a.dtype == b.dtype and np.array_equal(a, b), name
-            assert list(got.row_permutations) == list(want.row_permutations)
-            for col, perm in want.row_permutations.items():
-                a = got.row_permutations[col]
-                assert a.dtype == perm.dtype and a.shape == perm.shape
+            assert got.row_map.shape[1] == len(perms)
+            for col, perm in perms.items():
+                a = got.row_map[:perm.size, col]
+                assert a.dtype == perm.dtype
                 assert np.array_equal(a, perm)
+                assert (got.row_map[perm.size:, col] == -1).all()
 
 
 def per_column_dense(mat, tile_size, weight_ids=None):
-    """map_linear_dense's plan built column by column, one bucket per tile."""
+    """map_linear_dense's tile cells built column by column, one bucket per
+    tile, and each column's logical rows in physical order."""
     m, n = mat.shape
     if weight_ids is None:
         weight_ids = np.arange(m * n, dtype=np.int64).reshape(m, n)
@@ -173,10 +205,10 @@ def per_column_dense(mat, tile_size, weight_ids=None):
             buckets.setdefault((tr, col // cap), []).append((
                 part - tr * tile_size, np.full(part.size, col % cap), nz[sel],
                 np.full(part.size, col), mat[nz[sel], col], weight_ids[nz[sel], col]))
-    tiles = [mapping.TilePlan(tr, tc, *(np.concatenate([p[k] for p in buckets[(tr, tc)]])
-                                        for k in range(6)))
+    tiles = [TileCells(tr, tc, *(np.concatenate([p[k] for p in buckets[(tr, tc)]])
+                                 for k in range(6)))
              for tr, tc in sorted(buckets)]
-    return mapping.MappingPlan("dense_routed", tile_size, m, n, tiles, perms)
+    return tiles, perms
 
 
 class TestConvMappings:
@@ -246,7 +278,7 @@ class TestConvMappings:
         dense = map_conv_dense(geom, codes, 8)
 
         def kernel_cells(plan):
-            return sum(int((tp.weight_ids >= 0).sum()) for tp in plan.tiles)
+            return sum(int((tp.weight_ids >= 0).sum()) for tp in tile_cells(plan))
 
         assert kernel_cells(staggered) == kernel_cells(dense) * geom.out_positions
 
@@ -356,7 +388,7 @@ class TestFullAllocation:
                     plan = layer_plan(spec, wt, scheme, t)
                     want = meshgrid_tiles(values, ids, t)
                     assert len(plan.tiles) == len(want)
-                    for tp, ref in zip(plan.tiles, want):
+                    for tp, ref in zip(tile_cells(plan), want):
                         assert (tp.tile_row, tp.tile_col) == (ref.tile_row, ref.tile_col)
                         for name in ("rows", "pair_slots", "logical_rows", "logical_cols",
                                      "codes", "weight_ids"):
@@ -376,7 +408,7 @@ def meshgrid_tiles(matrix, weight_ids, tile_size):
         for tc in range(-(-n // cap)):
             c0, c1 = tc * cap, min(n, (tc + 1) * cap)
             rr, cc = np.meshgrid(np.arange(r0, r1), np.arange(c0, c1), indexing="ij")
-            tiles.append(mapping.TilePlan(
+            tiles.append(TileCells(
                 tile_row=tr, tile_col=tc, rows=rr.ravel() - r0, pair_slots=cc.ravel() - c0,
                 logical_rows=rr.ravel(), logical_cols=cc.ravel(),
                 codes=matrix[r0:r1, c0:c1].ravel(), weight_ids=weight_ids[r0:r1, c0:c1].ravel()))

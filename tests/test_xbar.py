@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from test_mapping import tile_cells
 from xbardse import mapping, qnet, xbar
 from xbardse.xbar import (
     DeviceModel,
@@ -31,14 +32,14 @@ def per_tile_currents(plan, tiles, v):
     """Reference read, tile by tile, of interleaved (pos, neg) currents.
 
     Full layouts read each tile as one block, so stuck devices on zero
-    cells contribute; routed layouts gather per-entry voltages through the
-    permutation tables. Tile partial sums accumulate per logical column.
+    cells contribute; routed layouts gather per-entry voltages through each
+    cell's logical row. Tile partial sums accumulate per logical column.
     """
     cap = mapping.pair_capacity(plan.tile_size)
     i = np.zeros((v.shape[0], 2 * plan.cols))
-    for tp in plan.tiles:
+    for tp in tile_cells(plan):
         g = tiles[(tp.tile_row, tp.tile_col)].g
-        if plan.row_permutations is not None:
+        if plan.row_map is not None:
             cols = tp.tile_col * cap + tp.pair_slots
             for offset in (0, 1):
                 np.add.at(i, (slice(None), 2 * cols + offset),
@@ -54,13 +55,13 @@ def per_tile_currents(plan, tiles, v):
 
 
 def per_tile_program(tiles, plan, weights, model):
-    """Reference programming, tile by tile, through each tile's index arrays
-    for every layout. Unlike ``program`` it writes the programmed values into
-    the tiles' ``g``, which ``per_tile_currents`` reads, and returns the layer
-    conductance matrix."""
+    """Reference programming, tile by tile, through the cell arrays
+    ``tile_cells`` expands, for every layout. Unlike ``program`` it writes
+    the programmed values into the tiles' ``g``, which ``per_tile_currents``
+    reads, and returns the layer conductance matrix."""
     w_max = int(np.abs(weights.codes).max(initial=0))
     g_layer = np.zeros((plan.rows, 2 * plan.cols))
-    for tp in plan.tiles:
+    for tp in tile_cells(plan):
         ta = tiles[(tp.tile_row, tp.tile_col)]
         mag = np.abs(tp.codes) / w_max if w_max else np.zeros(tp.codes.shape)
         for offset, active in ((0, tp.codes > 0), (1, tp.codes < 0)):
@@ -82,7 +83,7 @@ def layer_layout(plan, tiles, name):
     """Tile field ``name`` of every mapped device, laid out like G: cell
     (m, n)'s pair at columns 2n and 2n + 1, NaN where no device is mapped."""
     out = np.full((plan.rows, 2 * plan.cols), np.nan)
-    for tp in plan.tiles:
+    for tp in tile_cells(plan):
         values = getattr(tiles[(tp.tile_row, tp.tile_col)], name)
         for offset in (0, 1):
             out[tp.logical_rows, 2 * tp.logical_cols + offset] = \
@@ -150,7 +151,7 @@ def logical_sample(seed, plan, model, layer_index):
     r_off_l = xbar._truncated_normal(gen, model.r_off_mean, model.r_off_std,
                                      (plan.rows, plan.cols))
     stuck_l = xbar._stuck_from_uniform(gen.random((plan.rows, plan.cols)), model)
-    for tp in plan.tiles:
+    for tp in tile_cells(plan):
         r_on = np.full((t, t), model.r_on_mean)
         r_off = np.full((t, t), model.r_off_mean)
         stuck = np.zeros((t, t), dtype=np.int8)
@@ -258,7 +259,7 @@ class TestSampling:
         plan = ones_plan()
         tiles = logical_sample(0, plan, DeviceModel(), 0)
         ta = tiles[(0, 0)]
-        tp = plan.tiles[0]
+        tp = tile_cells(plan)[0]
         pos = ta.r_on[tp.rows, 2 * tp.pair_slots]
         neg = ta.r_on[tp.rows, 2 * tp.pair_slots + 1]
         assert np.array_equal(pos, neg)
@@ -337,7 +338,7 @@ class TestProgramming:
         tiles = sample_devices(0, plan, model, "h", 0)
         g_layer = program(tiles, plan, wt, model)
         g_levels = 1e-5 + (1e-4 - 1e-5) * np.arange(4) / 3
-        tp = plan.tiles[0]
+        tp, = tile_cells(plan)
         programmed = g_layer[tp.logical_rows, 2 * tp.logical_cols]
         assert programmed.size == 15
         for g in programmed:
@@ -399,7 +400,7 @@ class TestProgramming:
                         assert_same_tiles(sampled, before)   # the tiles are only read
                         ref = per_tile_program(before, plan, layer.weights, model)
                         assert np.array_equal(g, ref), (net.name, t, li, n_states)
-                        full_layout.add(plan.row_permutations is None)
+                        full_layout.add(plan.row_map is None)
         expected = {"sparse_staggered": {True}, "dense_kernel": {True, False},
                     "dense_routed": {False}}
         assert full_layout == expected[scheme]
@@ -527,9 +528,8 @@ class TestSimulation:
             plans = mapping.network_plans(net, scheme, t)
             sampled, mats = [], []
             for li, plan in enumerate(plans):
-                plan.validate()
                 cells = np.concatenate([tp.logical_rows * plan.cols + tp.logical_cols
-                                        for tp in plan.tiles])
+                                        for tp in tile_cells(plan)])
                 assert np.unique(cells).size == cells.size
                 sampled.append(sample_devices(0, plan, model, "ref", li))
                 mats.append(program(sampled[-1], plan, net.layers[li].weights, model))
