@@ -33,8 +33,6 @@ from .mapping import (
     devices_dense_eq2,
     devices_sparse_eq1,
     layer_plan,
-    map_conv_dense,
-    map_conv_staggered,
     map_linear_dense,
     map_linear_sparse,
     network_plans,

@@ -161,9 +161,21 @@ def load_run_config(path: str, seed_override: int | None = None,
 
 
 def _load_inputs(cfg: dict):
+    """Load the network and dataset; one ConfigError names every (scheme,
+    tile_size) of the space that cannot be mapped, before any point runs."""
     net = qnet.load_network(cfg["network"])
     data = qnet.load_dataset(cfg["dataset"])
-    cfg["space_obj"].network = [net.name]
+    space = cfg["space_obj"]
+    space.network = [net.name]
+    infeasible = []
+    for scheme in space.scheme:
+        for t in space.tile_size:
+            try:
+                mapping.analytic_network_cost(net, scheme, t)
+            except mapping.MappingError as err:
+                infeasible.append(f"scheme {scheme}, tile_size {t}: {err}")
+    if infeasible:
+        raise ConfigError("infeasible design points:\n  " + "\n  ".join(infeasible))
     return net, data
 
 

@@ -27,6 +27,9 @@ dense_routed
     Dense kernel arrangement with per-column zero reclamation: zero weights
     consume no devices, and column c's k-th nonzero weight sits on physical
     row k of column c.
+
+``layer_plan`` is the scheme table, the one place that turns a layer and a
+scheme name into a plan; readers of a plan ask ``MappingPlan.slides``.
 """
 
 from __future__ import annotations
@@ -88,6 +91,12 @@ class MappingPlan:
     def device_count(self) -> int:
         cells = self.codes.size if self.row_map is None else np.count_nonzero(self.row_map >= 0)
         return 2 * int(cells)
+
+    @property
+    def slides(self) -> bool:
+        """Each output position is its own read of the kernel columns: the
+        dense layouts of a convolution."""
+        return self.geometry is not None and self.scheme != "sparse_staggered"
 
     @property
     def row_groups(self) -> int:
@@ -225,55 +234,28 @@ def _kernel_matrix(geom: ConvGeometry, codes: np.ndarray) -> tuple[np.ndarray, n
     return kflat.T, ids.T
 
 
-def map_conv_staggered(geom: ConvGeometry, codes: np.ndarray, tile_size: int) -> MappingPlan:
-    """Staggered (sparse) kernel arrangement: unroll, then map without
-    reclamation. One read per tile row-group serves all output positions."""
-    values, ids = _staggered_cells(geom, codes)
-    return _full_allocation(values, ids, tile_size, "sparse_staggered", geom, reads=1)
-
-
-def map_conv_dense(geom: ConvGeometry, codes: np.ndarray, tile_size: int) -> MappingPlan:
-    """Dense kernel arrangement: each kernel stored once as a contiguous
-    footprint column pair; output positions computed by sliding reads."""
-    if geom.footprint > tile_size:
-        raise MappingError(
-            f"kernel footprint {geom.footprint} exceeds tile size {tile_size}")
-    matrix, ids = _kernel_matrix(geom, codes)
-    return _full_allocation(matrix, ids, tile_size, "dense_kernel", geom,
-                            reads=geom.out_positions)
-
-
-def map_conv_routed(geom: ConvGeometry, codes: np.ndarray, tile_size: int) -> MappingPlan:
-    """Dense kernel arrangement with per-column zero reclamation."""
-    matrix, ids = _kernel_matrix(geom, codes)
-    return map_linear_dense(matrix, tile_size, ids, scheme="dense_routed",
-                            geometry=geom, reads=geom.out_positions)
-
-
-def _linear_logical(weights: WeightTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Logical matrix (in x out) and weight ids for a linear layer."""
-    codes = weights.codes
-    ids = np.arange(codes.size, dtype=np.int64).reshape(codes.shape)
-    return codes.T, ids.T
-
-
 def layer_plan(spec: LayerSpec, weights: WeightTensor, scheme: str,
                tile_size: int) -> MappingPlan:
     """Build the mapping plan of one layer under the given scheme."""
     if scheme not in SCHEMES:
         raise MappingError(f"unknown scheme {scheme!r}")
     if spec.kind == "linear":
-        matrix, ids = _linear_logical(weights)
+        ids = _default_ids(*weights.codes.shape)
         if scheme == "sparse_staggered":
-            return map_linear_sparse(matrix, tile_size, ids)
+            return _full_allocation(weights.codes.T, ids.T, tile_size, scheme, None, 1)
         # both dense schemes reduce to the compacted layout on linear layers
-        return map_linear_dense(matrix, tile_size, ids, scheme=scheme)
+        return map_linear_dense(weights.codes.T, tile_size, ids.T, scheme=scheme)
     geom = ConvGeometry.from_spec(spec)
     if scheme == "sparse_staggered":
-        return map_conv_staggered(geom, weights.codes, tile_size)
+        values, ids = _staggered_cells(geom, weights.codes)
+        return _full_allocation(values, ids, tile_size, scheme, geom, 1)
+    if scheme == "dense_kernel" and geom.footprint > tile_size:
+        raise MappingError(
+            f"kernel footprint {geom.footprint} exceeds tile size {tile_size}")
+    matrix, ids = _kernel_matrix(geom, weights.codes)
     if scheme == "dense_kernel":
-        return map_conv_dense(geom, weights.codes, tile_size)
-    return map_conv_routed(geom, weights.codes, tile_size)
+        return _full_allocation(matrix, ids, tile_size, scheme, geom, geom.out_positions)
+    return map_linear_dense(matrix, tile_size, ids, scheme, geom, geom.out_positions)
 
 
 def network_plans(net: QuantizedNetwork, scheme: str, tile_size: int) -> list[MappingPlan]:
@@ -308,15 +290,15 @@ def plan_products(plan: MappingPlan) -> set[tuple[int, int, int]]:
     """Set of (input_index, output_index, weight_id) products the plan
     realizes per sample; the brute-force connectivity oracle target.
 
-    For staggered/linear plans the logical matrix already pairs inputs with
-    outputs. For dense conv arrangements the sliding-read schedule expands
-    each kernel column over output positions; output ids follow the
-    staggered convention k * out_positions + p.
+    A plan that does not slide already pairs inputs with outputs in its
+    logical matrix. A sliding plan's read schedule expands each kernel
+    column over output positions; output ids follow the staggered
+    convention k * out_positions + p.
     """
     rows, cols, _, wids = _cells(plan)
     kept = wids >= 0
     rows, cols, wids = rows[kept], cols[kept], wids[kept]
-    if plan.geometry is None or plan.scheme == "sparse_staggered":
+    if not plan.slides:
         return set(zip(rows.tolist(), cols.tolist(), wids.tolist()))
     pn = plan.geometry.out_positions
     inputs = plan.geometry.read_indices()[:, rows]             # (P, cells)
@@ -400,6 +382,8 @@ def _analytic_layer_cost(spec: LayerSpec, weights: WeightTensor, scheme: str,
                          tile_size: int) -> CostReport:
     """Cost of one layer from arithmetic on shapes and zero locations only,
     without constructing a plan."""
+    if scheme not in SCHEMES:
+        raise MappingError(f"unknown scheme {scheme!r}")
     if tile_size < 2:
         raise MappingError("tile size must be >= 2 to hold a differential pair")
     cap = pair_capacity(tile_size)

@@ -83,7 +83,9 @@ class DeviceModel:
 class IOConfig:
     """DAC/ADC resolution, encoding voltage ceiling, and scaling-group size:
     ``simulate_forward`` gives each batch_size rows of its batch, the last
-    group possibly short, one input-voltage scale per layer."""
+    group possibly short, one input-voltage scale per layer. v_max changes no
+    result beyond rounding: the DAC step is a fixed fraction of it, and the
+    readout divides the voltage scale back out."""
 
     io_bit_width: int | None = None
     v_max: float = 0.3
@@ -284,7 +286,8 @@ def encode_inputs(batch: np.ndarray, io: IOConfig, scale: float | np.ndarray) ->
     """Voltages of a batch of activations: v = x * scale, quantized to the
     signed mid-tread DAC grid (step v_max / 2^(b-1)). ``scale`` is one value
     or an (rows, 1) column giving each row of a 2-D batch its own scaling
-    group's scale; ``simulate_forward`` sets it to v_max / max|x| per group.
+    group's scale; ``simulate_forward`` sets it to v_max / max|x| per group,
+    so v / v_max, and with it every result, does not depend on v_max.
     """
     x = np.asarray(batch, dtype=float)
     if x.size == 0:
@@ -340,8 +343,8 @@ def simulate_forward(net: QuantizedNetwork, plans: list[MappingPlan],
                      adc_ranges: list[tuple[float, float]] | None = None) -> np.ndarray:
     """End-to-end analog inference: per layer encode -> one read of the
     layer conductance matrix from ``program`` (tile partial sums included)
-    -> differential readout -> activation. Dense kernel layouts read every
-    output position of the sliding-read schedule as one row of the batch.
+    -> differential readout -> activation. A sliding plan
+    (``MappingPlan.slides``) reads every output position as one row of the batch.
 
     The batch is split into scaling groups of io.batch_size rows, the last
     possibly short; each group has its own input-voltage scale per layer.
@@ -422,17 +425,16 @@ def _read_layer(flat: np.ndarray, scale: float | np.ndarray, layer: qnet.Layer,
     w_max = _code_peak(layer.weights) * layer.weights.scale
     if w_max == 0.0:
         return np.zeros((m, *out_shape))
-    dense_conv = geom is not None and plan.scheme != "sparse_staggered"
-    if dense_conv:
+    if plan.slides:
         v = v[:, geom.read_indices()].reshape(m * geom.out_positions, -1)
     # one row per sample, so the scale column broadcasts over all its reads
     i = tile_vmm(v, g).reshape(m, -1)
     y = readout(i[:, 0::2], i[:, 1::2],
                 ReadoutCalibration(scale, model.g_span / w_max, *adc_range), io)
-    if dense_conv:
+    if plan.slides:
         # (m, P, K) -> (m, K, P)
         y = np.moveaxis(y.reshape(m, geom.out_positions, geom.kernels), 1, 2)
-    # staggered columns are ordered k * P + p; linear ones are the outputs
+    # other conv plans order their columns k * P + p; linear ones are the outputs
     return y.reshape(m, *out_shape)
 
 

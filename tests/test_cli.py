@@ -240,6 +240,29 @@ class TestDseCommand:
         assert resolved["seed"] == 0
         assert resolved["device"]["r_off_mean"] == 100000.0
 
+    def test_infeasible_points_exit_2_before_any_point(self, tmp_path, capsys):
+        # conv2d 3x3 has footprint 9: dense_kernel cannot map it at t=4 or t=8
+        specs, _ = qnet.propagate_shapes([qnet.conv2d(3, 3, 3), qnet.linear(4)], (1, 6, 6))
+        layers = [qnet.Layer(spec, qnet.WeightTensor(np.ones(spec.weight_shape(), np.int64),
+                                                     0.1, 4)) for spec in specs]
+        qnet.save_network(qnet.QuantizedNetwork("conv3x3", 4, (1, 6, 6), layers),
+                          tmp_path / "net.json")
+        qnet.save_dataset(qnet.generate_synthetic_dataset(0, 8, 4, (1, 6, 6)),
+                          tmp_path / "data.csv")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "network": str(tmp_path / "net.json"), "dataset": str(tmp_path / "data.csv"),
+            "out": str(tmp_path),
+            "space": {"scheme": ["sparse_staggered", "dense_kernel"], "tile_size": [4, 8, 16]}}))
+        assert main(["dse", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: infeasible design points:\n")
+        for t in (4, 8):
+            assert (f"\n  scheme dense_kernel, tile_size {t}: "
+                    f"kernel footprint 9 exceeds tile size {t}") in err
+        assert err.count("\n  ") == 2
+        assert not (tmp_path / "results.csv").exists()
+
     def test_budget_refusal_names_count(self, workdir, tmp_path, capsys):
         cfg_path = dse_config(workdir, tmp_path)
         doc = json.loads(cfg_path.read_text())

@@ -16,8 +16,6 @@ from xbardse.mapping import (
     devices_dense_eq2,
     devices_sparse_eq1,
     layer_plan,
-    map_conv_dense,
-    map_conv_staggered,
     map_linear_dense,
     map_linear_sparse,
     plan_matvec,
@@ -32,6 +30,16 @@ def geom_1d(kernels=1, kernel_h=3, in_x=5, stride=1, padding=0, dilation=1, chan
     return ConvGeometry(kernels=kernels, kernel_h=kernel_h, kernel_w=1,
                         in_x=in_x, in_y=1, stride=stride, padding=padding,
                         dilation=dilation, channels=channels, one_d=True)
+
+
+def conv_plan(geom, codes, scheme, tile_size):
+    """``layer_plan`` of the conv layer with geometry ``geom`` and weight
+    codes ``codes``."""
+    spec = qnet.LayerSpec("conv1d" if geom.one_d else "conv2d", in_channels=geom.channels,
+                          kernels=geom.kernels, kernel_h=geom.kernel_h,
+                          kernel_w=geom.kernel_w, stride=geom.stride, padding=geom.padding,
+                          dilation=geom.dilation, in_x=geom.in_x, in_y=geom.in_y)
+    return layer_plan(spec, qnet.WeightTensor(codes, 1.0, 8), scheme, tile_size)
 
 
 TileCells = namedtuple("TileCells", "tile_row tile_col rows pair_slots logical_rows "
@@ -214,7 +222,7 @@ def per_column_dense(mat, tile_size, weight_ids=None):
 class TestConvMappings:
     def test_staggered_counts(self):
         codes = np.ones((1, 1, 3), dtype=np.int64)
-        plan = map_conv_staggered(geom_1d(), codes, 8)
+        plan = conv_plan(geom_1d(), codes, "sparse_staggered", 8)
         rep = cost(plan)
         assert (plan.rows, plan.cols) == (5, 3)
         assert rep.rd == 30
@@ -224,7 +232,7 @@ class TestConvMappings:
         geom = ConvGeometry(kernels=64, kernel_h=3, kernel_w=3, in_x=8, in_y=8,
                             stride=1, padding=0, dilation=1, channels=1)
         codes = np.ones((64, 1, 3, 3), dtype=np.int64)
-        plan = map_conv_dense(geom, codes, 16)
+        plan = conv_plan(geom, codes, "dense_kernel", 16)
         assert cost(plan).rd == 2 * 64 * 9
         assert devices_dense_eq2(geom) == 576
 
@@ -233,11 +241,11 @@ class TestConvMappings:
                             stride=1, padding=0, dilation=1, channels=2)
         codes = np.ones((1, 2, 3, 3), dtype=np.int64)
         with pytest.raises(MappingError, match="footprint"):
-            map_conv_dense(geom, codes, 16)
+            conv_plan(geom, codes, "dense_kernel", 16)
 
     def test_dense_rwo_counts_output_positions(self):
         codes = np.ones((1, 1, 3), dtype=np.int64)
-        plan = map_conv_dense(geom_1d(), codes, 8)
+        plan = conv_plan(geom_1d(), codes, "dense_kernel", 8)
         assert cost(plan).rwo == 3  # three sliding reads
         floor3, rem3 = steps_dense_eq3(geom_1d())
         assert (floor3, rem3) == (1, False)
@@ -257,25 +265,22 @@ class TestConvMappings:
                                 ({"padding": -1}, "padding must be >= 0, got -1")):
             spec = qnet.LayerSpec("conv1d", in_channels=1, kernels=1, kernel_h=3,
                                   **{"in_x": 5, "in_y": 1, **fields})
-            calls = [(build, (geom_1d(**fields), codes, 8))
-                     for build in (map_conv_staggered, map_conv_dense, mapping.map_conv_routed)]
-            calls += [(mapping._analytic_layer_cost, (spec, weights, scheme, 8))
-                      for scheme in SCHEMES]
+            calls = [(fn, (spec, weights, scheme, 8)) for scheme in SCHEMES
+                     for fn in (layer_plan, mapping._analytic_layer_cost)]
             for fn, args in calls:
                 with pytest.raises(ValueError, match=message) as err:
                     fn(*args)
                 assert type(err.value) is ValueError, (fn.__name__, args[2])
         spec, = qnet.propagate_shapes([qnet.conv1d(kernels=1, kernel_h=3)], (1, 3))[0]
-        plan = map_conv_staggered(ConvGeometry.from_spec(spec),
-                                  np.ones((1, 1, 3), dtype=np.int64), 8)
+        plan = layer_plan(spec, weights, "sparse_staggered", 8)
         assert plan.cols == 1  # extent exactly 1 is legal
 
     def test_pointwise_staggered_vs_dense_duplication(self):
         # staggered stores one kernel copy per output position
         geom = geom_1d(kernel_h=1, in_x=6)
         codes = np.ones((1, 1, 1), dtype=np.int64)
-        staggered = map_conv_staggered(geom, codes, 8)
-        dense = map_conv_dense(geom, codes, 8)
+        staggered = conv_plan(geom, codes, "sparse_staggered", 8)
+        dense = conv_plan(geom, codes, "dense_kernel", 8)
 
         def kernel_cells(plan):
             return sum(int((tp.weight_ids >= 0).sum()) for tp in tile_cells(plan))
@@ -310,7 +315,7 @@ class TestEquationEvaluators:
                            kernel_h=int(rng.integers(1, 4)),
                            in_x=int(rng.integers(6, 12)), channels=c)
             codes = rng.integers(-3, 4, size=(geom.kernels, c, geom.kernel_h))
-            plan = map_conv_dense(geom, codes, 64)
+            plan = conv_plan(geom, codes, "dense_kernel", 64)
             assert cost(plan).rd == 2 * devices_dense_eq2(geom) * c
 
 
@@ -377,7 +382,7 @@ class TestFullAllocation:
                 if spec.kind == "linear":
                     if scheme != "sparse_staggered":
                         continue  # dense schemes compact linear layers
-                    values, ids = mapping._linear_logical(wt)
+                    values, ids = wt.codes.T, mapping._default_ids(*wt.codes.shape).T
                 elif scheme == "sparse_staggered":
                     values, ids = mapping._staggered_cells(ConvGeometry.from_spec(spec), wt.codes)
                 else:
@@ -416,6 +421,15 @@ def meshgrid_tiles(matrix, weight_ids, tile_size):
 
 
 class TestCrossSchemeDerivation:
+    @pytest.mark.parametrize("build", [
+        lambda net: layer_plan(net.layers[0].spec, net.layers[0].weights, "bogus", 16),
+        lambda net: cost_network(net, "bogus", 16),
+        lambda net: analytic_network_cost(net, "bogus", 16),
+    ], ids=["layer_plan", "cost_network", "analytic_network_cost"])
+    def test_unknown_scheme_rejected(self, build, fixture_net):
+        with pytest.raises(MappingError, match="unknown scheme 'bogus'"):
+            build(fixture_net)
+
     def test_analytic_equals_constructive(self, fixture_net):
         for t in (8, 32, 64):
             for scheme in SCHEMES:
@@ -462,7 +476,7 @@ class TestFunctionalEquivalence:
         spec, = qnet.propagate_shapes(
             [qnet.conv1d(kernels=2, kernel_h=3, padding=1)], (1, 8))[0]
         wt = random_quantized(rng, spec.weight_shape(), zero_frac=0.0)
-        plan = map_conv_staggered(ConvGeometry.from_spec(spec), wt.codes, 8)
+        plan = layer_plan(spec, wt, "sparse_staggered", 8)
         net = qnet.QuantizedNetwork("c", 8, (1, 8),
                                     [qnet.Layer(spec, qnet.WeightTensor(wt.codes, 1.0, 8))])
         x = rng.normal(size=(1, 1, 8))

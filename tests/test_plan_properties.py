@@ -118,3 +118,28 @@ def test_program_matches_per_tile_reference(case, n_states):
             assert_same_tiles(sampled, before)
             ref = per_tile_program(before, plan, net.layers[li].weights, model)
             assert (g.dtype, g.shape, g.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
+
+@PROPERTY_SETTINGS
+@given(conv_nets())
+def test_noise_off_simulation_equals_ideal(case):
+    """With std 0, no stuck devices and 16-bit I/O, every scheme's logits
+    equal the ideal oracle's within 1e-6 of each sample's largest ideal
+    |pre-activation| over all layers (at least 1e-12). Rounding acts on that
+    scale: cancellation can leave a logit, or all logits of a sample, at
+    a residue near 0 whose exact value is 0."""
+    net, t = case
+    hw = xbar.HardwareConfig(tile_size=t, io=xbar.IOConfig(io_bit_width=16),
+                             device=xbar.DeviceModel(r_on_std=0.0, r_off_std=0.0,
+                                                     p_stuck_on=0.0, p_stuck_off=0.0))
+    x = np.random.default_rng(0).standard_normal((8, *net.input_shape))
+    ideal, preacts = qnet.ideal_forward(net, x, collect_preacts=True)
+    peak = np.max([np.abs(z).reshape(len(x), -1).max(axis=1) for z in preacts], axis=0)
+    bound = 1e-6 * np.maximum(peak, 1e-12)[:, None]
+    for scheme in mapping.SCHEMES:
+        plans = plans_or_none(net, scheme, t)
+        if plans is None:
+            continue
+        conductances = xbar.program_network(net, scheme, hw, 0, plans)
+        logits = xbar.simulate_forward(net, plans, conductances, x, hw.io, hw.device)
+        assert (np.abs(logits - ideal) <= bound).all(), scheme

@@ -680,6 +680,25 @@ class TestSimulation:
                                          plans=plans, conductances=mats))
         assert tsa[0] == tsa[1]
 
+    @pytest.mark.parametrize("scheme", mapping.SCHEMES)
+    @pytest.mark.parametrize("bits", [None, 4, 6])
+    def test_v_max_changes_no_result(self, scheme, bits, fixture_net, test_data):
+        # the DAC step is a fixed fraction of v_max and the readout divides
+        # the voltage scale back out, so v_max cancels up to rounding
+        hw = HardwareConfig(tile_size=32)
+        plans = mapping.network_plans(fixture_net, scheme, 32)
+        mats = xbar.program_network(fixture_net, scheme, hw, 3, plans)
+        ranges = xbar.calibrate_adc_ranges(fixture_net, test_data) if bits else None
+        logits = [simulate_forward(fixture_net, plans, mats, test_data.features,
+                                   IOConfig(io_bit_width=bits, v_max=v_max, batch_size=64),
+                                   hw.device, ranges)
+                  for v_max in (0.3, 0.2, 1.0, 0.05)]
+        ref = logits[0]
+        bound = 1e-12 * np.abs(ref).max(axis=1, keepdims=True)
+        for got in logits[1:]:
+            assert np.array_equal(np.argmax(got, axis=1), np.argmax(ref, axis=1))
+            assert (np.abs(got - ref) <= bound).all()
+
     def test_batch_size_changes_scaling_groups(self, fixture_net, test_data):
         hw16 = HardwareConfig(tile_size=32, io=IOConfig(io_bit_width=4, batch_size=16))
         hw256 = HardwareConfig(tile_size=32, io=IOConfig(io_bit_width=4, batch_size=256))
