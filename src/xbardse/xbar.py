@@ -2,14 +2,22 @@
 voltage encoding, layer current summation, and calibrated readout.
 
 Every scheme places logical cell (m, n) of a layer on one differential
-device pair, and tile partial sums add before readout. So ``program`` also
+device pair, and tile partial sums add before readout. So programming also
 gathers the programmed pairs into the layer conductance matrix G of shape
 (rows, 2 * cols), cell (m, n) at columns 2n and 2n + 1, and
 ``simulate_forward`` reads each layer with one ``tile_vmm`` against G.
 Each tile is a rectangle of its plan's physical matrix, programmed through
-basic slices; the sampled tiles are only read. A full layout's physical G
-is G, so stuck devices on zero weights contribute; a compacted layout's
-cells go to their logical rows through its ``row_map``, the rest of G 0.
+basic slices. A full layout's physical G is G, so stuck devices on zero
+weights contribute; a compacted layout's cells go to their logical rows
+through its ``row_map``, the rest of G 0.
+
+``program_network`` streams: it draws each tile and writes its block into
+G in one pass, so it holds G and the draws of the tile at hand, never a
+layer's sampled population.
+``sample_devices``, which returns a layer's sampled tiles as a dict, and
+``program``, which programs such a dict, run the same draw and programming
+code; they remain as the reference that tests and the benchmark's
+noise-off check call.
 
 Scaling groups, the io.batch_size rows that share one input-voltage scale
 per layer, and their scale v_max / max|x| are defined in ``simulate_forward``
@@ -20,9 +28,9 @@ its group's scale, and keeps all-zero groups out of the read.
 All randomness flows through counter-based Philox streams keyed by
 (seed, configuration hash, layer, tile), the tile's position in the tile
 grid, with devices drawn in a fixed canonical order inside each tile, so
-results never depend on evaluation order or worker count;
-``sample_devices`` re-keys one bit generator per stream rather than
-building one per tile. Resistance samples are truncated at three standard
+results never depend on evaluation order or worker count; one bit
+generator per layer is re-keyed for every stream rather than one built per
+tile. Resistance samples are truncated at three standard
 deviations and redrawn, which keeps them positive and preserves
 r_on < r_off for the default parameters; after the first pass only the
 redrawn positions are re-checked, which consumes the same draws.
@@ -185,37 +193,49 @@ def _unprogrammed(r_on: np.ndarray, r_off: np.ndarray, stuck: np.ndarray) -> np.
     return g
 
 
-def sample_devices(seed: int, plan: MappingPlan, model: DeviceModel,
-                   cfg_hash: str, layer_index: int) -> dict:
-    """Draw per-device (r_on, r_off) and stuck states for every tile a plan
-    occupies, each tile from the stream keyed by (seed, cfg_hash,
-    layer_index, tile_row, tile_col). Returns {(tile_row, tile_col): TileArray}.
-    """
+def _tile_draws(seed: int, plan: MappingPlan, model: DeviceModel, cfg_hash: str,
+                layer_index: int):
+    """Yield (tile, r_on, r_off, stuck) for every tile of ``plan``, in plan
+    order: full t x t arrays drawn from the stream keyed by (seed, cfg_hash,
+    layer_index, tile_row, tile_col), r_on, then r_off, then the uniforms
+    that set the stuck states."""
     t = plan.tile_size
-    tiles: dict[tuple[int, int], TileArray] = {}
     gen = np.random.Generator(np.random.Philox(key=0))   # re-keyed for every stream
     for tp in plan.tiles:
         _rekey(gen, seed, cfg_hash, layer_index, tp.tile_row, tp.tile_col)
         r_on = _truncated_normal(gen, model.r_on_mean, model.r_on_std, (t, t))
         r_off = _truncated_normal(gen, model.r_off_mean, model.r_off_std, (t, t))
-        stuck = _stuck_from_uniform(gen.random((t, t)), model)
-        tiles[(tp.tile_row, tp.tile_col)] = TileArray(
-            _unprogrammed(r_on, r_off, stuck), r_on, r_off, stuck)
-    return tiles
+        yield tp, r_on, r_off, _stuck_from_uniform(gen.random((t, t)), model)
 
 
-def _pair_targets(codes: np.ndarray, r_on: np.ndarray, r_off: np.ndarray,
+def sample_devices(seed: int, plan: MappingPlan, model: DeviceModel,
+                   cfg_hash: str, layer_index: int) -> dict:
+    """Draw per-device (r_on, r_off) and stuck states for every tile a plan
+    occupies, each tile from the stream keyed by (seed, cfg_hash,
+    layer_index, tile_row, tile_col). Returns {(tile_row, tile_col): TileArray}.
+
+    ``program_network`` does not build this dict: it programs each tile as
+    it is drawn, from the same draws. The dict, and ``program`` over it,
+    remain as the reference that tests and the benchmark's noise-off check
+    call.
+    """
+    return {(tp.tile_row, tp.tile_col): TileArray(_unprogrammed(r_on, r_off, stuck),
+                                                  r_on, r_off, stuck)
+            for tp, r_on, r_off, stuck in _tile_draws(seed, plan, model, cfg_hash,
+                                                      layer_index)}
+
+
+def _pair_targets(codes: np.ndarray, g_on: np.ndarray, g_off: np.ndarray,
                   w_max: int, model: DeviceModel) -> np.ndarray:
-    """Target conductances of the device pairs of cells ``codes``. The device
-    arrays carry one more trailing axis than ``codes``: (positive, negative)."""
+    """Target conductances of the device pairs of cells ``codes``, from the
+    devices' 1/r_on and 1/r_off. The device arrays carry one more trailing
+    axis than ``codes``: (positive, negative)."""
     mag = np.abs(codes) / w_max if w_max else np.zeros(codes.shape)
     active = np.sign(codes)[..., None] == (1, -1)
     frac = np.where(active, mag[..., None], 0.0)
     if model.n_states is not None:
         levels = model.n_states - 1
         frac = np.clip(_round_half_away(frac * levels), 0, levels) / levels
-    g_on = 1.0 / r_on
-    g_off = 1.0 / r_off
     return g_off + frac * (g_on - g_off)
 
 
@@ -225,18 +245,19 @@ def _code_peak(weights: WeightTensor) -> int:
     return int(np.abs(weights.codes).max(initial=0))
 
 
-def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
-            model: DeviceModel) -> np.ndarray:
+def _program_tiles(draws, plan: MappingPlan, weights: WeightTensor,
+                   model: DeviceModel) -> np.ndarray:
     """The layer's conductance matrix G, of shape (plan.rows, 2 * plan.cols),
-    with the plan's weights programmed onto the devices of the sampled
-    ``tiles``; the tiles themselves are only read.
+    programmed tile by tile from ``draws``, an iterable of (tile, r_on,
+    r_off, stuck) in plan order as ``_tile_draws`` yields them; each tile's
+    arrays are only read, and no longer needed once its block is written.
 
     A weight w with layer peak w_max targets, on its own device,
     g = g_off + (|w| / w_max)(g_on - g_off) on the polarity matching its
     sign and g_off on the other; targets snap to the device's n_states
-    uniform grid. Stuck devices ignore programming. G holds each mapped
-    cell's device pair as programmed (stuck devices at their stuck value)
-    at columns 2n and 2n + 1; cells without devices stay 0.
+    uniform grid. Stuck devices ignore programming: stuck on at 1/r_on,
+    stuck off at 1/r_off. G holds each mapped cell's device pair as
+    programmed at columns 2n and 2n + 1; cells without devices stay 0.
 
     Each tile's nr x nc block of the physical matrix (``plan.tile_slices``)
     sits on its first nr device rows and 2 * nc device columns.
@@ -250,18 +271,18 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
             raise ValueError("weight tensor does not match plan geometry")
     w_max = _code_peak(weights)
     g = np.zeros((plan.codes.shape[0], 2 * plan.cols))
-    for tp in plan.tiles:
-        ta = tiles.get((tp.tile_row, tp.tile_col))
-        if ta is None:
-            raise ValueError(f"no sampled tile for {(tp.tile_row, tp.tile_col)}")
+    for tp, r_on, r_off, stuck in draws:
         rows, cols = plan.tile_slices(tp)
         codes = plan.codes[rows, cols]
         nr, nc = codes.shape
         dev = np.s_[:nr, :2 * nc]
-        target = _pair_targets(codes, ta.r_on[dev].reshape(nr, nc, 2),
-                               ta.r_off[dev].reshape(nr, nc, 2), w_max, model)
-        g[rows, 2 * cols.start:2 * cols.start + 2 * nc] = np.where(
-            ta.stuck[dev] == FREE, target.reshape(nr, 2 * nc), ta.g[dev])
+        g_on = 1.0 / r_on[dev]
+        g_off = 1.0 / r_off[dev]
+        block = _pair_targets(codes, g_on.reshape(nr, nc, 2), g_off.reshape(nr, nc, 2),
+                              w_max, model).reshape(nr, 2 * nc)
+        np.copyto(block, g_on, where=stuck[dev] == STUCK_ON)
+        np.copyto(block, g_off, where=stuck[dev] == STUCK_OFF)
+        g[rows, 2 * cols.start:2 * cols.start + 2 * nc] = block
     if plan.row_map is None:
         return g
     mapped = plan.row_map >= 0
@@ -270,15 +291,35 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
     return g_layer.reshape(plan.rows, 2 * plan.cols)
 
 
+def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
+            model: DeviceModel) -> np.ndarray:
+    """``_program_tiles`` over the sampled ``tiles`` of ``sample_devices``,
+    in plan order; raises if a plan tile has no sampled tile. The tiles are
+    only read. ``program_network`` streams the same draws instead; this
+    form remains as the reference that tests and the benchmark's noise-off
+    check call."""
+    def draws():
+        for tp in plan.tiles:
+            ta = tiles.get((tp.tile_row, tp.tile_col))
+            if ta is None:
+                raise ValueError(f"no sampled tile for {(tp.tile_row, tp.tile_col)}")
+            yield tp, ta.r_on, ta.r_off, ta.stuck
+    return _program_tiles(draws(), plan, weights, model)
+
+
 def program_network(net: QuantizedNetwork, scheme: str, hw: HardwareConfig, seed: int,
                     plans: list[MappingPlan]) -> list[np.ndarray]:
     """Sample and program every layer of ``net`` under its ``plans``; returns
     the layer conductance matrices ``simulate_forward`` reads. They depend on
     the device population alone (network, scheme, tile size, device model
-    and seed), never on ``hw.io``."""
+    and seed), never on ``hw.io``.
+
+    Each tile is drawn and programmed in one pass, so no layer's sampled
+    population is held. G is byte-identical to
+    ``program(sample_devices(...))`` of each layer."""
     chash = config_hash(net, scheme, hw)
-    return [program(sample_devices(seed, plan, hw.device, chash, li),
-                    plan, net.layers[li].weights, hw.device)
+    return [_program_tiles(_tile_draws(seed, plan, hw.device, chash, li),
+                           plan, net.layers[li].weights, hw.device)
             for li, plan in enumerate(plans)]
 
 
@@ -342,7 +383,7 @@ def simulate_forward(net: QuantizedNetwork, plans: list[MappingPlan],
                      model: DeviceModel,
                      adc_ranges: list[tuple[float, float]] | None = None) -> np.ndarray:
     """End-to-end analog inference: per layer encode -> one read of the
-    layer conductance matrix from ``program`` (tile partial sums included)
+    layer conductance matrix from ``program_network`` (tile partial sums included)
     -> differential readout -> activation. A sliding plan
     (``MappingPlan.slides``) reads every output position as one row of the batch.
 

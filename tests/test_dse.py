@@ -163,9 +163,9 @@ class TestPopulationSharing:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_samples_each_population_once(self, fixture_net, test_data, monkeypatch):
-        calls = {"sample_devices": 0, "program": 0, "network_plans": 0}
+        calls = {"sample_devices": 0, "program": 0, "_program_tiles": 0, "network_plans": 0}
         for module, name in ((xbar, "sample_devices"), (xbar, "program"),
-                             (mapping, "network_plans")):
+                             (xbar, "_program_tiles"), (mapping, "network_plans")):
             def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -174,7 +174,9 @@ class TestPopulationSharing:
         grid_search(space, test_data, {fixture_net.name: fixture_net}, seed=0)
         layers = len(fixture_net.layers)
         assert population_count(space) == 16 and space.size() == 128
-        assert calls == {"sample_devices": 16 * layers, "program": 16 * layers,
+        # each layer of each population is drawn and programmed in one
+        # streamed pass; the tile dict of sample_devices is never built
+        assert calls == {"sample_devices": 0, "program": 0, "_program_tiles": 16 * layers,
                          "network_plans": 128}
 
     def test_points_only_read_the_shared_matrices(self, fixture_net, test_data, monkeypatch):

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -493,15 +494,54 @@ class TestSimulation:
             assert rel.max() < 1e-6
 
     def test_program_network_programs_every_layer(self, fixture_net):
-        hw = HardwareConfig(tile_size=8, device=DeviceModel(p_stuck_on=0.05, n_states=4))
-        plans = mapping.network_plans(fixture_net, "dense_routed", 8)
-        chash = xbar.config_hash(fixture_net, "dense_routed", hw)
-        got = xbar.program_network(fixture_net, "dense_routed", hw, 5, plans)
-        assert len(got) == len(plans)
-        for li, (plan, g) in enumerate(zip(plans, got)):
-            want = program(sample_devices(5, plan, hw.device, chash, li), plan,
-                           fixture_net.layers[li].weights, hw.device)
-            assert np.array_equal(g, want)
+        """The streamed path is byte-identical to programming the sampled
+        tile dict, for every scheme and device model, on tile sizes that
+        leave tiles partly filled."""
+        models = [DeviceModel(), DeviceModel(n_states=16), DeviceModel(n_states=2),
+                  DeviceModel(p_stuck_on=0.05, p_stuck_off=0.05),
+                  DeviceModel(p_stuck_on=0.05, n_states=4), IDEAL_DEVICES]
+        layouts, partial = set(), 0
+        for net, t in ((fixture_net, 5), (fixture_net, 8), (random_conv2d_net(), 10)):
+            for scheme in mapping.SCHEMES:
+                plans = mapping.network_plans(net, scheme, t)
+                for plan in plans:
+                    layouts.add(plan.row_map is None)
+                    for tp in plan.tiles:
+                        nr, nc = plan.codes[plan.tile_slices(tp)].shape
+                        partial += nr < t or nc < t // 2
+                for model in models:
+                    hw = HardwareConfig(tile_size=t, device=model)
+                    chash = xbar.config_hash(net, scheme, hw)
+                    got = xbar.program_network(net, scheme, hw, 5, plans)
+                    assert len(got) == len(plans)
+                    for li, (plan, g) in enumerate(zip(plans, got)):
+                        want = program(sample_devices(5, plan, model, chash, li), plan,
+                                       net.layers[li].weights, model)
+                        assert (g.dtype, g.shape, g.tobytes()) == \
+                            (want.dtype, want.shape, want.tobytes()), (scheme, t, model, li)
+        assert layouts == {True, False} and partial > 0
+
+    def test_program_network_holds_no_sampled_population(self):
+        """On a full layout of 64 tiles, the traced peak of programming stays
+        within G plus 16 t x t float64 tiles: a tile or two of draws and the
+        temporaries of a block, never the layer's sampled tiles (each of
+        which holds over three tiles' worth of arrays)."""
+        t = 32
+        net = random_net("streamed", [qnet.linear(64)], (1, 512), 0)
+        plans = mapping.network_plans(net, "sparse_staggered", t)
+        assert plans[0].row_map is None and len(plans[0].tiles) == 64
+        hw = HardwareConfig(t, device=DeviceModel(n_states=16, p_stuck_on=0.05,
+                                                  p_stuck_off=0.05))
+        xbar.program_network(net, "sparse_staggered", hw, 0, plans)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            mats = xbar.program_network(net, "sparse_staggered", hw, 0, plans)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(g.nbytes for g in mats) + 16 * t * t * 8
 
     def test_rejects_conductances_that_do_not_fit_the_plans(self, fixture_net, test_data):
         hw = HardwareConfig(tile_size=8)
