@@ -59,9 +59,10 @@ def load_run_config(path: str, seed_override: int | None = None,
                     jobs_override: int | None = None) -> dict:
     """Load and validate a run configuration, materializing all defaults.
 
-    Collects every validation problem before failing so a bad config is
-    reported exhaustively. ``jobs`` must be a positive integer; design points
-    are evaluated serially in-process whatever its value.
+    Collects every validation problem, unknown top-level keys included,
+    before failing so a bad config is reported exhaustively. ``jobs`` must
+    be a positive integer; design points are evaluated serially in-process
+    whatever its value.
     """
     errors: list[str] = []
     try:
@@ -81,10 +82,11 @@ def load_run_config(path: str, seed_override: int | None = None,
         "seed": seed_override if seed_override is not None else doc.get("seed", 0),
         "jobs": jobs_override if jobs_override is not None else doc.get("jobs", 1),
         "max_grid": doc.get("max_grid", 4096),
-        "svg": bool(doc.get("svg", False)),
+        "svg": doc.get("svg", False),
         "device": dict(doc.get("device", {})),
         "space": dict(doc.get("space", {})),
     }
+    errors += [f"{key}: unknown field" for key in doc if key not in cfg]
     if cfg["format_version"] != 1:
         errors.append(f"format_version: unsupported value {cfg['format_version']}")
     if not cfg["network"]:
@@ -95,12 +97,14 @@ def load_run_config(path: str, seed_override: int | None = None,
         errors.append("dataset: missing path")
     elif not Path(cfg["dataset"]).is_file():
         errors.append(f"dataset: file not found: {cfg['dataset']}")
-    if not isinstance(cfg["seed"], int):
+    if not qnet._is_int(cfg["seed"]):
         errors.append("seed: must be an integer")
-    if not isinstance(cfg["jobs"], int) or cfg["jobs"] < 1:
+    if not qnet._is_int(cfg["jobs"]) or cfg["jobs"] < 1:
         errors.append("jobs: must be a positive integer")
-    if not isinstance(cfg["max_grid"], int) or cfg["max_grid"] < 1:
+    if not qnet._is_int(cfg["max_grid"]) or cfg["max_grid"] < 1:
         errors.append("max_grid: must be a positive integer")
+    if not isinstance(cfg["svg"], bool):
+        errors.append("svg: must be true or false")
 
     for key in cfg["device"]:
         if key not in DEVICE_FIELDS:

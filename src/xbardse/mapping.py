@@ -7,10 +7,12 @@ adjacent physical columns inside one tile; a pair never straddles a tile
 boundary, so a tile of size t holds t // 2 logical columns.
 
 A plan holds its physical matrix once: the code and weight id of each
-physical cell, one column per logical column. Full layouts, which give every
-logical cell a pair, use the logical matrix itself; compacted layouts also
-record each physical cell's logical row. Tile (tr, tc) covers the physical
-cells [tr * t, +t) x [tc * (t // 2), +t // 2).
+physical cell, one column per logical column. Tile (tr, tc) covers the
+physical cells [tr * t, +t) x [tc * (t // 2), +t // 2). Two builders lay
+out any logical matrix: ``map_linear_sparse`` gives the full layout, whose
+physical matrix is the logical one, every cell a pair; ``map_linear_dense``
+gives the compacted layout, which drops zero weights and records each
+physical cell's logical row.
 
 Schemes
 -------
@@ -29,7 +31,9 @@ dense_routed
     row k of column c.
 
 ``layer_plan`` is the scheme table, the one place that turns a layer and a
-scheme name into a plan; readers of a plan ask ``MappingPlan.slides``.
+scheme name into a plan: it picks the logical matrix, one of the two
+layouts and the reads per sample. Readers of a plan ask
+``MappingPlan.slides``.
 """
 
 from __future__ import annotations
@@ -112,57 +116,44 @@ class MappingPlan:
                 slice(tp.tile_col * cap, (tp.tile_col + 1) * cap))
 
 
-def _full_allocation(matrix: np.ndarray, weight_ids: np.ndarray, tile_size: int,
-                     scheme: str, geometry: ConvGeometry | None,
-                     reads: int) -> MappingPlan:
-    """Allocate a device pair for every logical cell, zeros included: the
-    physical matrix is the logical one, and every tile of its grid is
-    occupied."""
-    if tile_size < 2:
-        raise MappingError("tile size must be >= 2 to hold a differential pair")
-    m, n = matrix.shape
-    tiles = [TilePlan(tr, tc) for tr in range(-(-m // tile_size))
-             for tc in range(-(-n // pair_capacity(tile_size)))]
-    return MappingPlan(scheme, tile_size, m, n, tiles, matrix, weight_ids, None,
-                       geometry, reads)
-
-
 def _default_ids(m: int, n: int) -> np.ndarray:
     return np.arange(m * n, dtype=np.int64).reshape(m, n)
 
 
-def map_linear_sparse(matrix, tile_size: int,
-                      weight_ids: np.ndarray | None = None) -> MappingPlan:
-    """Map a 2-D logical matrix, given as an array, with no reconfiguration:
-    every cell, zero or not, consumes a differential pair. RD therefore
-    counts all allocated devices including zeros."""
-    mat = np.asarray(matrix)
-    if mat.ndim != 2:
-        raise MappingError("expected a 2-D logical matrix")
-    if weight_ids is None:
-        weight_ids = _default_ids(*mat.shape)
-    return _full_allocation(mat, np.asarray(weight_ids), tile_size, "sparse_staggered",
-                            None, 1)
-
-
-def map_linear_dense(matrix, tile_size: int, weight_ids: np.ndarray | None = None,
-                     scheme: str = "dense_routed",
-                     geometry: ConvGeometry | None = None,
-                     reads: int = 1) -> MappingPlan:
-    """Greedy per-column zero reclamation of a 2-D logical matrix, given as
-    an array: column c's k-th nonzero weight goes to physical row k, and
-    ``row_map`` records its logical row. Zero weights consume no devices; a
-    tile is kept only if some column of its group is deeper than its first
-    physical row."""
+def _logical_matrix(matrix, tile_size: int,
+                    weight_ids: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """A layout builder's checked 2-D logical matrix and its weight ids, by
+    default each cell's flat index."""
     if tile_size < 2:
         raise MappingError("tile size must be >= 2 to hold a differential pair")
     mat = np.asarray(matrix)
     if mat.ndim != 2:
         raise MappingError("expected a 2-D logical matrix")
+    return mat, _default_ids(*mat.shape) if weight_ids is None else np.asarray(weight_ids)
+
+
+def map_linear_sparse(matrix, tile_size: int,
+                      weight_ids: np.ndarray | None = None) -> MappingPlan:
+    """Full layout of a 2-D logical matrix, given as an array: every cell,
+    zero or not, consumes a differential pair, so RD counts all allocated
+    devices including zeros. The physical matrix is the logical one, and
+    every tile of its grid is occupied."""
+    mat, ids = _logical_matrix(matrix, tile_size, weight_ids)
     m, n = mat.shape
-    if weight_ids is None:
-        weight_ids = _default_ids(m, n)
-    weight_ids = np.asarray(weight_ids)
+    tiles = [TilePlan(tr, tc) for tr in range(-(-m // tile_size))
+             for tc in range(-(-n // pair_capacity(tile_size)))]
+    return MappingPlan("sparse_staggered", tile_size, m, n, tiles, mat, ids)
+
+
+def map_linear_dense(matrix, tile_size: int,
+                     weight_ids: np.ndarray | None = None) -> MappingPlan:
+    """Compacted layout of a 2-D logical matrix, given as an array, by
+    greedy per-column zero reclamation: column c's k-th nonzero weight goes
+    to physical row k, and ``row_map`` records its logical row. Zero weights
+    consume no devices; a tile is kept only if some column of its group is
+    deeper than its first physical row."""
+    mat, weight_ids = _logical_matrix(matrix, tile_size, weight_ids)
+    m, n = mat.shape
     cols, rows = np.divmod(np.flatnonzero(mat.T != 0), m)   # by column, then row
     counts = np.bincount(cols, minlength=n)
     phys = np.arange(rows.size) - (np.cumsum(counts) - counts)[cols]   # k-th nonzero: row k
@@ -176,7 +167,7 @@ def map_linear_dense(matrix, tile_size: int, weight_ids: np.ndarray | None = Non
     group_depth = np.maximum.reduceat(counts, np.arange(0, n, pair_capacity(tile_size)))
     tiles = [TilePlan(tr, tc) for tr in range(-(-depth // tile_size))
              for tc in np.flatnonzero(group_depth > tr * tile_size).tolist()]
-    return MappingPlan(scheme, tile_size, m, n, tiles, codes, ids, row_map, geometry, reads)
+    return MappingPlan("dense_routed", tile_size, m, n, tiles, codes, ids, row_map)
 
 
 # ---------------------------------------------------------------------------
@@ -226,36 +217,41 @@ def _staggered_cells(geom: ConvGeometry, codes: np.ndarray) -> tuple[np.ndarray,
     return values, ids
 
 
-def _kernel_matrix(geom: ConvGeometry, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(footprint, kernels) logical matrix of the dense kernel arrangement."""
-    k, f = geom.kernels, geom.footprint
-    kflat = np.asarray(codes).reshape(k, f)
-    ids = np.arange(k * f, dtype=np.int64).reshape(k, f)
-    return kflat.T, ids.T
+def _weight_matrix(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fan-in, outputs) logical matrix of a layer's weights and its weight
+    ids: a linear layer's transposed codes, or one column per conv kernel."""
+    kflat = codes.reshape(codes.shape[0], -1)
+    return kflat.T, _default_ids(*kflat.shape).T
 
 
 def layer_plan(spec: LayerSpec, weights: WeightTensor, scheme: str,
                tile_size: int) -> MappingPlan:
-    """Build the mapping plan of one layer under the given scheme."""
+    """Build the mapping plan of one layer under the given scheme, from
+    three facts of the scheme table:
+
+    - the logical matrix: ``_staggered_cells`` for a sparse_staggered
+      convolution, otherwise the layer's (fan-in, outputs) weight matrix;
+    - the layout: full (``map_linear_sparse``) for sparse_staggered and for
+      a dense_kernel convolution, compacted (``map_linear_dense``) otherwise;
+    - the reads per sample: one per output position for a sliding plan,
+      otherwise one.
+    """
     if scheme not in SCHEMES:
         raise MappingError(f"unknown scheme {scheme!r}")
-    if spec.kind == "linear":
-        ids = _default_ids(*weights.codes.shape)
-        if scheme == "sparse_staggered":
-            return _full_allocation(weights.codes.T, ids.T, tile_size, scheme, None, 1)
-        # both dense schemes reduce to the compacted layout on linear layers
-        return map_linear_dense(weights.codes.T, tile_size, ids.T, scheme=scheme)
-    geom = ConvGeometry.from_spec(spec)
-    if scheme == "sparse_staggered":
-        values, ids = _staggered_cells(geom, weights.codes)
-        return _full_allocation(values, ids, tile_size, scheme, geom, 1)
-    if scheme == "dense_kernel" and geom.footprint > tile_size:
+    geom = None if spec.kind == "linear" else ConvGeometry.from_spec(spec)
+    if geom is not None and scheme == "dense_kernel" and geom.footprint > tile_size:
         raise MappingError(
             f"kernel footprint {geom.footprint} exceeds tile size {tile_size}")
-    matrix, ids = _kernel_matrix(geom, weights.codes)
-    if scheme == "dense_kernel":
-        return _full_allocation(matrix, ids, tile_size, scheme, geom, geom.out_positions)
-    return map_linear_dense(matrix, tile_size, ids, scheme, geom, geom.out_positions)
+    if geom is not None and scheme == "sparse_staggered":
+        matrix, ids = _staggered_cells(geom, weights.codes)
+    else:
+        matrix, ids = _weight_matrix(weights.codes)
+    full = scheme == "sparse_staggered" or (geom is not None and scheme == "dense_kernel")
+    plan = (map_linear_sparse if full else map_linear_dense)(matrix, tile_size, ids)
+    plan.scheme, plan.geometry = scheme, geom
+    if plan.slides:
+        plan.reads_per_sample = geom.out_positions
+    return plan
 
 
 def network_plans(net: QuantizedNetwork, scheme: str, tile_size: int) -> list[MappingPlan]:
@@ -406,12 +402,8 @@ def _analytic_layer_cost(spec: LayerSpec, weights: WeightTensor, scheme: str,
         rwo = geom.out_positions
     else:
         # compacted layouts: dense_routed everywhere, dense_kernel on linear
-        if geom is None:
-            logical = weights.codes.T
-            reads = 1
-        else:
-            logical = weights.codes.reshape(geom.kernels, geom.footprint).T
-            reads = geom.out_positions
+        logical = _weight_matrix(weights.codes)[0]
+        reads = 1 if geom is None else geom.out_positions
         nnz = np.count_nonzero(logical, axis=0)
         rd = 2 * int(nnz.sum())
         tiles = 0

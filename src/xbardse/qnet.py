@@ -635,6 +635,18 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` load as bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(doc: dict, key: str, where: str) -> int:
+    value = _require(doc, key, where)
+    if not _is_int(value):
+        raise NetworkFormatError(f"{where}.{key}: must be an integer, got {value!r}")
+    return value
+
+
 def load_network(path) -> QuantizedNetwork:
     try:
         doc = json.loads(Path(path).read_text())
@@ -649,7 +661,10 @@ def load_network(path) -> QuantizedNetwork:
     bit_width = _require(doc, "bit_width", "top level")
     if bit_width not in SUPPORTED_BIT_WIDTHS:
         raise NetworkFormatError(f"bit_width: must be one of {SUPPORTED_BIT_WIDTHS}")
-    input_shape = tuple(_require(doc, "input_shape", "top level"))
+    input_shape = _require(doc, "input_shape", "top level")
+    if not isinstance(input_shape, list) or not all(map(_is_int, input_shape)):
+        raise NetworkFormatError(
+            f"input_shape: must be a list of integers, got {input_shape!r}")
     raw_layers = _require(doc, "layers", "top level")
     layers = []
     for i, entry in enumerate(raw_layers):
@@ -659,15 +674,18 @@ def load_network(path) -> QuantizedNetwork:
             raise NetworkFormatError(f"{where}.kind: unknown kind {kind!r}")
         if kind == "linear":
             spec = LayerSpec("linear",
-                             in_features=int(_require(entry, "in_features", where)),
-                             out_features=int(_require(entry, "out_features", where)))
+                             in_features=_require_int(entry, "in_features", where),
+                             out_features=_require_int(entry, "out_features", where))
         else:
-            params = {key: int(_require(entry, key, where)) for key in _CONV_PARAMS}
+            params = {key: _require_int(entry, key, where) for key in _CONV_PARAMS}
             spec = LayerSpec(kind, **params)
         scale = _require(entry, "scale", where)
         if not isinstance(scale, (int, float)) or scale <= 0:
             raise NetworkFormatError(f"{where}.scale: must be a positive number")
-        codes = np.asarray(_require(entry, "codes", where), dtype=np.int64)
+        codes = np.asarray(_require(entry, "codes", where))
+        if codes.size and codes.dtype.kind != "i":
+            raise NetworkFormatError(f"{where}.codes: must be JSON integers")
+        codes = codes.astype(np.int64)
         shape = spec.weight_shape()
         expected = int(np.prod(shape)) if all(d > 0 for d in shape) else 0
         if kind == "linear" and (spec.in_features < 1 or spec.out_features < 1):
@@ -676,7 +694,7 @@ def load_network(path) -> QuantizedNetwork:
             raise NetworkFormatError(
                 f"{where}.codes: {codes.size} values, expected {expected}")
         layers.append(Layer(spec, WeightTensor(codes.reshape(shape), float(scale), bit_width)))
-    net = QuantizedNetwork(str(name), int(bit_width), input_shape, layers,
+    net = QuantizedNetwork(str(name), int(bit_width), tuple(input_shape), layers,
                            seed=doc.get("seed"))
     try:
         net.validate()

@@ -7,9 +7,10 @@ gathers the programmed pairs into the layer conductance matrix G of shape
 (rows, 2 * cols), cell (m, n) at columns 2n and 2n + 1, and
 ``simulate_forward`` reads each layer with one ``tile_vmm`` against G.
 Each tile is a rectangle of its plan's physical matrix, programmed through
-basic slices. A full layout's physical G is G, so stuck devices on zero
-weights contribute; a compacted layout's cells go to their logical rows
-through its ``row_map``, the rest of G 0.
+basic slices and written straight into G, the only matrix allocated: a full
+layout's block as one slice of G, so stuck devices on zero weights
+contribute; a compacted layout's mapped cells to their logical rows through
+its ``row_map``. Cells without devices stay 0.
 
 ``program_network`` streams: it draws each tile and writes its block into
 G in one pass, so it holds G and the draws of the tile at hand, never a
@@ -260,7 +261,9 @@ def _program_tiles(draws, plan: MappingPlan, weights: WeightTensor,
     programmed at columns 2n and 2n + 1; cells without devices stay 0.
 
     Each tile's nr x nc block of the physical matrix (``plan.tile_slices``)
-    sits on its first nr device rows and 2 * nc device columns.
+    sits on its first nr device rows and 2 * nc device columns. It goes
+    straight into G: a full layout's as one slice, a compacted layout's
+    mapped cells to their logical rows through ``plan.row_map``.
     """
     if plan.geometry is None:
         if plan.rows != weights.codes.shape[1] or plan.cols != weights.codes.shape[0]:
@@ -270,25 +273,25 @@ def _program_tiles(draws, plan: MappingPlan, weights: WeightTensor,
         if weights.codes.size != geom.kernels * geom.footprint:
             raise ValueError("weight tensor does not match plan geometry")
     w_max = _code_peak(weights)
-    g = np.zeros((plan.codes.shape[0], 2 * plan.cols))
+    g = np.zeros((plan.rows, plan.cols, 2))
     for tp, r_on, r_off, stuck in draws:
         rows, cols = plan.tile_slices(tp)
         codes = plan.codes[rows, cols]
         nr, nc = codes.shape
         dev = np.s_[:nr, :2 * nc]
-        g_on = 1.0 / r_on[dev]
-        g_off = 1.0 / r_off[dev]
-        block = _pair_targets(codes, g_on.reshape(nr, nc, 2), g_off.reshape(nr, nc, 2),
-                              w_max, model).reshape(nr, 2 * nc)
-        np.copyto(block, g_on, where=stuck[dev] == STUCK_ON)
-        np.copyto(block, g_off, where=stuck[dev] == STUCK_OFF)
-        g[rows, 2 * cols.start:2 * cols.start + 2 * nc] = block
-    if plan.row_map is None:
-        return g
-    mapped = plan.row_map >= 0
-    g_layer = np.zeros((plan.rows, plan.cols, 2))
-    g_layer[plan.row_map[mapped], np.nonzero(mapped)[1]] = g.reshape(*mapped.shape, 2)[mapped]
-    return g_layer.reshape(plan.rows, 2 * plan.cols)
+        g_on = (1.0 / r_on[dev]).reshape(nr, nc, 2)
+        g_off = (1.0 / r_off[dev]).reshape(nr, nc, 2)
+        state = stuck[dev].reshape(nr, nc, 2)
+        block = _pair_targets(codes, g_on, g_off, w_max, model)
+        np.copyto(block, g_on, where=state == STUCK_ON)
+        np.copyto(block, g_off, where=state == STUCK_OFF)
+        if plan.row_map is None:
+            g[rows, cols] = block
+        else:
+            logical = plan.row_map[rows, cols]
+            pr, pc = np.nonzero(logical >= 0)
+            g[logical[pr, pc], cols.start + pc] = block[pr, pc]
+    return g.reshape(plan.rows, 2 * plan.cols)
 
 
 def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,

@@ -271,6 +271,38 @@ class TestDseCommand:
         assert main(["dse", "--config", str(cfg_path)]) == 2
         assert "8 configurations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields, messages", [
+        ({"sead": 7}, ["sead: unknown field"]),
+        ({"svg": "false"}, ["svg: must be true or false"]),
+        ({"seed": True}, ["seed: must be an integer"]),
+        ({"jobs": True}, ["jobs: must be a positive integer"]),
+        ({"max_grid": True}, ["max_grid: must be a positive integer"]),
+        ({"sead": 7, "svg": 0, "seed": False, "jobs": True, "max_grid": True},
+         ["sead: unknown field", "svg: must be true or false", "seed: must be an integer",
+          "jobs: must be a positive integer", "max_grid: must be a positive integer"]),
+    ], ids=["unknown-key", "string-svg", "bool-seed", "bool-jobs", "bool-max_grid", "all"])
+    def test_bad_top_level_fields_exit_2_at_load(self, workdir, tmp_path, capsys,
+                                                 fields, messages):
+        cfg = dse_config(workdir, tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **fields}))
+        assert main(["dse", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration:\n")
+        assert err.count("\n  ") == len(messages)     # one line per problem, all at once
+        for message in messages:
+            assert f"\n  {message}\n" in err
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_boolean_svg_resolves_as_given(self, workdir, tmp_path_factory):
+        for svg in (False, True):
+            out = tmp_path_factory.mktemp("svg")
+            cfg = dse_config(workdir, out, scheme=["dense_kernel"], tile_size=[64],
+                             batch_size=[64])
+            cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "svg": svg}))
+            assert main(["dse", "--config", str(cfg)]) == 0
+            assert json.loads((out / "config_resolved.json").read_text())["svg"] is svg
+            assert (out / "contour_tsa.svg").exists() is svg
+
     def test_rerun_and_jobs_bit_identical(self, workdir, tmp_path_factory):
         outs = []
         for jobs in ("1", "1", "3"):
@@ -327,3 +359,11 @@ def test_missing_input_exit_2_names_path(argv, tmp_path, capsys):
     named = path if "{path}" in argv else str(tmp_path)
     assert main([arg.format(path=path, dir=tmp_path) for arg in argv]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_non_list_input_shape_exit_2(workdir, tmp_path, capsys):
+    doc = json.loads((workdir / "fixture_net.json").read_text())
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({**doc, "input_shape": 16}))
+    assert main(["cost", "--net", str(net), "--scheme", "dense_kernel", "--tile-size", "8"]) == 2
+    assert capsys.readouterr().err == "error: input_shape: must be a list of integers, got 16\n"

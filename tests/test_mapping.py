@@ -386,7 +386,7 @@ class TestFullAllocation:
                 elif scheme == "sparse_staggered":
                     values, ids = mapping._staggered_cells(ConvGeometry.from_spec(spec), wt.codes)
                 else:
-                    values, ids = mapping._kernel_matrix(ConvGeometry.from_spec(spec), wt.codes)
+                    values, ids = mapping._weight_matrix(wt.codes)
                 for t in (2, 3, 8, 13, 32, 128):
                     if scheme == "dense_kernel" and ConvGeometry.from_spec(spec).footprint > t:
                         continue

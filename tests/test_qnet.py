@@ -350,6 +350,35 @@ class TestFileFormats:
         with pytest.raises(NetworkFormatError, match=rf"layers\[0\]: {message}"):
             load_network(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["layers"][1].update(codes=[c + 0.4 for c in doc["layers"][1]["codes"]]),
+         r"layers\[1\]\.codes: must be JSON integers"),
+        (lambda doc: doc["layers"][1].update(codes=[float(c) for c in doc["layers"][1]["codes"]]),
+         r"layers\[1\]\.codes: must be JSON integers"),
+        (lambda doc: doc["layers"][0].update(kernel_h=3.7),
+         r"layers\[0\]\.kernel_h: must be an integer, got 3\.7"),
+        (lambda doc: doc["layers"][0].update(stride=True),
+         r"layers\[0\]\.stride: must be an integer, got True"),
+        (lambda doc: doc["layers"][1].update(out_features="4"),
+         r"layers\[1\]\.out_features: must be an integer, got '4'"),
+        (lambda doc: doc.update(input_shape=16),
+         r"input_shape: must be a list of integers, got 16"),
+        (lambda doc: doc.update(input_shape=[1, 16.0]),
+         r"input_shape: must be a list of integers, got \[1, 16\.0\]"),
+    ], ids=["fractional-codes", "float-codes", "float-kernel_h", "bool-stride",
+            "string-out_features", "int-input_shape", "float-input_shape-entry"])
+    def test_non_integer_fields_rejected(self, fixture_net, tmp_path, edit, message):
+        """Nothing is truncated or coerced: a non-integer where the format
+        has integers is a NetworkFormatError naming the field."""
+        import json
+        path = tmp_path / "net.json"
+        save_network(fixture_net, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NetworkFormatError, match=message):
+            load_network(path)
+
     def test_dataset_round_trip(self, test_data, tmp_path):
         path = tmp_path / "data.csv"
         save_dataset(test_data, path)

@@ -521,23 +521,28 @@ class TestSimulation:
                             (want.dtype, want.shape, want.tobytes()), (scheme, t, model, li)
         assert layouts == {True, False} and partial > 0
 
-    def test_program_network_holds_no_sampled_population(self):
-        """On a full layout of 64 tiles, the traced peak of programming stays
-        within G plus 16 t x t float64 tiles: a tile or two of draws and the
-        temporaries of a block, never the layer's sampled tiles (each of
-        which holds over three tiles' worth of arrays)."""
+    @pytest.mark.parametrize("scheme, full, tiles", [("sparse_staggered", True, 64),
+                                                     ("dense_routed", False, 40),
+                                                     ("dense_kernel", False, 40)],
+                             ids=["sparse_staggered", "dense_routed", "dense_kernel"])
+    def test_program_network_holds_no_sampled_population(self, scheme, full, tiles):
+        """On a linear layer of 64 full or 40 compacted tiles, the traced
+        peak of programming stays within G plus 16 t x t float64 tiles: a
+        tile or two of draws and the temporaries of a block, never the
+        layer's sampled tiles (each of which holds over three tiles' worth of
+        arrays) nor a physical matrix beside G."""
         t = 32
         net = random_net("streamed", [qnet.linear(64)], (1, 512), 0)
-        plans = mapping.network_plans(net, "sparse_staggered", t)
-        assert plans[0].row_map is None and len(plans[0].tiles) == 64
+        plans = mapping.network_plans(net, scheme, t)
+        assert (plans[0].row_map is None) == full and len(plans[0].tiles) == tiles
         hw = HardwareConfig(t, device=DeviceModel(n_states=16, p_stuck_on=0.05,
                                                   p_stuck_off=0.05))
-        xbar.program_network(net, "sparse_staggered", hw, 0, plans)
+        xbar.program_network(net, scheme, hw, 0, plans)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            mats = xbar.program_network(net, "sparse_staggered", hw, 0, plans)
+            mats = xbar.program_network(net, scheme, hw, 0, plans)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
