@@ -83,10 +83,14 @@ def load_run_config(path: str, seed_override: int | None = None,
         "jobs": jobs_override if jobs_override is not None else doc.get("jobs", 1),
         "max_grid": doc.get("max_grid", 4096),
         "svg": doc.get("svg", False),
-        "device": dict(doc.get("device", {})),
-        "space": dict(doc.get("space", {})),
+        "device": doc.get("device", {}),
+        "space": doc.get("space", {}),
     }
     errors += [f"{key}: unknown field" for key in doc if key not in cfg]
+    for key in ("device", "space"):
+        if not isinstance(cfg[key], dict):
+            errors.append(f"{key}: must be an object, got {cfg[key]!r}")
+            cfg[key] = {}
     if cfg["format_version"] != 1:
         errors.append(f"format_version: unsupported value {cfg['format_version']}")
     if not cfg["network"]:

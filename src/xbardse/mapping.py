@@ -14,6 +14,13 @@ physical matrix is the logical one, every cell a pair; ``map_linear_dense``
 gives the compacted layout, which drops zero weights and records each
 physical cell's logical row.
 
+Plans hold compact integers, each array built in its final dtype: a
+``layer_plan`` plan's codes are int16 (every supported bit width fits, and
+a code that does not raises ``MappingError`` rather than wrapping), its
+weight ids int32, and a compacted layout's row map int32. A full layout
+then costs 6 bytes per physical cell, a compacted one 10, where int64
+arrays cost 16 and 24.
+
 Schemes
 -------
 sparse_staggered
@@ -49,6 +56,9 @@ from .qnet import ConvGeometry, LayerSpec, QuantizedNetwork, WeightTensor
 
 SCHEMES = ("sparse_staggered", "dense_routed", "dense_kernel")
 
+_CODE_DTYPE = np.int16    # plan codes: every supported bit width fits
+_INDEX_DTYPE = np.int32   # weight ids and row maps: below a plan's cell count
+
 
 class MappingError(ValueError):
     """A layer cannot be mapped under the requested scheme/tile size."""
@@ -78,7 +88,11 @@ class MappingPlan:
     zero or an empty cell) have one column per logical column. ``row_map``
     is None for full layouts, whose physical matrix is the logical one;
     compacted layouts hold there each physical cell's logical row, -1 if
-    the cell is empty."""
+    the cell is empty.
+
+    ``layer_plan`` gives int16 ``codes`` and int32 ``weight_ids``; the
+    builders keep the dtypes of a matrix and ids given to them, and default
+    ids are int32. ``row_map`` is int32."""
 
     scheme: str
     tile_size: int
@@ -117,18 +131,31 @@ class MappingPlan:
 
 
 def _default_ids(m: int, n: int) -> np.ndarray:
-    return np.arange(m * n, dtype=np.int64).reshape(m, n)
+    return np.arange(m * n, dtype=_INDEX_DTYPE).reshape(m, n)
+
+
+def _plan_codes(codes) -> np.ndarray:
+    """``codes`` as int16, the dtype plans hold; a code that is not an
+    integer in int16's range raises instead of wrapping."""
+    codes = np.asarray(codes)
+    small = codes.astype(_CODE_DTYPE)
+    if (small != codes).any():
+        raise MappingError("weight codes must be integers within the int16 range")
+    return small
 
 
 def _logical_matrix(matrix, tile_size: int,
                     weight_ids: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """A layout builder's checked 2-D logical matrix and its weight ids, by
-    default each cell's flat index."""
+    default each cell's flat index. Every weight id and logical row is below
+    the cell count, which must fit the int32 index dtype."""
     if tile_size < 2:
         raise MappingError("tile size must be >= 2 to hold a differential pair")
     mat = np.asarray(matrix)
     if mat.ndim != 2:
         raise MappingError("expected a 2-D logical matrix")
+    if mat.size > np.iinfo(_INDEX_DTYPE).max:
+        raise MappingError(f"{mat.size} logical cells exceed the int32 index range")
     return mat, _default_ids(*mat.shape) if weight_ids is None else np.asarray(weight_ids)
 
 
@@ -159,8 +186,8 @@ def map_linear_dense(matrix, tile_size: int,
     phys = np.arange(rows.size) - (np.cumsum(counts) - counts)[cols]   # k-th nonzero: row k
     depth = int(counts.max(initial=0))
     codes = np.zeros((depth, n), dtype=mat.dtype)
-    ids = np.full((depth, n), -1, dtype=np.int64)
-    row_map = np.full((depth, n), -1, dtype=np.int64)
+    ids = np.full((depth, n), -1, dtype=weight_ids.dtype)
+    row_map = np.full((depth, n), -1, dtype=_INDEX_DTYPE)
     codes[phys, cols] = mat[rows, cols]
     ids[phys, cols] = weight_ids[rows, cols]
     row_map[phys, cols] = rows
@@ -199,14 +226,15 @@ def unroll_conv_staggered(geom: ConvGeometry, kernel: np.ndarray | None = None):
 
 
 def _staggered_cells(geom: ConvGeometry, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (values, weight_ids) arrays of the unrolled logical matrix.
-    weight_ids refer to the flat kernel tensor; -1 marks structural zeros."""
+    """Dense (values, weight_ids) arrays of the unrolled logical matrix, as
+    int16 and int32. weight_ids refer to the flat kernel tensor; -1 marks
+    structural zeros."""
     idx = geom.read_indices()
     k, p, f = geom.kernels, geom.out_positions, geom.footprint
-    kflat = np.asarray(codes).reshape(k, f)
+    kflat = _plan_codes(codes).reshape(k, f)
     m, n = geom.padded_inputs, k * p
-    values = np.zeros((m, n), dtype=kflat.dtype)
-    ids = np.full((m, n), -1, dtype=np.int64)
+    values = np.zeros((m, n), dtype=_CODE_DTYPE)
+    ids = np.full((m, n), -1, dtype=_INDEX_DTYPE)
     rows = np.broadcast_to(idx[None, :, :], (k, p, f))
     cols = np.broadcast_to((np.arange(k) * p)[:, None, None]
                            + np.arange(p)[None, :, None], (k, p, f))
@@ -218,9 +246,10 @@ def _staggered_cells(geom: ConvGeometry, codes: np.ndarray) -> tuple[np.ndarray,
 
 
 def _weight_matrix(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(fan-in, outputs) logical matrix of a layer's weights and its weight
-    ids: a linear layer's transposed codes, or one column per conv kernel."""
-    kflat = codes.reshape(codes.shape[0], -1)
+    """(fan-in, outputs) logical matrix of a layer's weights, as int16, and
+    its int32 weight ids: a linear layer's transposed codes, or one column
+    per conv kernel."""
+    kflat = _plan_codes(codes).reshape(codes.shape[0], -1)
     return kflat.T, _default_ids(*kflat.shape).T
 
 

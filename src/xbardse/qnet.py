@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -421,17 +422,20 @@ def _conv_forward(spec: LayerSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def ideal_forward(net: QuantizedNetwork, batch: np.ndarray,
-                  collect_preacts: bool = False):
-    """Noise-free forward pass on dequantized weights.
+                  on_preact: Callable[[np.ndarray], None] | None = None) -> np.ndarray:
+    """Noise-free forward pass on dequantized weights; returns the logits
+    (n, classes).
 
-    Returns logits (n, classes); with collect_preacts=True also returns the
-    list of pre-activation outputs per layer (used for ADC calibration).
+    ``on_preact(z)``, if given, is called once per layer, in layer order,
+    with that layer's pre-activations (the last layer's are the logits).
+    ``z`` is valid only during the call: the ReLU then runs in place on it,
+    so a callback that keeps more than a reduction of it must copy it. The
+    pass itself holds one layer's input and output at a time.
     """
     x = np.asarray(batch, dtype=float)
     if x.shape[1:] != tuple(net.input_shape):
         raise ValueError(
             f"batch feature shape {x.shape[1:]} != network input {net.input_shape}")
-    preacts = []
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
         w = layer.weights.dequantized()
@@ -439,10 +443,12 @@ def ideal_forward(net: QuantizedNetwork, batch: np.ndarray,
             z = x.reshape(x.shape[0], -1) @ w.T
         else:
             z = _conv_forward(layer.spec, w, x)
-        if collect_preacts:
-            preacts.append(z)
-        x = np.maximum(z, 0.0) if i < last else z
-    return (x, preacts) if collect_preacts else x
+        if on_preact is not None:
+            on_preact(z)
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+        x = z
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -682,10 +688,15 @@ def load_network(path) -> QuantizedNetwork:
         scale = _require(entry, "scale", where)
         if not isinstance(scale, (int, float)) or scale <= 0:
             raise NetworkFormatError(f"{where}.scale: must be a positive number")
-        codes = np.asarray(_require(entry, "codes", where))
-        if codes.size and codes.dtype.kind != "i":
-            raise NetworkFormatError(f"{where}.codes: must be JSON integers")
-        codes = codes.astype(np.int64)
+        raw = _require(entry, "codes", where)
+        # one flat list: nested lists, ragged or not, and true/false are refused
+        if not isinstance(raw, list) or not all(map(_is_int, raw)):
+            raise NetworkFormatError(f"{where}.codes: must be JSON integers in one flat list")
+        try:
+            codes = np.array(raw, dtype=np.int64)
+        except OverflowError:
+            raise NetworkFormatError(
+                f"{where}.codes: codes exceed {bit_width}-bit symmetric range") from None
         shape = spec.weight_shape()
         expected = int(np.prod(shape)) if all(d > 0 for d in shape) else 0
         if kind == "linear" and (spec.in_features < 1 or spec.out_features < 1):

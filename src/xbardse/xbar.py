@@ -483,10 +483,15 @@ def _read_layer(flat: np.ndarray, scale: float | np.ndarray, layer: qnet.Layer,
 
 
 def calibrate_adc_ranges(net: QuantizedNetwork, data: qnet.Dataset) -> list[tuple[float, float]]:
-    """Per-layer pre-activation output ranges from a noiseless pass over the
-    dataset; the fixed ADC window every non-ideal run then uses."""
-    _, preacts = ideal_forward(net, data.features, collect_preacts=True)
-    return [(float(z.min()), float(z.max())) for z in preacts]
+    """Per-layer pre-activation output ranges from one noiseless
+    ``ideal_forward`` pass over the dataset; the fixed ADC window every
+    non-ideal run then uses. Only the two numbers of each layer are kept,
+    not its pre-activations, so the pass holds one layer's input and output
+    at a time."""
+    ranges = []
+    ideal_forward(net, data.features,
+                  on_preact=lambda z: ranges.append((float(z.min()), float(z.max()))))
+    return ranges
 
 
 def evaluate_accuracy(net: QuantizedNetwork, scheme: str, hw: HardwareConfig,

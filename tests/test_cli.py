@@ -168,6 +168,22 @@ class TestSimulateCommand:
         for fragment in ("network", "dataset", "seed", "scheme", "tile_size"):
             assert fragment in err
 
+    @pytest.mark.parametrize("section, value", [
+        ("device", 5), ("device", [["p_stuck_on", 0.1]]), ("space", "dense_kernel"),
+        ("space", [["scheme", ["dense_kernel"]]])],
+        ids=["number-device", "pairs-device", "string-space", "pairs-space"])
+    def test_non_object_section_exit_2_with_other_problems(self, workdir, tmp_path, capsys,
+                                                           section, value):
+        cfg = dse_config(workdir, tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), section: value,
+                                   "seed": "zero"}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration:\n")
+        assert f"\n  {section}: must be an object, got {value!r}\n" in err
+        assert "\n  seed: must be an integer\n" in err
+        assert not (tmp_path / "simulate_result.json").exists()
+
     @pytest.mark.parametrize("field, text, message", [
         (0, "x", "invalid literal for int() with base 10: 'x'"),
         (4, "abc", "could not convert string to float: 'abc'"),
@@ -367,3 +383,14 @@ def test_non_list_input_shape_exit_2(workdir, tmp_path, capsys):
     net.write_text(json.dumps({**doc, "input_shape": 16}))
     assert main(["cost", "--net", str(net), "--scheme", "dense_kernel", "--tile-size", "8"]) == 2
     assert capsys.readouterr().err == "error: input_shape: must be a list of integers, got 16\n"
+
+
+@pytest.mark.parametrize("codes", [[[1, 0], [1]], [True, 0]], ids=["ragged", "bool"])
+def test_malformed_codes_exit_2(workdir, tmp_path, capsys, codes):
+    doc = json.loads((workdir / "fixture_net.json").read_text())
+    doc["layers"][0]["codes"] = codes + doc["layers"][0]["codes"][len(codes):]
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(doc))
+    assert main(["cost", "--net", str(net), "--scheme", "dense_kernel", "--tile-size", "8"]) == 2
+    assert capsys.readouterr().err == \
+        "error: layers[0].codes: must be JSON integers in one flat list\n"

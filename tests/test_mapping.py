@@ -200,11 +200,11 @@ def per_column_dense(mat, tile_size, weight_ids=None):
     tile, and each column's logical rows in physical order."""
     m, n = mat.shape
     if weight_ids is None:
-        weight_ids = np.arange(m * n, dtype=np.int64).reshape(m, n)
+        weight_ids = np.arange(m * n, dtype=np.int32).reshape(m, n)
     cap = tile_size // 2
     perms, buckets = {}, {}
     for col in range(n):
-        nz = np.flatnonzero(mat[:, col])
+        nz = np.flatnonzero(mat[:, col]).astype(np.int32)     # row maps are int32
         perms[col] = nz.copy()
         phys = np.arange(nz.size)
         for tr in range(-(-nz.size // tile_size)):
@@ -382,7 +382,8 @@ class TestFullAllocation:
                 if spec.kind == "linear":
                     if scheme != "sparse_staggered":
                         continue  # dense schemes compact linear layers
-                    values, ids = wt.codes.T, mapping._default_ids(*wt.codes.shape).T
+                    values = wt.codes.T.astype(np.int16)     # plans hold int16 codes
+                    ids = mapping._default_ids(*wt.codes.shape).T
                 elif scheme == "sparse_staggered":
                     values, ids = mapping._staggered_cells(ConvGeometry.from_spec(spec), wt.codes)
                 else:
@@ -418,6 +419,49 @@ def meshgrid_tiles(matrix, weight_ids, tile_size):
                 logical_rows=rr.ravel(), logical_cols=cc.ravel(),
                 codes=matrix[r0:r1, c0:c1].ravel(), weight_ids=weight_ids[r0:r1, c0:c1].ravel()))
     return tiles
+
+
+class TestPlanDtypes:
+    def test_compact_integers_per_cell(self, fixture_net):
+        """layer_plan plans hold int16 codes and int32 weight ids and row
+        maps: 6 bytes per physical cell in a full layout, 10 in a compacted
+        one, and every mapped code equal to the weight its id names."""
+        net = random_conv_net(np.random.default_rng(15))
+        layouts = set()
+        for model in (fixture_net, net):
+            for scheme in SCHEMES:
+                for plan, layer in zip(mapping.network_plans(model, scheme, 32), model.layers):
+                    assert plan.codes.dtype == np.int16
+                    assert plan.weight_ids.dtype == np.int32
+                    held = [plan.codes, plan.weight_ids]
+                    if plan.row_map is not None:
+                        assert plan.row_map.dtype == np.int32
+                        held.append(plan.row_map)
+                    per_cell = sum(a.nbytes for a in held) / plan.codes.size
+                    assert per_cell == (6 if plan.row_map is None else 10)
+                    layouts.add(plan.row_map is None)
+                    _, _, codes, wids = mapping._cells(plan)
+                    flat = layer.weights.codes.ravel()
+                    kept = wids >= 0
+                    assert np.array_equal(codes[kept], flat[wids[kept]])
+                    assert not codes[~kept].any()
+        assert layouts == {True, False}
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("code", [40000, -32769, 0.5], ids=["above", "below", "fractional"])
+    def test_code_that_does_not_fit_raises(self, scheme, code):
+        """A code int16 cannot hold raises instead of wrapping; the analytic
+        cost, which reads the same matrix for compacted layouts, agrees."""
+        specs, _ = qnet.propagate_shapes([qnet.conv1d(2, 3), qnet.linear(2)], (1, 6))
+        layers = [qnet.Layer(spec, qnet.WeightTensor(np.ones(spec.weight_shape()), 1.0, 8))
+                  for spec in specs]
+        for layer in layers:
+            layer.weights.codes.ravel()[1] = code
+            with pytest.raises(MappingError, match="integers within the int16 range"):
+                layer_plan(layer.spec, layer.weights, scheme, 32)
+        net = qnet.QuantizedNetwork("wide", 8, (1, 6), layers)
+        with pytest.raises(MappingError, match="integers within the int16 range"):
+            cost_network(net, scheme, 32)
 
 
 class TestCrossSchemeDerivation:

@@ -133,8 +133,10 @@ def test_noise_off_simulation_equals_ideal(case):
                              device=xbar.DeviceModel(r_on_std=0.0, r_off_std=0.0,
                                                      p_stuck_on=0.0, p_stuck_off=0.0))
     x = np.random.default_rng(0).standard_normal((8, *net.input_shape))
-    ideal, preacts = qnet.ideal_forward(net, x, collect_preacts=True)
-    peak = np.max([np.abs(z).reshape(len(x), -1).max(axis=1) for z in preacts], axis=0)
+    peaks = []
+    ideal = qnet.ideal_forward(
+        net, x, on_preact=lambda z: peaks.append(np.abs(z).reshape(len(x), -1).max(axis=1)))
+    peak = np.max(peaks, axis=0)
     bound = 1e-6 * np.maximum(peak, 1e-12)[:, None]
     for scheme in mapping.SCHEMES:
         plans = plans_or_none(net, scheme, t)

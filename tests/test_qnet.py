@@ -196,6 +196,23 @@ class TestIdealForward:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             checked += 1
 
+    def test_on_preact_sees_each_layer_before_the_relu(self, fixture_net, test_data):
+        """The callback gets each layer's pre-activations once, in order, equal
+        to the logits of the network cut after that layer; the logits do not
+        depend on whether a callback is given."""
+        x = test_data.features[:32]
+        seen = []
+        logits = ideal_forward(fixture_net, x, on_preact=lambda z: seen.append(z.copy()))
+        assert len(seen) == len(fixture_net.layers)
+        for i, z in enumerate(seen):
+            cut = QuantizedNetwork("cut", fixture_net.bit_width, fixture_net.input_shape,
+                                   fixture_net.layers[:i + 1])
+            want = ideal_forward(cut, x)
+            assert (z.dtype, z.shape, z.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert (seen[0] < 0).any()      # a ReLU had something to clip
+        plain = ideal_forward(fixture_net, x)
+        assert logits.tobytes() == plain.tobytes() == seen[-1].tobytes()
+
     def test_conv_crosses_the_default_chunk(self):
         (spec,), _ = propagate_shapes([qnet.conv2d(5, 3, 3, padding=1)], (2, 12, 12))
         step = qnet._CONV_CHUNK_ELEMENTS // (2 * 12 * 12 * 9)
@@ -365,8 +382,18 @@ class TestFileFormats:
          r"input_shape: must be a list of integers, got 16"),
         (lambda doc: doc.update(input_shape=[1, 16.0]),
          r"input_shape: must be a list of integers, got \[1, 16\.0\]"),
+        (lambda doc: doc["layers"][1].update(codes=[True] + doc["layers"][1]["codes"][1:]),
+         r"layers\[1\]\.codes: must be JSON integers in one flat list"),
+        (lambda doc: doc["layers"][0].update(codes=[doc["layers"][0]["codes"][:5],
+                                                    doc["layers"][0]["codes"][5:]]),
+         r"layers\[0\]\.codes: must be JSON integers in one flat list"),
+        (lambda doc: doc["layers"][0].update(codes=7),
+         r"layers\[0\]\.codes: must be JSON integers in one flat list"),
+        (lambda doc: doc["layers"][0].update(codes=[2 ** 70] + doc["layers"][0]["codes"][1:]),
+         r"layers\[0\]\.codes: codes exceed 8-bit symmetric range"),
     ], ids=["fractional-codes", "float-codes", "float-kernel_h", "bool-stride",
-            "string-out_features", "int-input_shape", "float-input_shape-entry"])
+            "string-out_features", "int-input_shape", "float-input_shape-entry",
+            "bool-code", "ragged-codes", "scalar-codes", "int64-overflow-code"])
     def test_non_integer_fields_rejected(self, fixture_net, tmp_path, edit, message):
         """Nothing is truncated or coerced: a non-integer where the format
         has integers is a NetworkFormatError naming the field."""

@@ -475,6 +475,56 @@ class TestVmmAndReadout:
         assert y[0, 0] == pytest.approx(1.3 * 5 * 0.07, rel=1e-12)
 
 
+class TestCalibration:
+    def test_matches_stored_preact_reference(self, monkeypatch):
+        """One ``ideal_forward`` call per calibration, and its ranges equal
+        the min and max of each layer's stored pre-activations: the logits
+        of the network cut after that layer."""
+        cases = [random_net("conv1d", [qnet.conv1d(4, 3, padding=1), qnet.conv1d(3, 2, stride=2),
+                                       qnet.linear(4)], (2, 11), 1),
+                 random_conv2d_net(),
+                 random_net("linear", [qnet.linear(6), qnet.linear(5), qnet.linear(3)], (7,), 2)]
+        calls = []
+        forward = xbar.ideal_forward
+        monkeypatch.setattr(xbar, "ideal_forward",
+                            lambda *args, **kw: calls.append(1) or forward(*args, **kw))
+        for i, net in enumerate(cases):
+            x = np.random.default_rng(i).normal(size=(40, *net.input_shape))
+            got = xbar.calibrate_adc_ranges(net, qnet.Dataset(x, np.zeros(40, np.int64), 4))
+            assert len(calls) == i + 1
+            want = []
+            for li in range(len(net.layers)):
+                cut = qnet.QuantizedNetwork("cut", net.bit_width, net.input_shape,
+                                            net.layers[:li + 1])
+                z = qnet.ideal_forward(cut, x)
+                want.append((float(z.min()), float(z.max())))
+            assert got == want
+            assert all(lo < 0 < hi for lo, hi in got)
+
+    def test_holds_no_stored_preacts(self):
+        """On four 4 MiB conv1d layers and a linear one, the traced peak of
+        calibration stays within three activation arrays (a layer's input,
+        padded input and output) plus two contraction chunks; holding every
+        layer's pre-activations, or a ReLU copy of each, would not fit."""
+        n, channels, length = 256, 8, 256
+        arch = [qnet.conv1d(channels, 3, padding=1) for _ in range(4)] + [qnet.linear(4)]
+        net = random_net("calibrated", arch, (channels, length), 3)
+        x = np.random.default_rng(3).normal(size=(n, channels, length))
+        data = qnet.Dataset(x, np.zeros(n, np.int64), 4)
+        activation = x.nbytes
+        assert activation == 4 * 2 ** 20
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ranges = xbar.calibrate_adc_ranges(net, data)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ranges) == len(arch)
+        assert peak <= 3 * activation + 2 * qnet._CONV_CHUNK_ELEMENTS * 8
+
+
 class TestSimulation:
     def test_noise_off_equivalence(self, fixture_net, test_data):
         hw = HardwareConfig(tile_size=32, io=IOConfig(io_bit_width=16, batch_size=64),
