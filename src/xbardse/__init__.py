@@ -38,7 +38,6 @@ from .mapping import (
     network_plans,
     plans_cost,
     steps_dense_eq3,
-    unroll_conv_staggered,
 )
 from .xbar import (
     DeviceModel,

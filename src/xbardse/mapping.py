@@ -146,9 +146,10 @@ def _plan_codes(codes) -> np.ndarray:
 
 def _logical_matrix(matrix, tile_size: int,
                     weight_ids: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """A layout builder's checked 2-D logical matrix and its weight ids, by
-    default each cell's flat index. Every weight id and logical row is below
-    the cell count, which must fit the int32 index dtype."""
+    """A layout builder's checked 2-D logical matrix, finite if it is of a
+    float dtype, and its weight ids, by default each cell's flat index. Every
+    weight id and logical row is below the cell count, which must fit the
+    int32 index dtype."""
     if tile_size < 2:
         raise MappingError("tile size must be >= 2 to hold a differential pair")
     mat = np.asarray(matrix)
@@ -156,6 +157,8 @@ def _logical_matrix(matrix, tile_size: int,
         raise MappingError("expected a 2-D logical matrix")
     if mat.size > np.iinfo(_INDEX_DTYPE).max:
         raise MappingError(f"{mat.size} logical cells exceed the int32 index range")
+    if mat.dtype.kind == "f" and not np.isfinite(mat).all():
+        raise MappingError("logical matrix has non-finite values")
     return mat, _default_ids(*mat.shape) if weight_ids is None else np.asarray(weight_ids)
 
 
@@ -199,30 +202,6 @@ def map_linear_dense(matrix, tile_size: int,
 
 # ---------------------------------------------------------------------------
 # convolution layouts
-
-
-def unroll_conv_staggered(geom: ConvGeometry, kernel: np.ndarray | None = None):
-    """Toeplitz-style unrolled logical matrix, as a scipy ``csr_matrix``:
-    rows = padded input cells x channels, columns = output positions x
-    kernels; column k*P + p holds the copy of kernel k shifted to output
-    position p. A test oracle, so scipy is imported only here."""
-    from scipy.sparse import coo_matrix
-    idx = geom.read_indices()                       # (P, F)
-    k, p, f = geom.kernels, geom.out_positions, geom.footprint
-    if kernel is None:
-        kflat = np.ones((k, f))
-    else:
-        kernel = np.asarray(kernel)
-        if kernel.size != k * f:
-            raise MappingError(f"kernel has {kernel.size} weights, geometry implies {k * f}")
-        kflat = kernel.reshape(k, f).astype(float)
-    rows = np.broadcast_to(idx[None, :, :], (k, p, f)).ravel()
-    cols = np.broadcast_to((np.arange(k) * p)[:, None, None]
-                           + np.arange(p)[None, :, None], (k, p, f)).ravel()
-    data = np.broadcast_to(kflat[:, None, :], (k, p, f)).ravel()
-    mat = coo_matrix((data, (rows, cols)), shape=(geom.padded_inputs, k * p)).tocsr()
-    mat.eliminate_zeros()
-    return mat
 
 
 def _staggered_cells(geom: ConvGeometry, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -266,11 +266,22 @@ class WeightTensor:
         return self.codes.astype(float) * self.scale
 
     def validate(self) -> None:
+        """Codes must be finite integers, of a bool, integer or float dtype,
+        within the symmetric range of ``bit_width``."""
         if self.bit_width not in SUPPORTED_BIT_WIDTHS:
             raise ValueError(f"bit_width must be one of {SUPPORTED_BIT_WIDTHS}")
         if self.scale <= 0:
             raise ValueError("scale must be > 0")
-        if np.abs(self.codes).max(initial=0) > self.code_limit():
+        codes = np.asarray(self.codes)
+        if codes.dtype.kind not in "biuf":
+            raise ValueError(f"codes must be numbers, not {codes.dtype}")
+        if codes.dtype.kind == "f":
+            if not np.isfinite(codes).all():
+                raise ValueError("codes must be finite")
+            if (codes != np.trunc(codes)).any():
+                raise ValueError("codes must be integers")
+        limit = self.code_limit()
+        if codes.size and (codes.min() < -limit or codes.max() > limit):
             raise ValueError(f"codes exceed {self.bit_width}-bit symmetric range")
 
 

@@ -6,15 +6,22 @@ device pair, and tile partial sums add before readout. So programming also
 gathers the programmed pairs into the layer conductance matrix G of shape
 (rows, 2 * cols), cell (m, n) at columns 2n and 2n + 1, and
 ``simulate_forward`` reads each layer with one ``tile_vmm`` against G.
-Each tile is a rectangle of its plan's physical matrix, programmed through
-basic slices and written straight into G, the only matrix allocated: a full
-layout's block as one slice of G, so stuck devices on zero weights
-contribute; a compacted layout's mapped cells to their logical rows through
-its ``row_map``. Cells without devices stay 0.
+Each tile is a rectangle of its plan's physical matrix, written straight
+into G, the only matrix allocated: a full layout's block as one slice of G,
+so stuck devices on zero weights contribute; a compacted layout's mapped
+cells to their logical rows through its ``row_map``. Cells without devices
+stay 0.
+
+A device's programmed value is 1/r_off unless it is the active device (the
+polarity of the code's sign) of a nonzero cell and free, or stuck on, since
+a zero target fraction adds +-0 to g_off. So each tile writes 1/r_off into
+G, 1/r_on where stuck on, and only the active devices of nonzero cells are
+patched with their targets, for a run of tiles at a time whose nonzero
+cells are bounded (``_program_tiles``).
 
 ``program_network`` streams: it draws each tile and writes its block into
-G in one pass, so it holds G and the draws of the tile at hand, never a
-layer's sampled population.
+G in one pass, so it holds G, the draws of the tile at hand and the g_on and
+free flags of one run's active devices, never a layer's sampled population.
 ``sample_devices``, which returns a layer's sampled tiles as a dict, and
 ``program``, which programs such a dict, run the same draw and programming
 code; they remain as the reference that tests and the benchmark's
@@ -31,7 +38,8 @@ All randomness flows through counter-based Philox streams keyed by
 grid, with devices drawn in a fixed canonical order inside each tile, so
 results never depend on evaluation order or worker count; one bit
 generator per layer is re-keyed for every stream rather than one built per
-tile. Resistance samples are truncated at three standard
+tile, from a copy of a blake2b state that has hashed the layer's part of
+the key. Resistance samples are truncated at three standard
 deviations and redrawn, which keeps them positive and preserves
 r_on < r_off for the default parameters; after the first pass only the
 redrawn positions are re-checked, which consumes the same draws.
@@ -40,6 +48,8 @@ redrawn positions are re-checked, which consumes the same draws.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,18 +144,31 @@ def config_hash(net: QuantizedNetwork, scheme: str, hw: HardwareConfig) -> str:
                            digest_size=8).hexdigest()
 
 
-def _rekey(gen: np.random.Generator, *parts) -> None:
+def _stream_prefix(*parts) -> hashlib.blake2b:
+    """A blake2b state that has read the key string of ``parts`` and the
+    separator after it; ``_rekey`` extends a copy of it for each stream keyed
+    under those parts, as hashing the whole key string would."""
+    return hashlib.blake2b("".join(f"{p}|" for p in parts).encode(), digest_size=16)
+
+
+def _rekey(gen: np.random.Generator, *parts, prefix=None) -> None:
     """Restart ``gen``'s Philox bit generator on the stream keyed by the
-    blake2b digest of ``parts``: counter 0 and empty output buffers, the state
-    ``np.random.Philox(key=...)`` starts in, without building a new one."""
-    digest = hashlib.blake2b("|".join(str(p) for p in parts).encode(),
-                             digest_size=16).digest()
+    blake2b digest of ``parts``, after ``prefix``'s parts if one from
+    ``_stream_prefix`` is given: counter 0 and empty output buffers, the
+    state ``np.random.Philox(key=...)`` starts in, without building a new
+    one."""
+    h = hashlib.blake2b(digest_size=16) if prefix is None else prefix.copy()
+    h.update("|".join(map(str, parts)).encode())
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.frombuffer(digest, dtype="<u8").astype(np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
+        "state": {"counter": (0, 0, 0, 0), "key": struct.unpack("<2Q", h.digest())},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _out_of_range(x: np.ndarray, mean: float, limit: float) -> np.ndarray:
+    """Mask of abs(x - mean) > limit, with one temporary besides the mask."""
+    dev = np.subtract(x, mean)
+    return np.abs(dev, out=dev) > limit
 
 
 def _truncated_normal(gen: np.random.Generator, mean: float, std: float,
@@ -154,8 +177,9 @@ def _truncated_normal(gen: np.random.Generator, mean: float, std: float,
     vals = gen.normal(mean, std, shape)
     if std == 0:
         return vals
+    limit = 3.0 * std
     flat = vals.reshape(-1)
-    bad = np.flatnonzero(np.abs(flat - mean) > 3.0 * std)
+    bad = _out_of_range(flat, mean, limit).nonzero()[0]
     for _ in range(100):
         if bad.size == 0:
             return vals
@@ -163,8 +187,8 @@ def _truncated_normal(gen: np.random.Generator, mean: float, std: float,
         # flat order, so each round consumes the stream as a full re-check would
         redraw = gen.normal(mean, std, bad.size)
         flat[bad] = redraw
-        bad = bad[np.abs(redraw - mean) > 3.0 * std]
-    return np.clip(vals, mean - 3.0 * std, mean + 3.0 * std)
+        bad = bad[_out_of_range(redraw, mean, limit)]
+    return np.clip(vals, mean - limit, mean + limit)
 
 
 @dataclass
@@ -196,17 +220,18 @@ def _unprogrammed(r_on: np.ndarray, r_off: np.ndarray, stuck: np.ndarray) -> np.
 
 def _tile_draws(seed: int, plan: MappingPlan, model: DeviceModel, cfg_hash: str,
                 layer_index: int):
-    """Yield (tile, r_on, r_off, stuck) for every tile of ``plan``, in plan
-    order: full t x t arrays drawn from the stream keyed by (seed, cfg_hash,
+    """Yield (tile, r_on, r_off, u) for every tile of ``plan``, in plan order:
+    full t x t arrays drawn from the stream keyed by (seed, cfg_hash,
     layer_index, tile_row, tile_col), r_on, then r_off, then the uniforms
-    that set the stuck states."""
+    that set the stuck states (``_stuck_from_uniform``)."""
     t = plan.tile_size
     gen = np.random.Generator(np.random.Philox(key=0))   # re-keyed for every stream
+    prefix = _stream_prefix(seed, cfg_hash, layer_index)
     for tp in plan.tiles:
-        _rekey(gen, seed, cfg_hash, layer_index, tp.tile_row, tp.tile_col)
+        _rekey(gen, tp.tile_row, tp.tile_col, prefix=prefix)
         r_on = _truncated_normal(gen, model.r_on_mean, model.r_on_std, (t, t))
         r_off = _truncated_normal(gen, model.r_off_mean, model.r_off_std, (t, t))
-        yield tp, r_on, r_off, _stuck_from_uniform(gen.random((t, t)), model)
+        yield tp, r_on, r_off, gen.random((t, t))
 
 
 def sample_devices(seed: int, plan: MappingPlan, model: DeviceModel,
@@ -220,24 +245,22 @@ def sample_devices(seed: int, plan: MappingPlan, model: DeviceModel,
     remain as the reference that tests and the benchmark's noise-off check
     call.
     """
-    return {(tp.tile_row, tp.tile_col): TileArray(_unprogrammed(r_on, r_off, stuck),
-                                                  r_on, r_off, stuck)
-            for tp, r_on, r_off, stuck in _tile_draws(seed, plan, model, cfg_hash,
-                                                      layer_index)}
+    tiles = {}
+    for tp, r_on, r_off, u in _tile_draws(seed, plan, model, cfg_hash, layer_index):
+        stuck = _stuck_from_uniform(u, model)
+        tiles[(tp.tile_row, tp.tile_col)] = TileArray(_unprogrammed(r_on, r_off, stuck),
+                                                      r_on, r_off, stuck)
+    return tiles
 
 
-def _pair_targets(codes: np.ndarray, g_on: np.ndarray, g_off: np.ndarray,
-                  w_max: int, model: DeviceModel) -> np.ndarray:
-    """Target conductances of the device pairs of cells ``codes``, from the
-    devices' 1/r_on and 1/r_off. The device arrays carry one more trailing
-    axis than ``codes``: (positive, negative)."""
-    mag = np.abs(codes) / w_max if w_max else np.zeros(codes.shape)
-    active = np.sign(codes)[..., None] == (1, -1)
-    frac = np.where(active, mag[..., None], 0.0)
+def _target_fractions(codes: np.ndarray, w_max: int, model: DeviceModel) -> np.ndarray:
+    """The fraction of g_on - g_off that cells of ``codes`` program on their
+    active device: |code| / w_max, snapped to the n_states uniform grid."""
+    frac = np.abs(codes) / w_max if w_max else np.zeros(codes.shape)
     if model.n_states is not None:
         levels = model.n_states - 1
         frac = np.clip(_round_half_away(frac * levels), 0, levels) / levels
-    return g_off + frac * (g_on - g_off)
+    return frac
 
 
 def _code_peak(weights: WeightTensor) -> int:
@@ -246,12 +269,19 @@ def _code_peak(weights: WeightTensor) -> int:
     return int(np.abs(weights.codes).max(initial=0))
 
 
-def _program_tiles(draws, plan: MappingPlan, weights: WeightTensor,
+# Nonzero cells whose active devices ``_program_tiles`` patches in one run of
+# tiles, unless a single tile holds more.
+_RUN_CELLS = 512
+
+
+def _program_tiles(tiles, plan: MappingPlan, weights: WeightTensor,
                    model: DeviceModel) -> np.ndarray:
     """The layer's conductance matrix G, of shape (plan.rows, 2 * plan.cols),
-    programmed tile by tile from ``draws``, an iterable of (tile, r_on,
-    r_off, stuck) in plan order as ``_tile_draws`` yields them; each tile's
-    arrays are only read, and no longer needed once its block is written.
+    programmed tile by tile from ``tiles``, an iterable of (tile, r_on,
+    r_rest, free) in plan order: each tile's t x t r_on, the resistance each
+    device shows unprogrammed (r_off, or r_on if stuck on) and the mask of
+    its free devices, neither stuck on nor stuck off. The arrays are only
+    read, and not after the next tile is taken.
 
     A weight w with layer peak w_max targets, on its own device,
     g = g_off + (|w| / w_max)(g_on - g_off) on the polarity matching its
@@ -261,9 +291,15 @@ def _program_tiles(draws, plan: MappingPlan, weights: WeightTensor,
     programmed at columns 2n and 2n + 1; cells without devices stay 0.
 
     Each tile's nr x nc block of the physical matrix (``plan.tile_slices``)
-    sits on its first nr device rows and 2 * nc device columns. It goes
-    straight into G: a full layout's as one slice, a compacted layout's
-    mapped cells to their logical rows through ``plan.row_map``.
+    sits on its first nr device rows and 2 * nc device columns. Its 1/r_rest
+    goes straight into G: a full layout's as one slice, a compacted
+    layout's mapped cells to their logical rows through ``plan.row_map``.
+    That is every device's programmed value but a free active device's, the
+    one of a nonzero cell on its code's polarity, as a zero target fraction
+    adds +-0 to g_off. Those are patched with their targets a run of tiles
+    at a time (``_tile_runs``): each tile of the run gives the g_on and free
+    flag of its active devices only, and the run's targets go into G at
+    once, so a run holds at most ``_RUN_CELLS`` cells' worth, or one tile's.
     """
     if plan.geometry is None:
         if plan.rows != weights.codes.shape[1] or plan.cols != weights.codes.shape[0]:
@@ -272,26 +308,83 @@ def _program_tiles(draws, plan: MappingPlan, weights: WeightTensor,
         geom = plan.geometry
         if weights.codes.size != geom.kernels * geom.footprint:
             raise ValueError("weight tensor does not match plan geometry")
+    t, cap = plan.tile_size, mapping.pair_capacity(plan.tile_size)
+    depth, width = plan.codes.shape
     w_max = _code_peak(weights)
     g = np.zeros((plan.rows, plan.cols, 2))
-    for tp, r_on, r_off, stuck in draws:
-        rows, cols = plan.tile_slices(tp)
-        codes = plan.codes[rows, cols]
-        nr, nc = codes.shape
-        dev = np.s_[:nr, :2 * nc]
-        g_on = (1.0 / r_on[dev]).reshape(nr, nc, 2)
-        g_off = (1.0 / r_off[dev]).reshape(nr, nc, 2)
-        state = stuck[dev].reshape(nr, nc, 2)
-        block = _pair_targets(codes, g_on, g_off, w_max, model)
-        np.copyto(block, g_on, where=state == STUCK_ON)
-        np.copyto(block, g_off, where=state == STUCK_OFF)
-        if plan.row_map is None:
-            g[rows, cols] = block
-        else:
-            logical = plan.row_map[rows, cols]
-            pr, pc = np.nonzero(logical >= 0)
-            g[logical[pr, pc], cols.start + pc] = block[pr, pc]
-    return g.reshape(plan.rows, 2 * plan.cols)
+    g2, gf = g.reshape(plan.rows, 2 * plan.cols), g.reshape(-1)
+    tiles = iter(tiles)
+    for run in _tile_runs(plan):
+        at, dev, code, bounds = _active_devices(plan, run)
+        g_on, free = [], []
+        for k, (tp, r_on, r_rest, tile_free) in zip(range(len(run)), tiles):
+            r0, c0 = tp.tile_row * t, tp.tile_col * cap
+            nr, nc = min(t, depth - r0), min(cap, width - c0)
+            if plan.row_map is None:
+                np.reciprocal(r_rest[:nr, :2 * nc], out=g2[r0:r0 + nr, 2 * c0:2 * (c0 + nc)])
+            else:
+                block = np.reciprocal(r_rest[:nr, :2 * nc]).reshape(nr, nc, 2)
+                logical = plan.row_map[r0:r0 + nr, c0:c0 + nc]
+                pr, pc = np.nonzero(logical >= 0)
+                g[logical[pr, pc], c0 + pc] = block[pr, pc]
+            if bounds[k] < bounds[k + 1]:
+                own = dev[bounds[k]:bounds[k + 1]]
+                g_on.append(r_on.reshape(-1)[own])
+                free.append(tile_free.reshape(-1)[own])
+        if g_on:
+            # g_off + frac * (g_on - g_off), in place; G holds g_off there
+            g_off = gf[at]
+            target = np.reciprocal(np.concatenate(g_on))
+            target -= g_off
+            target *= _target_fractions(code, w_max, model)
+            target += g_off
+            gf[at] = np.where(np.concatenate(free), target, g_off)
+    return g2
+
+
+def _tile_runs(plan: MappingPlan):
+    """The plan's tiles in plan order, cut into runs of consecutive tiles of
+    one tile row that hold at most ``_RUN_CELLS`` nonzero cells, or one
+    tile."""
+    t, cap = plan.tile_size, mapping.pair_capacity(plan.tile_size)
+    for tile_row, row in itertools.groupby(plan.tiles, key=lambda tp: tp.tile_row):
+        per_column = np.count_nonzero(plan.codes[tile_row * t:(tile_row + 1) * t], axis=0)
+        nonzero = np.add.reduceat(per_column, np.arange(0, per_column.size, cap)).tolist()
+        run, cells = [], 0
+        for tp in row:
+            if run and (cells + nonzero[tp.tile_col] > _RUN_CELLS
+                        or tp.tile_col != run[-1].tile_col + 1):
+                yield run
+                run, cells = [], 0
+            run.append(tp)
+            cells += nonzero[tp.tile_col]
+        yield run
+
+
+def _active_devices(plan: MappingPlan, run: list):
+    """(at, dev, code, bounds) of the active devices of the nonzero cells of
+    ``run``, column by column: each one's flat index into G as (rows, cols,
+    2), its flat index into its tile's t x t draws, its cell's code, and the
+    list ``bounds``, the k-th tile's devices being ``bounds[k]:bounds[k + 1]``."""
+    t, cap = plan.tile_size, mapping.pair_capacity(plan.tile_size)
+    r0, c0 = run[0].tile_row * t, run[0].tile_col * cap
+    cells = np.s_[r0:r0 + t, c0:(run[-1].tile_col + 1) * cap]
+    codes = plan.codes[cells].T             # column by column, so tile by tile
+    flat = (codes != 0).reshape(-1).nonzero()[0]
+    code = codes.reshape(-1)[flat]
+    n, i = np.divmod(flat, codes.shape[1])
+    bounds = np.searchsorted(n, np.arange(len(run) + 1) * cap).tolist()
+    col = n                                 # the active device's column in the run
+    col *= 2
+    col += code < 0
+    dev = i * t
+    dev += col % (2 * cap)
+    at = (i + r0 if plan.row_map is None
+          else plan.row_map[cells].T.reshape(-1)[flat].astype(np.intp))
+    at *= 2 * plan.cols
+    at += col
+    at += 2 * c0
+    return at, dev, code, bounds
 
 
 def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
@@ -306,8 +399,19 @@ def program(tiles: dict, plan: MappingPlan, weights: WeightTensor,
             ta = tiles.get((tp.tile_row, tp.tile_col))
             if ta is None:
                 raise ValueError(f"no sampled tile for {(tp.tile_row, tp.tile_col)}")
-            yield tp, ta.r_on, ta.r_off, ta.stuck
+            yield (tp, ta.r_on, np.where(ta.stuck == STUCK_ON, ta.r_on, ta.r_off),
+                   ta.stuck == FREE)
     return _program_tiles(draws(), plan, weights, model)
+
+
+def _stuck_states(draws, model: DeviceModel):
+    """``_tile_draws``' tiles as ``_program_tiles`` takes them, with the stuck
+    states of ``_stuck_from_uniform``: r_off turns into r_rest in place,
+    taking r_on where stuck on, and free is u >= p_on + p_off (u is never NaN)."""
+    on, off = model.p_stuck_on, model.p_stuck_on + model.p_stuck_off
+    for tp, r_on, r_off, u in draws:
+        np.copyto(r_off, r_on, where=u < on)
+        yield tp, r_on, r_off, u >= off
 
 
 def program_network(net: QuantizedNetwork, scheme: str, hw: HardwareConfig, seed: int,
@@ -317,11 +421,14 @@ def program_network(net: QuantizedNetwork, scheme: str, hw: HardwareConfig, seed
     the device population alone (network, scheme, tile size, device model
     and seed), never on ``hw.io``.
 
-    Each tile is drawn and programmed in one pass, so no layer's sampled
-    population is held. G is byte-identical to
-    ``program(sample_devices(...))`` of each layer."""
+    Each tile is drawn and written into G in one pass, 1/r_off with 1/r_on
+    where stuck on, and the active devices of its nonzero cells are patched
+    with their run of tiles (``_program_tiles``), so no layer's sampled
+    population is held. G is byte-identical to ``program(sample_devices(...))``
+    of each layer."""
     chash = config_hash(net, scheme, hw)
-    return [_program_tiles(_tile_draws(seed, plan, hw.device, chash, li),
+    return [_program_tiles(_stuck_states(_tile_draws(seed, plan, hw.device, chash, li),
+                                         hw.device),
                            plan, net.layers[li].weights, hw.device)
             for li, plan in enumerate(plans)]
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scipy.sparse import coo_matrix
+
 from xbardse import mapping, qnet
 from xbardse.mapping import (
     SCHEMES,
@@ -22,8 +24,30 @@ from xbardse.mapping import (
     plan_products,
     plans_cost,
     steps_dense_eq3,
-    unroll_conv_staggered,
 )
+
+
+def unroll_conv_staggered(geom: ConvGeometry, kernel: np.ndarray | None = None):
+    """Test oracle: the Toeplitz-style unrolled logical matrix of a conv
+    layer, as a scipy ``csr_matrix``: rows = padded input cells x channels,
+    columns = output positions x kernels; column k*P + p holds the copy of
+    kernel k shifted to output position p."""
+    idx = geom.read_indices()                       # (P, F)
+    k, p, f = geom.kernels, geom.out_positions, geom.footprint
+    if kernel is None:
+        kflat = np.ones((k, f))
+    else:
+        kernel = np.asarray(kernel)
+        if kernel.size != k * f:
+            raise MappingError(f"kernel has {kernel.size} weights, geometry implies {k * f}")
+        kflat = kernel.reshape(k, f).astype(float)
+    rows = np.broadcast_to(idx[None, :, :], (k, p, f)).ravel()
+    cols = np.broadcast_to((np.arange(k) * p)[:, None, None]
+                           + np.arange(p)[None, :, None], (k, p, f)).ravel()
+    data = np.broadcast_to(kflat[:, None, :], (k, p, f)).ravel()
+    mat = coo_matrix((data, (rows, cols)), shape=(geom.padded_inputs, k * p)).tocsr()
+    mat.eliminate_zeros()
+    return mat
 
 
 def geom_1d(kernels=1, kernel_h=3, in_x=5, stride=1, padding=0, dilation=1, channels=1):
@@ -126,6 +150,12 @@ class TestLinearSparse:
         mat[mat % 2 == 0] = 0.0  # 8 zeros
         plan = map_linear_sparse(mat, 4)
         assert cost(plan).rd == 32
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mapper", [map_linear_sparse, map_linear_dense])
+    def test_rejects_non_finite_cells(self, mapper, bad):
+        with pytest.raises(MappingError, match="non-finite"):
+            mapper(np.array([[1.0, bad], [0.0, 2.0]]), 4)
 
     def test_rejects_tiny_tile(self):
         with pytest.raises(MappingError):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_mapping import unroll_conv_staggered
 from test_xbar import assert_same_tiles, per_tile_program
 from xbardse import mapping, qnet, xbar
 from xbardse.mapping import ConvGeometry
@@ -71,7 +72,7 @@ def brute_force_products(layer, scheme):
     geom = ConvGeometry.from_spec(layer.spec)
     k, p, f = geom.kernels, geom.out_positions, geom.footprint
     if scheme == "sparse_staggered":
-        unrolled = mapping.unroll_conv_staggered(geom, np.arange(1, k * f + 1)).tocoo()
+        unrolled = unroll_conv_staggered(geom, np.arange(1, k * f + 1)).tocoo()
         return set(zip(unrolled.row.tolist(), unrolled.col.tolist(),
                        (unrolled.data.astype(np.int64) - 1).tolist()))
     idx = geom.read_indices()

@@ -88,6 +88,34 @@ class TestQuantize:
         assert np.signbit(got[negative_zero]).all()
 
 
+class TestWeightValidation:
+    def one_layer_net(self, codes):
+        spec, = propagate_shapes([qnet.linear(1)], (2,))[0]
+        return QuantizedNetwork("v", 4, (2,), [qnet.Layer(spec, WeightTensor(codes, 1.0, 4))])
+
+    @pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (np.inf, "finite"),
+                                              (-np.inf, "finite"), (0.5, "integers"),
+                                              (8.0, "range"), (-8, "range")],
+                             ids=["nan", "inf", "-inf", "half", "above_range", "below_range"])
+    def test_rejects_codes_that_are_not_in_range_integers(self, bad, message):
+        codes = np.array([[bad, 1.0]])
+        with pytest.raises(ValueError, match=message):
+            WeightTensor(codes, 1.0, 4).validate()
+        with pytest.raises(NetworkFormatError, match=rf"layers\[0\]: .*{message}"):
+            self.one_layer_net(codes).validate()
+
+    @pytest.mark.parametrize("codes", [np.array([[7.0, -7.0]]), np.array([[3, 0]], np.int16),
+                                       np.array([[-0.0, 1.0]]), np.zeros((1, 2), bool)],
+                             ids=["float", "int16", "negative_zero", "bool"])
+    def test_accepts_integral_codes_of_any_numeric_dtype(self, codes):
+        WeightTensor(codes, 1.0, 4).validate()
+        self.one_layer_net(codes).validate()
+
+    def test_rejects_non_numeric_codes(self):
+        with pytest.raises(ValueError, match="numbers"):
+            WeightTensor(np.array([["1", "2"]]), 1.0, 4).validate()
+
+
 class TestSparsity:
     def test_direct_count(self):
         wt = WeightTensor(np.array([[0, 0, 3, -2]]), 1.0, 4)

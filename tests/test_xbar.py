@@ -92,6 +92,54 @@ def layer_layout(plan, tiles, name):
     return out
 
 
+def frozen_program(tiles, plan, weights, model):
+    """Programming as it stood before G was written with 1/r_off and patched
+    on nonzero cells only, kept as a frozen oracle: per tile, every device
+    pair's target g_off + frac * (g_on - g_off) on the polarity of its
+    code's sign (frac 0 on the other), snapped to n_states levels, then
+    stuck-on devices at g_on and stuck-off ones at g_off; the block goes
+    into G as one slice, or through ``row_map`` for compacted layouts."""
+    w_max = int(np.abs(weights.codes).max(initial=0))
+    g = np.zeros((plan.rows, plan.cols, 2))
+    for tp in plan.tiles:
+        ta = tiles[(tp.tile_row, tp.tile_col)]
+        rows, cols = plan.tile_slices(tp)
+        codes = plan.codes[rows, cols]
+        nr, nc = codes.shape
+        dev = np.s_[:nr, :2 * nc]
+        g_on = (1.0 / ta.r_on[dev]).reshape(nr, nc, 2)
+        g_off = (1.0 / ta.r_off[dev]).reshape(nr, nc, 2)
+        state = ta.stuck[dev].reshape(nr, nc, 2)
+        mag = np.abs(codes) / w_max if w_max else np.zeros(codes.shape)
+        frac = np.where(np.sign(codes)[..., None] == (1, -1), mag[..., None], 0.0)
+        if model.n_states is not None:
+            levels = model.n_states - 1
+            frac = np.clip(qnet._round_half_away(frac * levels), 0, levels) / levels
+        block = g_off + frac * (g_on - g_off)
+        np.copyto(block, g_on, where=state == xbar.STUCK_ON)
+        np.copyto(block, g_off, where=state == xbar.STUCK_OFF)
+        if plan.row_map is None:
+            g[rows, cols] = block
+        else:
+            logical = plan.row_map[rows, cols]
+            pr, pc = np.nonzero(logical >= 0)
+            g[logical[pr, pc], cols.start + pc] = block[pr, pc]
+    return g.reshape(plan.rows, 2 * plan.cols)
+
+
+class PlantedNormals:
+    """Generator stand-in for ``_truncated_normal``: its first ``normal``
+    call returns ``first``, every later one the mean; ``sizes`` records the
+    size of each call."""
+
+    def __init__(self, first):
+        self.first, self.sizes = first, []
+
+    def normal(self, mean, std, size):
+        self.sizes.append(size)
+        return self.first.copy() if len(self.sizes) == 1 else np.full(size, mean)
+
+
 def reference_stream(*parts):
     digest = hashlib.blake2b("|".join(str(p) for p in parts).encode(),
                              digest_size=16).digest()
@@ -307,6 +355,49 @@ class TestSampling:
         fresh = reference_stream(5, "second", 0, 3, 4)
         for draw in (lambda g: g.integers(0, 2 ** 32, size=5, dtype=np.uint32),
                      lambda g: g.random(7), lambda g: g.normal(size=9)):
+            assert draw(gen).tobytes() == draw(fresh).tobytes()
+
+    @pytest.mark.parametrize("mean, std", [(10_000.0, 1_000.0), (100_000.0, 10_000.0),
+                                           (1.0, 0.1), (10_000.0, 1_234.5678), (3e-5, 7e-7)])
+    def test_truncation_redraws_the_formulas_set_at_the_edges(self, mean, std):
+        """Planted at mean +- 3 std and one ulp either side, the values
+        ``_truncated_normal`` redraws are exactly those with
+        abs(x - mean) > 3 * std, in flat order."""
+        limit = 3.0 * std
+        edges = [mean - limit, mean + limit]
+        values = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)] + edges
+        first = np.array(values + [mean, mean - 2 * limit, mean + 2 * limit]).reshape(3, 3)
+        want = np.abs(first - mean) > 3.0 * std
+        assert want.any() and not want.all()
+        gen = PlantedNormals(first)
+        got = xbar._truncated_normal(gen, mean, std, first.shape)
+        redrawn = got != first
+        assert np.array_equal(redrawn, want)
+        assert gen.sizes == [first.shape, int(want.sum())]
+        assert (got[redrawn] == mean).all()
+
+    def test_truncation_draws_once_without_out_of_range_values(self):
+        first = np.array([[9_000.0, 11_000.0], [7_000.0, 13_000.0]])
+        gen = PlantedNormals(first)
+        got = xbar._truncated_normal(gen, 10_000.0, 1_000.0, first.shape)
+        assert got.tobytes() == first.tobytes() and gen.sizes == [first.shape]
+
+    @pytest.mark.parametrize("seed, cfg_hash, layer, row, col", [
+        (0, "", 0, 0, 0), (3, "0123456789abcdef", 1, 12, 7), (-1, "a|b", 12, 3, 4),
+        (2 ** 40, "ffffffffffffffff", 7, 1000, 99), (5, "x", 0, 0, 10)])
+    def test_rekey_with_a_prefix_matches_the_full_key(self, seed, cfg_hash, layer, row, col):
+        """A ``_stream_prefix`` state extended by (row, col) keys the same
+        stream as the blake2b digest of the whole key string."""
+        full = hashlib.blake2b("|".join(str(p) for p in (seed, cfg_hash, layer, row, col))
+                               .encode(), digest_size=16).digest()
+        h = xbar._stream_prefix(seed, cfg_hash, layer).copy()
+        h.update(f"{row}|{col}".encode())
+        assert h.digest() == full
+        gen = np.random.Generator(np.random.Philox())
+        gen.random(3)                                       # a used state
+        xbar._rekey(gen, row, col, prefix=xbar._stream_prefix(seed, cfg_hash, layer))
+        fresh = reference_stream(seed, cfg_hash, layer, row, col)
+        for draw in (lambda g: g.random(5), lambda g: g.normal(size=9)):
             assert draw(gen).tobytes() == draw(fresh).tobytes()
 
 
@@ -570,6 +661,54 @@ class TestSimulation:
                         assert (g.dtype, g.shape, g.tobytes()) == \
                             (want.dtype, want.shape, want.tobytes()), (scheme, t, model, li)
         assert layouts == {True, False} and partial > 0
+
+    def test_programming_equals_the_frozen_reference(self, fixture_net):
+        """``program_network`` and ``program`` give G byte-equal to
+        ``frozen_program`` over the sampled tiles: full and compacted
+        layouts, partly filled edge tiles, all-zero and all-nonzero layers,
+        n_states None, 2, 4 and 16, every device stuck on or stuck off, 5 %
+        each, and std 0."""
+        arch = [qnet.conv1d(kernels=5, kernel_h=3), qnet.linear(4)]
+        rng = np.random.default_rng(4)
+        full_codes = random_net("all-nonzero", arch, (2, 9), 4, zero_frac=0.0)
+        for layer in full_codes.layers:
+            codes = layer.weights.codes
+            codes[codes == 0] = rng.choice([-7, 7], size=int((codes == 0).sum()))
+        nets = [(fixture_net, (5, 8)), (random_conv2d_net(), (7, 10)),
+                (random_net("all-zero", arch, (2, 9), 4, zero_frac=1.0), (6,)),
+                (full_codes, (4, 9))]
+        models = [DeviceModel(), DeviceModel(n_states=2), DeviceModel(n_states=4),
+                  DeviceModel(n_states=16, p_stuck_on=0.05, p_stuck_off=0.05),
+                  DeviceModel(p_stuck_on=1.0, p_stuck_off=0.0),
+                  DeviceModel(p_stuck_on=0.0, p_stuck_off=1.0, n_states=16),
+                  DeviceModel(r_on_std=0.0, r_off_std=0.0, p_stuck_on=0.05, p_stuck_off=0.05)]
+        seen = set()
+        for net, sizes in nets:
+            for scheme in mapping.SCHEMES:
+                for t in sizes:
+                    try:
+                        plans = mapping.network_plans(net, scheme, t)
+                    except mapping.MappingError:
+                        continue   # dense_kernel: kernel footprint exceeds t
+                    for model in models:
+                        hw = HardwareConfig(tile_size=t, device=model)
+                        chash = xbar.config_hash(net, scheme, hw)
+                        got = xbar.program_network(net, scheme, hw, 9, plans)
+                        for li, (plan, g) in enumerate(zip(plans, got)):
+                            weights = net.layers[li].weights
+                            sampled = sample_devices(9, plan, model, chash, li)
+                            want = frozen_program(sampled, plan, weights, model)
+                            for mat in (g, program(sampled, plan, weights, model)):
+                                assert (mat.dtype, mat.shape, mat.tobytes()) == \
+                                    (want.dtype, want.shape, want.tobytes()), \
+                                    (net.name, scheme, t, model, li)
+                            seen.add("full" if plan.row_map is None else "compacted")
+                            seen.add("all-zero" if not weights.codes.any() else
+                                     "all-nonzero" if weights.codes.all() else "mixed")
+                            seen.update("partial" for tp in plan.tiles
+                                        if plan.codes[plan.tile_slices(tp)].shape
+                                        != (t, t // 2))
+        assert seen == {"full", "compacted", "all-zero", "all-nonzero", "mixed", "partial"}
 
     @pytest.mark.parametrize("scheme, full, tiles", [("sparse_staggered", True, 64),
                                                      ("dense_routed", False, 40),
