@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -321,8 +322,16 @@ def write_heatmap_svg(path: Path, grid: dse.ContourGrid, title: str) -> None:
 
 def cmd_fixture(args) -> int:
     out = Path(args.out)
+    errors = [f"--{name.replace('_', '-')}: must be >= {FIXTURE_CLASSES}, one sample "
+              f"per class, got {getattr(args, name)}"
+              for name in ("train_size", "test_size")
+              if getattr(args, name) < FIXTURE_CLASSES]
+    if not 0 <= args.l1 < math.inf:
+        errors.append(f"--l1: must be finite and >= 0, got {args.l1}")
     if not out.is_dir():
-        raise ConfigError(f"output directory does not exist: {out}")
+        errors.append(f"output directory does not exist: {out}")
+    if errors:
+        raise ConfigError("invalid arguments:\n  " + "\n  ".join(errors))
     train = qnet.generate_synthetic_dataset(args.seed, args.train_size,
                                             FIXTURE_CLASSES, FIXTURE_SHAPE)
     test = qnet.generate_synthetic_dataset(args.seed + 1, args.test_size,

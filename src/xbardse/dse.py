@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import mapping, xbar
+from . import mapping, qnet, xbar
 from .qnet import Dataset, QuantizedNetwork
 
 # canonical dimension order; also the lexicographic result order
@@ -172,7 +172,7 @@ def grid_search(space: SearchSpace, data: Dataset, networks: dict,
     ``jobs`` or the visiting order.
     """
     space.validate()
-    if not isinstance(jobs, int) or jobs < 1:
+    if not qnet._is_int(jobs) or jobs < 1:
         raise ValueError("jobs must be a positive integer")
     base_model = base_model or xbar.DeviceModel()
     points = list(space.points())

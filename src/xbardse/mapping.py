@@ -124,7 +124,8 @@ class MappingPlan:
 
     def tile_slices(self, tp: TilePlan) -> tuple[slice, slice]:
         """Physical rows and columns of tile ``tp``: [tile_row * t, +t) x
-        [tile_col * pair_capacity, +pair_capacity), clipped to the matrix."""
+        [tile_col * pair_capacity, +pair_capacity). An edge tile's slices
+        reach past the matrix; indexing the matrix with them clips them."""
         t, cap = self.tile_size, pair_capacity(self.tile_size)
         return (slice(tp.tile_row * t, (tp.tile_row + 1) * t),
                 slice(tp.tile_col * cap, (tp.tile_col + 1) * cap))

@@ -653,8 +653,9 @@ def _require(doc: dict, key: str, where: str):
 
 
 def _is_int(value) -> bool:
-    """A JSON integer; ``true`` and ``false`` load as bools, which are ints."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An int or numpy integer, never a bool: JSON ``true`` and ``false``
+    load as bools, which are ints."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _require_int(doc: dict, key: str, where: str) -> int:

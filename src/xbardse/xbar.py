@@ -38,8 +38,7 @@ All randomness flows through counter-based Philox streams keyed by
 grid, with devices drawn in a fixed canonical order inside each tile, so
 results never depend on evaluation order or worker count; one bit
 generator per layer is re-keyed for every stream rather than one built per
-tile, from a copy of a blake2b state that has hashed the layer's part of
-the key. Resistance samples are truncated at three standard
+tile. Resistance samples are truncated at three standard
 deviations and redrawn, which keeps them positive and preserves
 r_on < r_off for the default parameters; after the first pass only the
 redrawn positions are re-checked, which consumes the same draws.
@@ -49,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -63,6 +63,12 @@ from .qnet import QuantizedNetwork, WeightTensor, _round_half_away, ideal_forwar
 IDEAL_IO_BITS = 16
 
 FREE, STUCK_ON, STUCK_OFF = 0, 1, 2
+
+
+def _is_whole(value) -> bool:
+    """An integer (``qnet._is_int``) or a float of integral value: a level or
+    bit count enters only arithmetic, where 4.0 computes what 4 does."""
+    return qnet._is_int(value) or (isinstance(value, float) and value.is_integer())
 
 
 @dataclass(frozen=True)
@@ -82,14 +88,20 @@ class DeviceModel:
     p_stuck_off: float = 0.005
 
     def __post_init__(self):
-        if not 0 < self.r_on_mean < self.r_off_mean:
-            raise ValueError("need 0 < r_on_mean < r_off_mean")
-        if self.r_on_std < 0 or self.r_off_std < 0:
+        # positive conditions, so that NaN fails each of them
+        if not 0 < self.r_on_mean < self.r_off_mean < math.inf:
+            raise ValueError("need 0 < r_on_mean < r_off_mean < inf")
+        if not (self.r_on_std >= 0 and self.r_off_std >= 0):
             raise ValueError("resistance std must be >= 0")
-        if self.n_states is not None and self.n_states < 2:
-            raise ValueError("n_states must be >= 2 (or None for continuous)")
-        if min(self.p_stuck_on, self.p_stuck_off) < 0 or \
-                self.p_stuck_on + self.p_stuck_off > 1:
+        if not (self.r_on_std < math.inf and self.r_off_std < math.inf):
+            raise ValueError("resistance std must be finite")
+        if self.n_states is not None:
+            if not _is_whole(self.n_states):
+                raise ValueError("n_states must be a whole number (or None for continuous)")
+            if self.n_states < 2:
+                raise ValueError("n_states must be >= 2 (or None for continuous)")
+        if not (self.p_stuck_on >= 0 and self.p_stuck_off >= 0
+                and self.p_stuck_on + self.p_stuck_off <= 1):
             raise ValueError("stuck probabilities must be >= 0 and sum to <= 1")
 
     @property
@@ -111,10 +123,17 @@ class IOConfig:
     batch_size: int = 256
 
     def __post_init__(self):
-        if self.io_bit_width is not None and self.io_bit_width < 1:
-            raise ValueError("io_bit_width must be >= 1")
-        if self.v_max <= 0:
+        if self.io_bit_width is not None:
+            if not _is_whole(self.io_bit_width):
+                raise ValueError("io_bit_width must be a whole number (or None for ideal)")
+            if self.io_bit_width < 1:
+                raise ValueError("io_bit_width must be >= 1")
+        if not self.v_max > 0:
             raise ValueError("v_max must be > 0")
+        if not self.v_max < math.inf:
+            raise ValueError("v_max must be finite")
+        if not qnet._is_int(self.batch_size):
+            raise ValueError("batch_size must be an integer")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -144,42 +163,25 @@ def config_hash(net: QuantizedNetwork, scheme: str, hw: HardwareConfig) -> str:
                            digest_size=8).hexdigest()
 
 
-def _stream_prefix(*parts) -> hashlib.blake2b:
-    """A blake2b state that has read the key string of ``parts`` and the
-    separator after it; ``_rekey`` extends a copy of it for each stream keyed
-    under those parts, as hashing the whole key string would."""
-    return hashlib.blake2b("".join(f"{p}|" for p in parts).encode(), digest_size=16)
-
-
-def _rekey(gen: np.random.Generator, *parts, prefix=None) -> None:
+def _rekey(gen: np.random.Generator, *parts) -> None:
     """Restart ``gen``'s Philox bit generator on the stream keyed by the
-    blake2b digest of ``parts``, after ``prefix``'s parts if one from
-    ``_stream_prefix`` is given: counter 0 and empty output buffers, the
-    state ``np.random.Philox(key=...)`` starts in, without building a new
-    one."""
-    h = hashlib.blake2b(digest_size=16) if prefix is None else prefix.copy()
-    h.update("|".join(map(str, parts)).encode())
+    blake2b digest of ``parts`` joined by "|": counter 0 and empty output
+    buffers, the state ``np.random.Philox(key=...)`` starts in, without
+    building a new one."""
+    digest = hashlib.blake2b("|".join(map(str, parts)).encode(), digest_size=16).digest()
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": struct.unpack("<2Q", h.digest())},
+        "state": {"counter": (0, 0, 0, 0), "key": struct.unpack("<2Q", digest)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def _out_of_range(x: np.ndarray, mean: float, limit: float) -> np.ndarray:
-    """Mask of abs(x - mean) > limit, with one temporary besides the mask."""
-    dev = np.subtract(x, mean)
-    return np.abs(dev, out=dev) > limit
 
 
 def _truncated_normal(gen: np.random.Generator, mean: float, std: float,
                       shape) -> np.ndarray:
     """Normal samples truncated at 3 sigma, out-of-range values redrawn."""
     vals = gen.normal(mean, std, shape)
-    if std == 0:
-        return vals
     limit = 3.0 * std
     flat = vals.reshape(-1)
-    bad = _out_of_range(flat, mean, limit).nonzero()[0]
+    bad = (np.abs(flat - mean) > limit).nonzero()[0]
     for _ in range(100):
         if bad.size == 0:
             return vals
@@ -187,7 +189,7 @@ def _truncated_normal(gen: np.random.Generator, mean: float, std: float,
         # flat order, so each round consumes the stream as a full re-check would
         redraw = gen.normal(mean, std, bad.size)
         flat[bad] = redraw
-        bad = bad[_out_of_range(redraw, mean, limit)]
+        bad = bad[np.abs(redraw - mean) > limit]
     return np.clip(vals, mean - limit, mean + limit)
 
 
@@ -223,12 +225,12 @@ def _tile_draws(seed: int, plan: MappingPlan, model: DeviceModel, cfg_hash: str,
     """Yield (tile, r_on, r_off, u) for every tile of ``plan``, in plan order:
     full t x t arrays drawn from the stream keyed by (seed, cfg_hash,
     layer_index, tile_row, tile_col), r_on, then r_off, then the uniforms
-    that set the stuck states (``_stuck_from_uniform``)."""
+    that set the stuck states (``_stuck_from_uniform``). One generator is
+    re-keyed for every tile (``_rekey``)."""
     t = plan.tile_size
-    gen = np.random.Generator(np.random.Philox(key=0))   # re-keyed for every stream
-    prefix = _stream_prefix(seed, cfg_hash, layer_index)
+    gen = np.random.Generator(np.random.Philox(key=0))
     for tp in plan.tiles:
-        _rekey(gen, tp.tile_row, tp.tile_col, prefix=prefix)
+        _rekey(gen, seed, cfg_hash, layer_index, tp.tile_row, tp.tile_col)
         r_on = _truncated_normal(gen, model.r_on_mean, model.r_on_std, (t, t))
         r_off = _truncated_normal(gen, model.r_off_mean, model.r_off_std, (t, t))
         yield tp, r_on, r_off, gen.random((t, t))

@@ -51,6 +51,27 @@ class TestFixtureCommand:
     def test_missing_out_dir_exit_2(self, tmp_path):
         assert main(["fixture", "--out", str(tmp_path / "absent")]) == 2
 
+    @pytest.mark.parametrize("args, lines", [
+        (["--train-size", "0"], ["--train-size: must be >= 4, one sample per class, got 0"]),
+        (["--test-size", "2"], ["--test-size: must be >= 4, one sample per class, got 2"]),
+        (["--l1", "-1"], ["--l1: must be finite and >= 0, got -1.0"]),
+        (["--l1", "nan"], ["--l1: must be finite and >= 0, got nan"]),
+        (["--l1", "inf"], ["--l1: must be finite and >= 0, got inf"]),
+        (["--train-size", "3", "--test-size", "-1", "--l1=-inf"],
+         ["--train-size: must be >= 4, one sample per class, got 3",
+          "--test-size: must be >= 4, one sample per class, got -1",
+          "--l1: must be finite and >= 0, got -inf"]),
+    ], ids=["train-size", "test-size", "l1-negative", "l1-nan", "l1-inf", "all"])
+    def test_bad_arguments_exit_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                  args, lines):
+        def no_training(*a, **k):
+            raise AssertionError("trained on bad arguments")
+        monkeypatch.setattr(qnet, "train_fixture", no_training)
+        assert main(["fixture", "--out", str(tmp_path), *args]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: invalid arguments:\n" + "".join(f"  {l}\n" for l in lines)
+        assert not any(tmp_path.iterdir())
+
 
 class TestCostCommand:
     def test_table_and_csv(self, workdir, tmp_path, capsys):
@@ -218,6 +239,33 @@ BAD_DIMENSIONS = {
                        "space.std_multiplier: -1.0: resistance std must be >= 0"),
 }
 
+# values that are not integers where one is needed, or not finite: (section,
+# key, value, the error line); "space" keys take a list, so one config can
+# carry several values of a key
+BAD_VALUES = {
+    "batch_size-float": ("space", "batch_size", 16.5,
+                         "space.batch_size: 16.5: batch_size must be an integer"),
+    "batch_size-true": ("space", "batch_size", True,
+                        "space.batch_size: True: batch_size must be an integer"),
+    "io_bit_width-float": ("space", "io_bit_width", 4.5, "space.io_bit_width: 4.5: "
+                           "io_bit_width must be a whole number (or None for ideal)"),
+    "io_bit_width-true": ("space", "io_bit_width", True, "space.io_bit_width: True: "
+                          "io_bit_width must be a whole number (or None for ideal)"),
+    "n_states-float": ("space", "n_states", 4.5, "space.n_states: 4.5: "
+                       "n_states must be a whole number (or None for continuous)"),
+    "p_stuck_on-nan": ("space", "p_stuck_on", float("nan"),
+                       "space.p_stuck_on/p_stuck_off: nan/0.005: "
+                       "stuck probabilities must be >= 0 and sum to <= 1"),
+    "std_multiplier-nan": ("space", "std_multiplier", float("nan"),
+                           "space.std_multiplier: nan: resistance std must be >= 0"),
+    "std_multiplier-inf": ("space", "std_multiplier", float("inf"),
+                           "space.std_multiplier: inf: resistance std must be finite"),
+    "v_max-nan": ("space", "v_max", float("nan"), "space.v_max: nan: v_max must be > 0"),
+    "v_max-inf": ("space", "v_max", float("inf"), "space.v_max: inf: v_max must be finite"),
+    "r_on_std-nan": ("device", "r_on_std", float("nan"),
+                     "device: resistance std must be >= 0"),
+}
+
 
 class TestDseCommand:
     @pytest.mark.parametrize("names", [[name] for name in BAD_DIMENSIONS] + [list(BAD_DIMENSIONS)],
@@ -231,6 +279,27 @@ class TestDseCommand:
         assert err.count("\n  ") == len(names)       # one line per bad value, all at once
         for name in names:
             assert f"\n  {BAD_DIMENSIONS[name][1]}\n" in err
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("names", [[name] for name in BAD_VALUES] + [list(BAD_VALUES)],
+                             ids=[*BAD_VALUES, "all"])
+    def test_non_integer_and_non_finite_values_exit_2_at_load(self, workdir, tmp_path,
+                                                              capsys, names):
+        cfg = dse_config(workdir, tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["device"] = {}
+        for name in names:
+            section, key, value, _ = BAD_VALUES[name]
+            if section == "space":
+                doc["space"].setdefault(key, []).append(value)
+            else:
+                doc["device"][key] = value
+        cfg.write_text(json.dumps(doc))       # NaN and Infinity, as json writes them
+        assert main(["dse", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration:\n")
+        lines = err.splitlines()[1:]
+        assert sorted(lines) == sorted(f"  {BAD_VALUES[name][3]}" for name in names)
         assert not (tmp_path / "results.csv").exists()
 
     def test_full_run(self, workdir, tmp_path):

@@ -70,7 +70,7 @@ class TestGridSearch:
             assert (ra.tsa, ra.raw_score, ra.normalized_score) == \
                    (rb.tsa, rb.raw_score, rb.normalized_score)
 
-    @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2"])
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2", True])
     def test_jobs_must_be_a_positive_integer(self, jobs, fixture_net, test_data):
         space = SearchSpace(network=[fixture_net.name])
         with pytest.raises(ValueError, match="jobs"):

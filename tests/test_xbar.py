@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -280,6 +281,46 @@ class TestDeviceModel:
         assert IOConfig(io_bit_width=16).quantizes is False
         assert IOConfig(io_bit_width=8).quantizes is True
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_states": 4.5}, "n_states must be a whole number"),
+        ({"n_states": True}, "n_states must be a whole number"),
+        ({"r_on_std": math.nan}, "resistance std must be >= 0"),
+        ({"r_off_std": -math.inf}, "resistance std must be >= 0"),
+        ({"r_off_std": math.inf}, "resistance std must be finite"),
+        ({"r_on_mean": math.nan}, "r_on_mean < r_off_mean"),
+        ({"r_off_mean": math.inf}, "r_off_mean < inf"),
+        ({"p_stuck_on": math.nan}, "stuck probabilities"),
+        ({"p_stuck_off": math.nan}, "stuck probabilities"),
+        ({"p_stuck_on": math.inf}, "stuck probabilities"),
+        ({"p_stuck_off": -math.inf}, "stuck probabilities"),
+    ])
+    def test_rejects_non_integer_and_non_finite_values(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            DeviceModel(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"io_bit_width": 4.5}, "io_bit_width must be a whole number"),
+        ({"io_bit_width": True}, "io_bit_width must be a whole number"),
+        ({"io_bit_width": np.float64(8.5)}, "io_bit_width must be a whole number"),
+        ({"batch_size": 16.5}, "batch_size must be an integer"),
+        ({"batch_size": True}, "batch_size must be an integer"),
+        ({"batch_size": np.bool_(True)}, "batch_size must be an integer"),
+        ({"v_max": math.nan}, "v_max must be > 0"),
+        ({"v_max": -math.inf}, "v_max must be > 0"),
+        ({"v_max": math.inf}, "v_max must be finite"),
+    ])
+    def test_io_rejects_non_integer_and_non_finite_values(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            IOConfig(**kwargs)
+
+    def test_integer_values_are_accepted(self):
+        assert DeviceModel(n_states=np.int64(16)).n_states == 16
+        io = IOConfig(io_bit_width=np.int32(8), batch_size=np.int64(64))
+        assert io.quantizes and io.batch_size == 64
+        # a float of integral value counts levels or bits as the integer does
+        assert DeviceModel(n_states=16.0).n_states == 16
+        assert IOConfig(io_bit_width=8.0).quantizes
+
 
 class TestSampling:
     def test_deterministic(self):
@@ -385,17 +426,12 @@ class TestSampling:
     @pytest.mark.parametrize("seed, cfg_hash, layer, row, col", [
         (0, "", 0, 0, 0), (3, "0123456789abcdef", 1, 12, 7), (-1, "a|b", 12, 3, 4),
         (2 ** 40, "ffffffffffffffff", 7, 1000, 99), (5, "x", 0, 0, 10)])
-    def test_rekey_with_a_prefix_matches_the_full_key(self, seed, cfg_hash, layer, row, col):
-        """A ``_stream_prefix`` state extended by (row, col) keys the same
-        stream as the blake2b digest of the whole key string."""
-        full = hashlib.blake2b("|".join(str(p) for p in (seed, cfg_hash, layer, row, col))
-                               .encode(), digest_size=16).digest()
-        h = xbar._stream_prefix(seed, cfg_hash, layer).copy()
-        h.update(f"{row}|{col}".encode())
-        assert h.digest() == full
+    def test_rekey_keys_the_stream_of_the_joined_parts(self, seed, cfg_hash, layer, row, col):
+        """From a used state, ``_rekey`` on a tile's key parts gives the
+        stream of the blake2b digest of the whole "|"-joined key string."""
         gen = np.random.Generator(np.random.Philox())
         gen.random(3)                                       # a used state
-        xbar._rekey(gen, row, col, prefix=xbar._stream_prefix(seed, cfg_hash, layer))
+        xbar._rekey(gen, seed, cfg_hash, layer, row, col)
         fresh = reference_stream(seed, cfg_hash, layer, row, col)
         for draw in (lambda g: g.random(5), lambda g: g.normal(size=9)):
             assert draw(gen).tobytes() == draw(fresh).tobytes()
