@@ -112,6 +112,7 @@ def _device_model(base: xbar.DeviceModel, dims: dict) -> xbar.DeviceModel:
     p_stuck_on, p_stuck_off and std_multiplier, which scales both
     resistance stds) applied."""
     mult = dims.get("std_multiplier", 1.0)
+    xbar._reject_bools(std_multiplier=mult)
     return replace(
         base, r_on_std=base.r_on_std * mult, r_off_std=base.r_off_std * mult,
         **{k: dims[k] for k in ("n_states", "p_stuck_on", "p_stuck_off") if k in dims})

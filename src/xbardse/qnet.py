@@ -384,6 +384,36 @@ class Dataset:
 _CONV_CHUNK_ELEMENTS = 1 << 18
 
 
+def _chunk_rows(width: int, multiple: int = 1) -> int:
+    """Rows per chunk of a batch whose rows hold ``width`` elements each: the
+    most whole multiples of ``multiple`` rows that stay within
+    ``_CONV_CHUNK_ELEMENTS`` elements, and at least one multiple."""
+    return multiple * max(1, _CONV_CHUNK_ELEMENTS // (multiple * width))
+
+
+def _forward_width(net: QuantizedNetwork) -> int:
+    """Elements per sample of the widest array ``ideal_forward`` builds: the
+    input and, per layer, a linear layer's in or out features, or a conv
+    layer's padded input, window copy (out positions x footprint) and output
+    (kernels x out positions)."""
+    widest = math.prod(net.input_shape)
+    for layer in net.layers:
+        spec = layer.spec
+        if spec.kind == "linear":
+            widest = max(widest, spec.in_features, spec.out_features)
+            continue
+        p = spec.padding
+        padded = spec.in_x + 2 * p
+        positions = out_extent(spec.in_x, spec.kernel_h, spec.stride, p, spec.dilation)
+        if spec.kind == "conv2d":
+            padded *= spec.in_y + 2 * p
+            positions *= out_extent(spec.in_y, spec.kernel_w, spec.stride, p, spec.dilation)
+        footprint = spec.in_channels * spec.kernel_h * spec.kernel_w
+        widest = max(widest, spec.in_channels * padded, positions * footprint,
+                     spec.kernels * positions)
+    return widest
+
+
 def _zero_pad(x: np.ndarray, p: int) -> np.ndarray:
     """``x`` with ``p`` zeros on both sides of every spatial axis (axes 2 on),
     ``x`` itself when p is 0; callers only read it. The values of ``np.pad``,

@@ -71,6 +71,14 @@ def _is_whole(value) -> bool:
     return qnet._is_int(value) or (isinstance(value, float) and value.is_integer())
 
 
+def _reject_bools(**values) -> None:
+    """Raise for the first of ``values`` that is a bool: JSON ``true`` and
+    ``false`` load as bools, which pass as the numbers 1 and 0."""
+    for name, value in values.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, not {value}")
+
+
 @dataclass(frozen=True)
 class DeviceModel:
     """Per-device resistance distributions and failure rates.
@@ -88,6 +96,9 @@ class DeviceModel:
     p_stuck_off: float = 0.005
 
     def __post_init__(self):
+        _reject_bools(r_on_mean=self.r_on_mean, r_on_std=self.r_on_std,
+                      r_off_mean=self.r_off_mean, r_off_std=self.r_off_std,
+                      p_stuck_on=self.p_stuck_on, p_stuck_off=self.p_stuck_off)
         # positive conditions, so that NaN fails each of them
         if not 0 < self.r_on_mean < self.r_off_mean < math.inf:
             raise ValueError("need 0 < r_on_mean < r_off_mean < inf")
@@ -128,6 +139,7 @@ class IOConfig:
                 raise ValueError("io_bit_width must be a whole number (or None for ideal)")
             if self.io_bit_width < 1:
                 raise ValueError("io_bit_width must be >= 1")
+        _reject_bools(v_max=self.v_max)
         if not self.v_max > 0:
             raise ValueError("v_max must be > 0")
         if not self.v_max < math.inf:
@@ -503,7 +515,8 @@ def simulate_forward(net: QuantizedNetwork, plans: list[MappingPlan],
     possibly short; each group has its own input-voltage scale per layer.
     Groups go through in chunks of as many whole groups as keep the largest
     layer current matrix (reads_per_sample * 2 * cols per sample) within
-    ``qnet._CONV_CHUNK_ELEMENTS`` elements, at least one group. Each layer of
+    ``qnet._CONV_CHUNK_ELEMENTS`` elements, at least one group: the rule of
+    ``qnet._chunk_rows``, which ADC calibration shares. Each layer of
     a chunk is encoded, read with one ``tile_vmm`` and read out once, with
     the per-row scales as an (rows, 1) column, or as one scalar when a
     single group is read. A group whose input peak is 0, and a layer whose
@@ -523,7 +536,7 @@ def simulate_forward(net: QuantizedNetwork, plans: list[MappingPlan],
             raise ValueError(f"layer {li}: conductance matrix of shape {np.shape(g)}, "
                              f"plan needs {(plan.rows, 2 * plan.cols)}")
     per_sample = max(plan.reads_per_sample * 2 * plan.cols for plan in plans)
-    step = io.batch_size * max(1, qnet._CONV_CHUNK_ELEMENTS // (io.batch_size * per_sample))
+    step = qnet._chunk_rows(per_sample, io.batch_size)
     return np.concatenate([_forward_chunk(net, plans, conductances, x[start:start + step],
                                           io, model, adc_ranges)
                            for start in range(0, len(x), step)])
@@ -592,14 +605,32 @@ def _read_layer(flat: np.ndarray, scale: float | np.ndarray, layer: qnet.Layer,
 
 
 def calibrate_adc_ranges(net: QuantizedNetwork, data: qnet.Dataset) -> list[tuple[float, float]]:
-    """Per-layer pre-activation output ranges from one noiseless
-    ``ideal_forward`` pass over the dataset; the fixed ADC window every
-    non-ideal run then uses. Only the two numbers of each layer are kept,
-    not its pre-activations, so the pass holds one layer's input and output
-    at a time."""
+    """Per-layer pre-activation output ranges of the noiseless
+    ``ideal_forward`` over the dataset; the fixed ADC window every
+    non-ideal run then uses.
+
+    The samples go through ``ideal_forward`` in chunks of
+    ``qnet._chunk_rows(w)`` rows, where w is the widest per-sample array the
+    pass builds (``qnet._forward_width``), and each layer's (min, max) is
+    folded as the chunks pass. Only those two numbers per layer are kept, so
+    the pass holds one layer's input and output for one chunk at a time,
+    whatever the size of the set. A set within one chunk is one
+    ``ideal_forward`` call and gets exactly the ranges of one full pass; a
+    larger one may differ from those by a few ulps, since BLAS blocks the
+    rows of a product differently with their count."""
+    if len(data) == 0:
+        raise ValueError("empty dataset")
+    step = qnet._chunk_rows(qnet._forward_width(net))
     ranges = []
-    ideal_forward(net, data.features,
-                  on_preact=lambda z: ranges.append((float(z.min()), float(z.max()))))
+    for start in range(0, len(data), step):
+        chunk = []
+        ideal_forward(net, data.features[start:start + step],
+                      on_preact=lambda z, chunk=chunk: chunk.append((float(z.min()),
+                                                                      float(z.max()))))
+        if ranges:
+            chunk = [(min(lo, c_lo), max(hi, c_hi))
+                     for (lo, hi), (c_lo, c_hi) in zip(ranges, chunk)]
+        ranges = chunk
     return ranges
 
 

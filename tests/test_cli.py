@@ -262,6 +262,13 @@ BAD_VALUES = {
                            "space.std_multiplier: inf: resistance std must be finite"),
     "v_max-nan": ("space", "v_max", float("nan"), "space.v_max: nan: v_max must be > 0"),
     "v_max-inf": ("space", "v_max", float("inf"), "space.v_max: inf: v_max must be finite"),
+    "p_stuck_on-true": ("space", "p_stuck_on", True,
+                        "space.p_stuck_on/p_stuck_off: True/0.005: "
+                        "p_stuck_on must be a number, not True"),
+    "std_multiplier-true": ("space", "std_multiplier", True,
+                            "space.std_multiplier: True: "
+                            "std_multiplier must be a number, not True"),
+    "v_max-true": ("space", "v_max", True, "space.v_max: True: v_max must be a number, not True"),
     "r_on_std-nan": ("device", "r_on_std", float("nan"),
                      "device: resistance std must be >= 0"),
 }

@@ -293,6 +293,10 @@ class TestDeviceModel:
         ({"p_stuck_off": math.nan}, "stuck probabilities"),
         ({"p_stuck_on": math.inf}, "stuck probabilities"),
         ({"p_stuck_off": -math.inf}, "stuck probabilities"),
+        ({"r_on_std": True}, "r_on_std must be a number, not True"),
+        ({"r_off_mean": np.bool_(True)}, "r_off_mean must be a number, not True"),
+        ({"p_stuck_on": True, "p_stuck_off": False}, "p_stuck_on must be a number, not True"),
+        ({"p_stuck_off": False}, "p_stuck_off must be a number, not False"),
     ])
     def test_rejects_non_integer_and_non_finite_values(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -308,6 +312,8 @@ class TestDeviceModel:
         ({"v_max": math.nan}, "v_max must be > 0"),
         ({"v_max": -math.inf}, "v_max must be > 0"),
         ({"v_max": math.inf}, "v_max must be finite"),
+        ({"v_max": True}, "v_max must be a number, not True"),
+        ({"v_max": np.bool_(True)}, "v_max must be a number, not True"),
     ])
     def test_io_rejects_non_integer_and_non_finite_values(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -650,6 +656,74 @@ class TestCalibration:
             tracemalloc.stop()
         assert len(ranges) == len(arch)
         assert peak <= 3 * activation + 2 * qnet._CONV_CHUNK_ELEMENTS * 8
+
+    def test_peak_does_not_grow_with_the_set(self):
+        """On a conv net whose first layer's output is 12.5 kB a sample, the
+        traced peak of calibrating 4,096 samples is that of 512 samples, to
+        within one chunk's arrays; one pass over the whole set would hold
+        layer outputs of 6.4 MB and 51 MB."""
+        arch = [qnet.conv2d(8, 3, 3), qnet.conv2d(16, 3, 3, stride=2), qnet.linear(10)]
+        net = random_net("streamed", arch, (1, 16, 16), 4)
+        x = np.random.default_rng(4).normal(size=(4096, 1, 16, 16))
+        peaks = []
+        for n in (512, 4096):
+            data = qnet.Dataset(x[:n], np.zeros(n, np.int64), 10)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                ranges = xbar.calibrate_adc_ranges(net, data)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            assert len(ranges) == len(arch)
+        assert abs(peaks[1] - peaks[0]) <= qnet._CONV_CHUNK_ELEMENTS * 8, peaks
+
+    def test_streams_chunks_and_matches_one_full_pass(self, monkeypatch):
+        """On three chunks and a remainder, calibration calls ``ideal_forward``
+        once per chunk, on consecutive slices of the set, and its ranges equal
+        the min and max of one full-batch pass within 1e-12 relative. The
+        chunk width is the widest array of the pass, checked against
+        ``ConvGeometry``."""
+        conv2d = [qnet.conv2d(8, 3, 3), qnet.conv2d(16, 3, 3, stride=2), qnet.linear(10)]
+        conv1d = [qnet.conv1d(4, 3, padding=2, dilation=2), qnet.conv1d(3, 2, stride=2),
+                  qnet.linear(4)]
+        dense = [qnet.linear(6), qnet.linear(9), qnet.linear(3)]
+        # rows per chunk: None keeps the default chunk
+        cases = [(random_net("conv2d-stride", conv2d, (1, 16, 16), 6), None),
+                 (random_net("conv1d", conv1d, (2, 11), 1), 5),
+                 (random_conv2d_net(), 4),
+                 (random_net("linear", dense, (7,), 2), 6)]
+        forward = xbar.ideal_forward
+        for i, (net, rows) in enumerate(cases):
+            width = math.prod(net.input_shape)
+            for layer in net.layers:
+                if layer.spec.kind == "linear":
+                    width = max(width, layer.spec.in_features, layer.spec.out_features)
+                else:
+                    geom = qnet.ConvGeometry.from_spec(layer.spec)
+                    width = max(width, geom.padded_inputs, geom.out_positions * geom.footprint,
+                                geom.kernels * geom.out_positions)
+            assert qnet._forward_width(net) == width, net.name
+            with monkeypatch.context() as patch:
+                if rows is not None:
+                    patch.setattr(qnet, "_CONV_CHUNK_ELEMENTS", rows * width + width - 1)
+                step = qnet._chunk_rows(width)
+                assert step == (rows or qnet._CONV_CHUNK_ELEMENTS // width)
+                n = 3 * step + step // 2 + 1
+                x = np.random.default_rng(i).normal(size=(n, *net.input_shape))
+                calls = []
+                patch.setattr(xbar, "ideal_forward", lambda net, batch, **kw:
+                              calls.append(batch) or forward(net, batch, **kw))
+                got = xbar.calibrate_adc_ranges(net, qnet.Dataset(x, np.zeros(n, np.int64), 4))
+            assert [len(batch) for batch in calls] == [step] * 3 + [n - 3 * step], net.name
+            for c, batch in enumerate(calls):
+                assert np.array_equal(batch, x[c * step:(c + 1) * step])
+            want = []
+            forward(net, x, on_preact=lambda z: want.append((z.min(), z.max())))
+            assert len(got) == len(want) == len(net.layers)
+            for (lo, hi), (want_lo, want_hi) in zip(got, want):
+                assert abs(lo - want_lo) <= 1e-12 * abs(want_lo), net.name
+                assert abs(hi - want_hi) <= 1e-12 * abs(want_hi), net.name
 
 
 class TestSimulation:
