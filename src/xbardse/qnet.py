@@ -30,16 +30,19 @@ class NetworkFormatError(ValueError):
     """A network or dataset file failed validation; message names the field."""
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
+def _round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Round to the nearest integer, halves away from zero.
 
     Equal to sign(x) * floor(|x| + 0.5) in value; computed in one buffer,
-    with the sign copied back, so -0.0 stays -0.0.
+    a new one or ``out``, which may be ``x`` itself to round in place. The
+    sign goes back by negating where x's sign bit was set, so -0.0 stays
+    -0.0.
     """
-    y = np.asarray(np.abs(x), dtype=float)
+    neg = np.signbit(x)
+    y = np.asarray(np.abs(x), dtype=float) if out is None else np.abs(x, out=out)
     y += 0.5
     np.floor(y, out=y)
-    return np.copysign(y, x, out=y)
+    return np.negative(y, out=y, where=neg)
 
 
 # ---------------------------------------------------------------------------
@@ -429,36 +432,43 @@ def _zero_pad(x: np.ndarray, p: int) -> np.ndarray:
 def _conv_forward(spec: LayerSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Direct sliding-window convolution; the reference for everything else.
 
-    The windows are a strided view of the padded input, built here and not
-    from ``ConvGeometry.read_indices``, so the oracle stays independent of
-    the gather the simulator uses. They are contracted with the kernels over
-    the channel and kernel axes by ``np.tensordot``, which runs as one BLAS
-    matrix product. tensordot first copies its operand into an im2col
-    matrix, so the samples go through in chunks of at most
-    ``_CONV_CHUNK_ELEMENTS`` window elements, each written into one
-    preallocated output. Peak memory then stays near that of the output, as
-    with a copy-free ``np.einsum`` over the view, which runs unblocked and
-    is several times slower.
+    The kernels are contracted with every window over the channel and
+    kernel axes as one BLAS matrix product per chunk, on the matrices
+    ``np.tensordot`` would build: the windows as an (n * positions,
+    footprint) matrix ordered (c, kh, kw), and the kernels transposed to
+    (footprint, kernels). The window matrix is gathered from the padded
+    input at window positions taken from a strided view of an index grid,
+    built here and not from ``ConvGeometry.read_indices``, so the oracle
+    stays independent of the gather the simulator uses. The samples go
+    through in chunks of at most ``_CONV_CHUNK_ELEMENTS`` window elements,
+    each written into one preallocated output, so peak memory stays near
+    that of the output.
     """
     p, s, d = spec.padding, spec.stride, spec.dilation
     xp = _zero_pad(x, p)
+    grid = np.arange(math.prod(xp.shape[1:])).reshape(xp.shape[1:])
     if spec.kind == "conv1d":
         span = d * (spec.kernel_h - 1) + 1
-        win = sliding_window_view(xp, span, axis=2)[:, :, ::s, ::d]  # (n, c, x, h)
-        spatial, axes = win.shape[2:3], ([1, 3], [1, 2])
+        win = sliding_window_view(grid, span, axis=1)[:, ::s, ::d]   # (c, x, h)
+        spatial = win.shape[1:2]
     else:
         span_h = d * (spec.kernel_h - 1) + 1
         span_w = d * (spec.kernel_w - 1) + 1
-        win = sliding_window_view(xp, (span_h, span_w), axis=(2, 3))[:, :, ::s, ::s, ::d, ::d]
-        spatial, axes = win.shape[2:4], ([1, 4, 5], [1, 2, 3])     # (n, c, x, y, h, w)
+        win = sliding_window_view(grid, (span_h, span_w), axis=(1, 2))[:, ::s, ::s, ::d, ::d]
+        spatial = win.shape[1:3]                                    # (c, x, y, h, w)
+    # (c, *spatial, *kernel) -> (positions, footprint), footprint ordered (c, *kernel)
+    idx = np.moveaxis(win, 0, len(spatial)).reshape(math.prod(spatial), -1)
+    kernels = w.shape[0]
+    b = w.transpose(*range(1, w.ndim), 0).reshape(-1, kernels)
     n = x.shape[0]
-    out = np.empty((n, w.shape[0], *spatial))
-    per_sample = math.prod(win.shape[1:])
-    step = max(1, _CONV_CHUNK_ELEMENTS // per_sample)
+    flat = xp.reshape(n, grid.size)
+    out = np.empty((n, kernels, *spatial))
+    step = max(1, _CONV_CHUNK_ELEMENTS // idx.size)
     for start in range(0, n, step):
         chunk = slice(start, start + step)
+        a = np.take(flat[chunk], idx, axis=1).reshape(-1, idx.shape[1])
         # (chunk, *spatial, k) -> (chunk, k, *spatial)
-        out[chunk] = np.moveaxis(np.tensordot(win[chunk], w, axes=axes), -1, 1)
+        out[chunk] = np.moveaxis(np.dot(a, b).reshape(-1, *spatial, kernels), -1, 1)
     return out
 
 

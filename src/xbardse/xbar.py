@@ -49,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import mmap
 import struct
 from dataclasses import dataclass, field
 
@@ -314,6 +315,7 @@ def _program_tiles(tiles, plan: MappingPlan, weights: WeightTensor,
     at a time (``_tile_runs``): each tile of the run gives the g_on and free
     flag of its active devices only, and the run's targets go into G at
     once, so a run holds at most ``_RUN_CELLS`` cells' worth, or one tile's.
+    G has a memory mapping of its own (``_mapped_zeros``).
     """
     if plan.geometry is None:
         if plan.rows != weights.codes.shape[1] or plan.cols != weights.codes.shape[0]:
@@ -325,7 +327,7 @@ def _program_tiles(tiles, plan: MappingPlan, weights: WeightTensor,
     t, cap = plan.tile_size, mapping.pair_capacity(plan.tile_size)
     depth, width = plan.codes.shape
     w_max = _code_peak(weights)
-    g = np.zeros((plan.rows, plan.cols, 2))
+    g = _mapped_zeros((plan.rows, plan.cols, 2))
     g2, gf = g.reshape(plan.rows, 2 * plan.cols), g.reshape(-1)
     tiles = iter(tiles)
     for run in _tile_runs(plan):
@@ -354,6 +356,16 @@ def _program_tiles(tiles, plan: MappingPlan, weights: WeightTensor,
             target += g_off
             gf[at] = np.where(np.concatenate(free), target, g_off)
     return g2
+
+
+def _mapped_zeros(shape: tuple) -> np.ndarray:
+    """``np.zeros(shape)`` in an anonymous memory mapping of its own, so
+    its pages go back to the OS when the array is freed, wherever the heap
+    would have had room for it."""
+    nbytes = math.prod(shape) * np.dtype(float).itemsize
+    if nbytes == 0:
+        return np.zeros(shape)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=float).reshape(shape)
 
 
 def _tile_runs(plan: MappingPlan):
@@ -453,17 +465,21 @@ def encode_inputs(batch: np.ndarray, io: IOConfig, scale: float | np.ndarray) ->
     or an (rows, 1) column giving each row of a 2-D batch its own scaling
     group's scale; ``simulate_forward`` sets it to v_max / max|x| per group,
     so v / v_max, and with it every result, does not depend on v_max.
+    The voltages are one new array, each later step runs in place on it,
+    and ``batch`` is only read.
     """
     x = np.asarray(batch, dtype=float)
     if x.size == 0:
         raise ValueError("empty batch")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite inputs")
-    v = x * scale
+    v = np.multiply(x, scale)
     if io.quantizes:
         half = 2 ** (io.io_bit_width - 1)
         step = io.v_max / half
-        v = np.clip(_round_half_away(v / step), -half, half) * step
+        v /= step
+        np.clip(_round_half_away(v, out=v), -half, half, out=v)
+        v *= step
     return v
 
 
@@ -488,17 +504,24 @@ class ReadoutCalibration:
 def readout(i_pos: np.ndarray, i_neg: np.ndarray, cal: ReadoutCalibration,
             io: IOConfig) -> np.ndarray:
     """Differential currents back to the weight-times-input domain, then
-    ADC-quantized to 2^b uniform levels over the calibrated output range."""
+    ADC-quantized to 2^b uniform levels over the calibrated output range.
+    The result is one new array, each later step runs in place on it, and
+    ``i_pos`` and ``i_neg`` are only read."""
     if not np.all(cal.voltage_scale) or cal.weight_scale == 0:
         raise ValueError("zero calibration scale")
-    y = (np.asarray(i_pos) - np.asarray(i_neg)) / (cal.voltage_scale * cal.weight_scale)
+    y = np.subtract(i_pos, i_neg, dtype=float)
+    y /= cal.voltage_scale * cal.weight_scale
     if io.quantizes and cal.out_lo is not None and cal.out_hi is not None:
         lo, hi = cal.out_lo, cal.out_hi
         if hi <= lo:
             return np.full_like(y, lo)
         levels = 2 ** io.io_bit_width - 1
         step = (hi - lo) / levels
-        y = lo + np.clip(_round_half_away((y - lo) / step), 0, levels) * step
+        y -= lo
+        y /= step
+        np.clip(_round_half_away(y, out=y), 0, levels, out=y)
+        y *= step
+        y += lo
     return y
 
 
@@ -575,7 +598,8 @@ def _forward_chunk(net: QuantizedNetwork, plans: list[MappingPlan],
             if live.any():
                 rows = np.repeat(live, sizes)
                 z[rows] = _read_layer(flat[rows], scale, *layer_args)
-        x = np.maximum(z, 0.0) if li < last else z
+        # a sliding layer's z is a strided view: both write it C-contiguous
+        x = np.maximum(z, 0.0, order="C") if li < last else np.ascontiguousarray(z)
     return x
 
 
@@ -584,7 +608,9 @@ def _read_layer(flat: np.ndarray, scale: float | np.ndarray, layer: qnet.Layer,
                 model: DeviceModel, adc_range: tuple) -> np.ndarray:
     """One layer's pre-activations, shaped (rows, *out_shape), for flattened
     inputs ``flat`` with voltage scale ``scale`` (one, or an (rows, 1) column),
-    read against the layer conductance matrix ``g``."""
+    read against the layer conductance matrix ``g``. A sliding plan's are
+    the (rows, kernels, *spatial) view of the readout buffer, which holds
+    them position by position; the caller makes it contiguous."""
     m = flat.shape[0]
     geom = plan.geometry
     v = encode_inputs(flat, io, scale)
@@ -592,14 +618,14 @@ def _read_layer(flat: np.ndarray, scale: float | np.ndarray, layer: qnet.Layer,
     if w_max == 0.0:
         return np.zeros((m, *out_shape))
     if plan.slides:
-        v = v[:, geom.read_indices()].reshape(m * geom.out_positions, -1)
+        v = np.take(v, geom.read_indices(), axis=1).reshape(m * geom.out_positions, -1)
     # one row per sample, so the scale column broadcasts over all its reads
     i = tile_vmm(v, g).reshape(m, -1)
     y = readout(i[:, 0::2], i[:, 1::2],
                 ReadoutCalibration(scale, model.g_span / w_max, *adc_range), io)
     if plan.slides:
-        # (m, P, K) -> (m, K, P)
-        y = np.moveaxis(y.reshape(m, geom.out_positions, geom.kernels), 1, 2)
+        # (m, *spatial, K) -> (m, K, *spatial), a view
+        return np.moveaxis(y.reshape(m, *out_shape[1:], geom.kernels), -1, 1)
     # other conv plans order their columns k * P + p; linear ones are the outputs
     return y.reshape(m, *out_shape)
 

@@ -1,5 +1,11 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from xbardse import qnet
 from xbardse.qnet import (
@@ -86,6 +92,26 @@ class TestQuantize:
         assert negative_zero.sum() == 1
         assert got[~negative_zero].tobytes() == want[~negative_zero].tobytes()
         assert np.signbit(got[negative_zero]).all()
+
+    def test_round_half_away_in_place_matches_allocating_and_copysign_forms(self):
+        """With ``out``, itself or another buffer, the rounding writes the
+        bytes of the allocating form and of the sign-copying formula, -0.0
+        included, and ``out=x`` returns ``x``."""
+        halves = np.arange(-6, 7) + 0.5
+        x = np.concatenate([[0.0, -0.0, 0.49999999999999994, -0.49999999999999994,
+                             2.0 ** 52 - 0.5, 2.0 ** 52 + 0.5, -(2.0 ** 52 - 0.5),
+                             -(2.0 ** 52 + 0.5), 1e300, -1e300, 129.5, -129.5],
+                            halves, np.nextafter(halves, 0.0),
+                            np.random.default_rng(4).normal(scale=200.0, size=500)])
+        want = copysign_round(x)
+        assert qnet._round_half_away(x).tobytes() == want.tobytes()
+        out = np.full_like(x, np.nan)
+        got = qnet._round_half_away(x, out=out)
+        assert got is out and got.tobytes() == want.tobytes()
+        buf = x.copy()
+        got = qnet._round_half_away(buf, out=buf)
+        assert got is buf and got.tobytes() == want.tobytes()
+        assert np.signbit(got[1]) and not np.signbit(got[0])
 
 
 class TestWeightValidation:
@@ -250,6 +276,76 @@ class TestIdealForward:
         x = rng.normal(size=(2 * step + 7, 2, 12, 12))
         want = nested_loop_conv(spec, wt.dequantized(), x)
         assert np.abs(ideal_forward(net, x) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def copysign_round(x):
+    """Halves away from zero as floor(|x| + 0.5) with x's sign copied back:
+    the formula ``qnet._round_half_away`` must match byte for byte."""
+    y = np.asarray(np.abs(x), dtype=float)
+    y += 0.5
+    np.floor(y, out=y)
+    return np.copysign(y, x, out=y)
+
+
+def tensordot_conv(spec, w, x):
+    """The oracle's convolution as ``np.tensordot`` over a strided window view,
+    in chunks of at most ``qnet._CONV_CHUNK_ELEMENTS`` window elements: the
+    products ``qnet._conv_forward`` must reproduce byte for byte."""
+    p, s, d = spec.padding, spec.stride, spec.dilation
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(p, p)] * (x.ndim - 2))
+    if spec.kind == "conv1d":
+        span = d * (spec.kernel_h - 1) + 1
+        win = sliding_window_view(xp, span, axis=2)[:, :, ::s, ::d]
+        spatial, axes = win.shape[2:3], ([1, 3], [1, 2])
+    else:
+        spans = (d * (spec.kernel_h - 1) + 1, d * (spec.kernel_w - 1) + 1)
+        win = sliding_window_view(xp, spans, axis=(2, 3))[:, :, ::s, ::s, ::d, ::d]
+        spatial, axes = win.shape[2:4], ([1, 4, 5], [1, 2, 3])
+    out = np.empty((len(x), w.shape[0], *spatial))
+    step = max(1, qnet._CONV_CHUNK_ELEMENTS // math.prod(win.shape[1:]))
+    for start in range(0, len(x), step):
+        chunk = slice(start, start + step)
+        out[chunk] = np.moveaxis(np.tensordot(win[chunk], w, axes=axes), -1, 1)
+    return out
+
+
+@st.composite
+def conv_layers(draw):
+    """(spec, input shape): one conv1d or conv2d layer with drawn stride,
+    padding, dilation, kernel and 1 to 4 channels, 1 to 5 outputs per axis."""
+    two_d = draw(st.booleans())
+    s, p, d = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    kernel = [draw(st.integers(1, 3)) for _ in range(1 + two_d)]
+    extent = [max(1, (draw(st.integers(1, 5)) - 1) * s + d * (k - 1) + 1 - 2 * p
+                  + draw(st.integers(0, s - 1))) for k in kernel]
+    kernels = draw(st.integers(1, 5))
+    spec = (qnet.conv2d(kernels, *kernel, stride=s, padding=p, dilation=d) if two_d
+            else qnet.conv1d(kernels, *kernel, stride=s, padding=p, dilation=d))
+    shape = (draw(st.integers(1, 4)), *extent)
+    (spec,), _ = propagate_shapes([spec], shape)
+    return spec, shape
+
+
+class TestConvForwardProducts:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(layer=conv_layers(), chunks=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_tensordot_reference_byte_for_byte(self, layer, chunks, seed):
+        """Chunks of 1 to 3 samples and a batch that spans ``chunks`` of them
+        plus a remainder; the oracle never asks ``read_indices``."""
+        spec, shape = layer
+        rng = np.random.default_rng(seed)
+        w = quantize_weights(rng.normal(size=spec.weight_shape()), 8).dequantized()
+        geom = qnet.ConvGeometry.from_spec(spec)
+        per_sample = geom.out_positions * geom.footprint
+        per_chunk = int(rng.integers(1, 4))
+        x = rng.normal(size=(chunks * per_chunk + int(rng.integers(0, per_chunk)), *shape))
+        with mock.patch.object(qnet, "_CONV_CHUNK_ELEMENTS", per_chunk * per_sample), \
+                mock.patch.object(qnet.ConvGeometry, "read_indices",
+                                  side_effect=AssertionError("oracle used read_indices")):
+            want = tensordot_conv(spec, w, x)
+            got = qnet._conv_forward(spec, w, x)
+        assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
+        assert got.tobytes() == want.tobytes()
 
 
 def nested_loop_conv(spec, w, x):

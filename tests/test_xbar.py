@@ -2,11 +2,13 @@ import copy
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from test_mapping import tile_cells
+from test_qnet import copysign_round
 from xbardse import mapping, qnet, xbar
 from xbardse.xbar import (
     DeviceModel,
@@ -540,7 +542,53 @@ class TestProgramming:
         assert full_layout == expected[scheme]
 
 
+def reference_encode(batch, io, scale):
+    """``encode_inputs``' formula, one new array per step."""
+    v = np.asarray(batch, dtype=float) * scale
+    if io.quantizes:
+        half = 2 ** (io.io_bit_width - 1)
+        step = io.v_max / half
+        v = np.clip(copysign_round(v / step), -half, half) * step
+    return v
+
+
+def reference_readout(i_pos, i_neg, cal, io):
+    """``readout``'s formula, one new array per step."""
+    y = (np.asarray(i_pos) - np.asarray(i_neg)) / (cal.voltage_scale * cal.weight_scale)
+    if io.quantizes and cal.out_lo is not None and cal.out_hi is not None:
+        lo, hi = cal.out_lo, cal.out_hi
+        if hi <= lo:
+            return np.full_like(y, lo)
+        levels = 2 ** io.io_bit_width - 1
+        step = (hi - lo) / levels
+        y = lo + np.clip(copysign_round((y - lo) / step), 0, levels) * step
+    return y
+
+
+IO_WIDTHS = (None, 1, 4, 6, 16)
+
+
 class TestEncode:
+    def test_matches_the_formula_and_reads_its_batch_only(self):
+        """Scalar and per-row column scales, ideal and quantized DACs: the
+        bytes of the formula, -0.0 and values near DAC half-steps included,
+        and the batch is left as it was."""
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(12, 40))
+        x[0, :4] = [0.0, -0.0, 1e-300, -1e-300]
+        x[1] *= 1e6                                      # beyond the DAC's clip
+        x[2, :12] = (np.arange(-6, 6) + 0.5) / 8        # near 4-bit DAC half-steps
+        column = rng.uniform(0.01, 2.0, size=(12, 1))
+        for bits in IO_WIDTHS:
+            io = IOConfig(io_bit_width=bits)
+            for scale in (0.3, column):
+                before = x.tobytes()
+                got = encode_inputs(x, io, scale)
+                want = reference_encode(x, io, scale)
+                assert x.tobytes() == before
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes(), (bits, np.ndim(scale))
+
     def test_linear_scaling(self):
         v = encode_inputs(np.array([1.0, 2.0]), IOConfig(), 0.15)
         assert v[0] == pytest.approx(0.15)
@@ -580,6 +628,29 @@ class TestVmmAndReadout:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             tile_vmm(np.zeros(3), np.ones((4, 2)))
+
+    def test_readout_matches_the_formula_and_reads_its_currents_only(self):
+        """Strided views of one current matrix, as ``simulate_forward``
+        passes them; scalar and column voltage scales; ideal and quantized
+        ADCs, with and without a range, and empty ranges (hi <= lo): the bytes
+        of the formula, and the currents are left as they were, since a
+        caller may read them again."""
+        rng = np.random.default_rng(22)
+        i = rng.normal(scale=1e-5, size=(10, 64))
+        i[0, :4] = [0.0, -0.0, 0.0, 0.0]
+        column = rng.uniform(0.01, 2.0, size=(10, 1))
+        for bits in IO_WIDTHS:
+            io = IOConfig(io_bit_width=bits)
+            for vs in (0.3, column):
+                for lo, hi in ((None, None), (-2e-4, 3e-4), (-1e-5, 1e-5), (1e-4, 1e-4),
+                               (2e-4, -1e-4)):
+                    cal = ReadoutCalibration(vs, 0.02, lo, hi)
+                    before = i.tobytes()
+                    got = readout(i[:, 0::2], i[:, 1::2], cal, io)
+                    want = reference_readout(i[:, 0::2], i[:, 1::2], cal, io)
+                    assert i.tobytes() == before
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes(), (bits, np.ndim(vs), lo, hi)
 
     def test_readout_equal_currents_zero(self):
         cal = ReadoutCalibration(0.1, 1e-4)
@@ -771,6 +842,18 @@ class TestSimulation:
                         assert (g.dtype, g.shape, g.tobytes()) == \
                             (want.dtype, want.shape, want.tobytes()), (scheme, t, model, li)
         assert layouts == {True, False} and partial > 0
+
+    def test_program_network_of_a_layer_without_inputs(self):
+        """A linear layer on an empty input has a plan of 0 rows, and its
+        conductance matrix is empty, since a memory mapping cannot be."""
+        (spec,), _ = qnet.propagate_shapes([qnet.linear(2)], (0,))
+        codes = np.zeros((2, 0), dtype=np.int64)
+        net = qnet.QuantizedNetwork("empty", 4, (0,),
+                                    [qnet.Layer(spec, qnet.WeightTensor(codes, 1.0, 4))])
+        for scheme in mapping.SCHEMES:
+            plans = mapping.network_plans(net, scheme, 8)
+            g, = xbar.program_network(net, scheme, HardwareConfig(8), 0, plans)
+            assert (g.shape, g.dtype) == ((0, 4), np.dtype(float))
 
     def test_programming_equals_the_frozen_reference(self, fixture_net):
         """``program_network`` and ``program`` give G byte-equal to
@@ -998,6 +1081,28 @@ class TestSimulation:
                         peak = np.abs(x[rows]).max()
                         assert peak > 0 and np.all(scale[rows] == scale[rows[0]])
                         assert peak * scale[rows[0]] == pytest.approx(v_max, rel=1e-15)
+
+    @pytest.mark.parametrize("scheme", ["dense_routed", "dense_kernel"])
+    def test_sliding_last_layer_gives_contiguous_logits(self, scheme):
+        """A network that ends in a sliding conv returns C-contiguous logits,
+        one or several chunks at a time, equal to the ideal oracle's with
+        ideal devices and I/O."""
+        net = random_net("conv-tail", [qnet.conv2d(3, 3, 3, padding=1),
+                                       qnet.conv2d(2, 2, 2, stride=2)], (2, 6, 6), 8)
+        plans = mapping.network_plans(net, scheme, 32)
+        assert all(plan.slides for plan in plans)
+        mats = xbar.program_network(net, scheme, HardwareConfig(32, device=IDEAL_DEVICES),
+                                    0, plans)
+        batch = np.random.default_rng(8).normal(size=(40, 2, 6, 6))
+        io = IOConfig(io_bit_width=16, batch_size=8)
+        want = qnet.ideal_forward(net, batch)
+        for groups_per_chunk in (5, 2):
+            per_sample = max(plan.reads_per_sample * 2 * plan.cols for plan in plans)
+            with mock.patch.object(qnet, "_CONV_CHUNK_ELEMENTS",
+                                   groups_per_chunk * io.batch_size * per_sample):
+                logits = simulate_forward(net, plans, mats, batch, io, IDEAL_DEVICES)
+            assert logits.shape == want.shape and logits.flags.c_contiguous
+            assert np.allclose(logits, want, rtol=1e-9, atol=1e-12)
 
     def test_same_seed_identical_logits(self, fixture_net, test_data):
         hw = HardwareConfig(tile_size=32, io=IOConfig(io_bit_width=8, batch_size=64))
