@@ -29,7 +29,6 @@ from .mapping import (
     MappingPlan,
     cost,
     cost_network,
-    derive_costs_cross_scheme,
     devices_dense_eq2,
     devices_sparse_eq1,
     layer_plan,

@@ -6,20 +6,19 @@ Logical matrices are oriented rows = inputs (word lines), columns = outputs
 adjacent physical columns inside one tile; a pair never straddles a tile
 boundary, so a tile of size t holds t // 2 logical columns.
 
-A plan holds its physical matrix once: the code and weight id of each
-physical cell, one column per logical column. Tile (tr, tc) covers the
-physical cells [tr * t, +t) x [tc * (t // 2), +t // 2). Two builders lay
-out any logical matrix: ``map_linear_sparse`` gives the full layout, whose
-physical matrix is the logical one, every cell a pair; ``map_linear_dense``
-gives the compacted layout, which drops zero weights and records each
-physical cell's logical row.
+A plan holds its physical matrix once: the code of each physical cell, one
+column per logical column. Tile (tr, tc) covers the physical cells
+[tr * t, +t) x [tc * (t // 2), +t // 2). Two builders lay out any logical
+matrix: ``map_linear_sparse`` gives the full layout, whose physical matrix
+is the logical one, every cell a pair; ``map_linear_dense`` gives the
+compacted layout, which drops zero weights and records each physical
+cell's logical row.
 
 Plans hold compact integers, each array built in its final dtype: a
 ``layer_plan`` plan's codes are int16 (every supported bit width fits, and
-a code that does not raises ``MappingError`` rather than wrapping), its
-weight ids int32, and a compacted layout's row map int32. A full layout
-then costs 6 bytes per physical cell, a compacted one 10, where int64
-arrays cost 16 and 24.
+a code that does not raises ``MappingError`` rather than wrapping), and a
+compacted layout's row map int32. A full layout then costs 2 bytes per
+physical cell, a compacted one 6, where int64 arrays cost 8 and 16.
 
 Schemes
 -------
@@ -57,7 +56,7 @@ from .qnet import ConvGeometry, LayerSpec, QuantizedNetwork, WeightTensor
 SCHEMES = ("sparse_staggered", "dense_routed", "dense_kernel")
 
 _CODE_DTYPE = np.int16    # plan codes: every supported bit width fits
-_INDEX_DTYPE = np.int32   # weight ids and row maps: below a plan's cell count
+_INDEX_DTYPE = np.int32   # row maps: below a plan's cell count
 
 
 class MappingError(ValueError):
@@ -83,16 +82,13 @@ class TilePlan:
 
 @dataclass
 class MappingPlan:
-    """A layer's physical matrix and the tiles it occupies. ``codes`` and
-    ``weight_ids`` (flat index into the layer tensor, -1 for a structural
-    zero or an empty cell) have one column per logical column. ``row_map``
-    is None for full layouts, whose physical matrix is the logical one;
-    compacted layouts hold there each physical cell's logical row, -1 if
-    the cell is empty.
+    """A layer's physical matrix and the tiles it occupies. ``codes`` has
+    one column per logical column. ``row_map`` is None for full layouts,
+    whose physical matrix is the logical one; compacted layouts hold there
+    each physical cell's logical row, -1 if the cell is empty.
 
-    ``layer_plan`` gives int16 ``codes`` and int32 ``weight_ids``; the
-    builders keep the dtypes of a matrix and ids given to them, and default
-    ids are int32. ``row_map`` is int32."""
+    ``layer_plan`` gives int16 ``codes``; the builders keep the dtype of a
+    matrix given to them. ``row_map`` is int32."""
 
     scheme: str
     tile_size: int
@@ -100,7 +96,6 @@ class MappingPlan:
     cols: int                 # logical matrix columns N
     tiles: list
     codes: np.ndarray
-    weight_ids: np.ndarray
     row_map: np.ndarray | None = None
     geometry: ConvGeometry | None = None
     reads_per_sample: int = 1
@@ -131,10 +126,6 @@ class MappingPlan:
                 slice(tp.tile_col * cap, (tp.tile_col + 1) * cap))
 
 
-def _default_ids(m: int, n: int) -> np.ndarray:
-    return np.arange(m * n, dtype=_INDEX_DTYPE).reshape(m, n)
-
-
 def _plan_codes(codes) -> np.ndarray:
     """``codes`` as int16, the dtype plans hold; a code that is not an
     integer in int16's range raises instead of wrapping."""
@@ -145,12 +136,10 @@ def _plan_codes(codes) -> np.ndarray:
     return small
 
 
-def _logical_matrix(matrix, tile_size: int,
-                    weight_ids: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _logical_matrix(matrix, tile_size: int) -> np.ndarray:
     """A layout builder's checked 2-D logical matrix, finite if it is of a
-    float dtype, and its weight ids, by default each cell's flat index. Every
-    weight id and logical row is below the cell count, which must fit the
-    int32 index dtype."""
+    float dtype. Every logical row is below the cell count, which must fit
+    the int32 index dtype of row maps."""
     if tile_size < 2:
         raise MappingError("tile size must be >= 2 to hold a differential pair")
     mat = np.asarray(matrix)
@@ -160,77 +149,67 @@ def _logical_matrix(matrix, tile_size: int,
         raise MappingError(f"{mat.size} logical cells exceed the int32 index range")
     if mat.dtype.kind == "f" and not np.isfinite(mat).all():
         raise MappingError("logical matrix has non-finite values")
-    return mat, _default_ids(*mat.shape) if weight_ids is None else np.asarray(weight_ids)
+    return mat
 
 
-def map_linear_sparse(matrix, tile_size: int,
-                      weight_ids: np.ndarray | None = None) -> MappingPlan:
+def map_linear_sparse(matrix, tile_size: int) -> MappingPlan:
     """Full layout of a 2-D logical matrix, given as an array: every cell,
     zero or not, consumes a differential pair, so RD counts all allocated
     devices including zeros. The physical matrix is the logical one, and
     every tile of its grid is occupied."""
-    mat, ids = _logical_matrix(matrix, tile_size, weight_ids)
+    mat = _logical_matrix(matrix, tile_size)
     m, n = mat.shape
     tiles = [TilePlan(tr, tc) for tr in range(-(-m // tile_size))
              for tc in range(-(-n // pair_capacity(tile_size)))]
-    return MappingPlan("sparse_staggered", tile_size, m, n, tiles, mat, ids)
+    return MappingPlan("sparse_staggered", tile_size, m, n, tiles, mat)
 
 
-def map_linear_dense(matrix, tile_size: int,
-                     weight_ids: np.ndarray | None = None) -> MappingPlan:
+def map_linear_dense(matrix, tile_size: int) -> MappingPlan:
     """Compacted layout of a 2-D logical matrix, given as an array, by
     greedy per-column zero reclamation: column c's k-th nonzero weight goes
     to physical row k, and ``row_map`` records its logical row. Zero weights
     consume no devices; a tile is kept only if some column of its group is
     deeper than its first physical row."""
-    mat, weight_ids = _logical_matrix(matrix, tile_size, weight_ids)
+    mat = _logical_matrix(matrix, tile_size)
     m, n = mat.shape
     cols, rows = np.divmod(np.flatnonzero(mat.T != 0), m)   # by column, then row
     counts = np.bincount(cols, minlength=n)
     phys = np.arange(rows.size) - (np.cumsum(counts) - counts)[cols]   # k-th nonzero: row k
     depth = int(counts.max(initial=0))
     codes = np.zeros((depth, n), dtype=mat.dtype)
-    ids = np.full((depth, n), -1, dtype=weight_ids.dtype)
     row_map = np.full((depth, n), -1, dtype=_INDEX_DTYPE)
     codes[phys, cols] = mat[rows, cols]
-    ids[phys, cols] = weight_ids[rows, cols]
     row_map[phys, cols] = rows
     group_depth = np.maximum.reduceat(counts, np.arange(0, n, pair_capacity(tile_size)))
     tiles = [TilePlan(tr, tc) for tr in range(-(-depth // tile_size))
              for tc in np.flatnonzero(group_depth > tr * tile_size).tolist()]
-    return MappingPlan("dense_routed", tile_size, m, n, tiles, codes, ids, row_map)
+    return MappingPlan("dense_routed", tile_size, m, n, tiles, codes, row_map)
 
 
 # ---------------------------------------------------------------------------
 # convolution layouts
 
 
-def _staggered_cells(geom: ConvGeometry, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (values, weight_ids) arrays of the unrolled logical matrix, as
-    int16 and int32. weight_ids refer to the flat kernel tensor; -1 marks
-    structural zeros."""
+def _staggered_cells(geom: ConvGeometry, codes: np.ndarray) -> np.ndarray:
+    """The unrolled logical matrix, dense and int16: column k * P + p holds
+    kernel k's codes at the inputs output position p reads, every other
+    cell a structural zero."""
     idx = geom.read_indices()
     k, p, f = geom.kernels, geom.out_positions, geom.footprint
     kflat = _plan_codes(codes).reshape(k, f)
     m, n = geom.padded_inputs, k * p
     values = np.zeros((m, n), dtype=_CODE_DTYPE)
-    ids = np.full((m, n), -1, dtype=_INDEX_DTYPE)
     rows = np.broadcast_to(idx[None, :, :], (k, p, f))
     cols = np.broadcast_to((np.arange(k) * p)[:, None, None]
                            + np.arange(p)[None, :, None], (k, p, f))
     values[rows.ravel(), cols.ravel()] = np.broadcast_to(kflat[:, None, :], (k, p, f)).ravel()
-    wid = np.broadcast_to((np.arange(k) * f)[:, None, None]
-                          + np.arange(f)[None, None, :], (k, p, f))
-    ids[rows.ravel(), cols.ravel()] = wid.ravel()
-    return values, ids
+    return values
 
 
-def _weight_matrix(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(fan-in, outputs) logical matrix of a layer's weights, as int16, and
-    its int32 weight ids: a linear layer's transposed codes, or one column
-    per conv kernel."""
-    kflat = _plan_codes(codes).reshape(codes.shape[0], -1)
-    return kflat.T, _default_ids(*kflat.shape).T
+def _weight_matrix(codes: np.ndarray) -> np.ndarray:
+    """(fan-in, outputs) logical matrix of a layer's weights, as int16: a
+    linear layer's transposed codes, or one column per conv kernel."""
+    return _plan_codes(codes).reshape(codes.shape[0], -1).T
 
 
 def layer_plan(spec: LayerSpec, weights: WeightTensor, scheme: str,
@@ -252,11 +231,11 @@ def layer_plan(spec: LayerSpec, weights: WeightTensor, scheme: str,
         raise MappingError(
             f"kernel footprint {geom.footprint} exceeds tile size {tile_size}")
     if geom is not None and scheme == "sparse_staggered":
-        matrix, ids = _staggered_cells(geom, weights.codes)
+        matrix = _staggered_cells(geom, weights.codes)
     else:
-        matrix, ids = _weight_matrix(weights.codes)
+        matrix = _weight_matrix(weights.codes)
     full = scheme == "sparse_staggered" or (geom is not None and scheme == "dense_kernel")
-    plan = (map_linear_sparse if full else map_linear_dense)(matrix, tile_size, ids)
+    plan = (map_linear_sparse if full else map_linear_dense)(matrix, tile_size)
     plan.scheme, plan.geometry = scheme, geom
     if plan.slides:
         plan.reads_per_sample = geom.out_positions
@@ -266,50 +245,6 @@ def layer_plan(spec: LayerSpec, weights: WeightTensor, scheme: str,
 def network_plans(net: QuantizedNetwork, scheme: str, tile_size: int) -> list[MappingPlan]:
     return [layer_plan(layer.spec, layer.weights, scheme, tile_size)
             for layer in net.layers]
-
-
-def _cells(plan: MappingPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(logical row, logical column, code, weight id) of every mapped cell,
-    in physical row-major order."""
-    mapped = np.ones(plan.codes.shape, bool) if plan.row_map is None else plan.row_map >= 0
-    phys, cols = np.nonzero(mapped)
-    rows = phys if plan.row_map is None else plan.row_map[phys, cols]
-    return rows, cols, plan.codes[phys, cols], plan.weight_ids[phys, cols]
-
-
-def plan_matvec(plan: MappingPlan, x: np.ndarray) -> np.ndarray:
-    """Ideal logical product of the mapped layer: y[n] = sum_m x[m] * code[m, n].
-
-    Works for any scheme; used to check functional equivalence of plans.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != plan.rows:
-        raise ValueError(f"input length {x.shape[1]} != logical rows {plan.rows}")
-    rows, cols, codes, _ = _cells(plan)
-    y = np.zeros((plan.cols, x.shape[0]))
-    np.add.at(y, cols, (x[:, rows] * codes).T)
-    return y.T if y.shape[1] > 1 else y[:, 0]
-
-
-def plan_products(plan: MappingPlan) -> set[tuple[int, int, int]]:
-    """Set of (input_index, output_index, weight_id) products the plan
-    realizes per sample; the brute-force connectivity oracle target.
-
-    A plan that does not slide already pairs inputs with outputs in its
-    logical matrix. A sliding plan's read schedule expands each kernel
-    column over output positions; output ids follow the staggered
-    convention k * out_positions + p.
-    """
-    rows, cols, _, wids = _cells(plan)
-    kept = wids >= 0
-    rows, cols, wids = rows[kept], cols[kept], wids[kept]
-    if not plan.slides:
-        return set(zip(rows.tolist(), cols.tolist(), wids.tolist()))
-    pn = plan.geometry.out_positions
-    inputs = plan.geometry.read_indices()[:, rows]             # (P, cells)
-    outputs = cols * pn + np.arange(pn)[:, None]
-    return set(zip(inputs.ravel().tolist(), outputs.ravel().tolist(),
-                   np.broadcast_to(wids, inputs.shape).ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +346,7 @@ def _analytic_layer_cost(spec: LayerSpec, weights: WeightTensor, scheme: str,
         rwo = geom.out_positions
     else:
         # compacted layouts: dense_routed everywhere, dense_kernel on linear
-        logical = _weight_matrix(weights.codes)[0]
+        logical = _weight_matrix(weights.codes)
         reads = 1 if geom is None else geom.out_positions
         nnz = np.count_nonzero(logical, axis=0)
         rd = 2 * int(nnz.sum())
@@ -428,21 +363,3 @@ def analytic_network_cost(net: QuantizedNetwork, scheme: str,
     reports = [_analytic_layer_cost(layer.spec, layer.weights, scheme, tile_size)
                for layer in net.layers]
     return _sum_reports(scheme, reports)
-
-
-def derive_costs_cross_scheme(simulated_scheme: str, net: QuantizedNetwork,
-                              tile_size: int) -> dict[str, CostReport]:
-    """Cost reports for all schemes after constructing plans for only one.
-
-    The simulated scheme's report comes from its constructed plans; the
-    other two are derived analytically from shapes and zero locations.
-    """
-    if simulated_scheme not in SCHEMES:
-        raise MappingError(f"unknown scheme {simulated_scheme!r}")
-    out = {}
-    for scheme in SCHEMES:
-        if scheme == simulated_scheme:
-            out[scheme] = cost_network(net, scheme, tile_size)[0]
-        else:
-            out[scheme] = analytic_network_cost(net, scheme, tile_size)
-    return out

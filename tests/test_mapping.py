@@ -14,14 +14,11 @@ from xbardse.mapping import (
     analytic_network_cost,
     cost,
     cost_network,
-    derive_costs_cross_scheme,
     devices_dense_eq2,
     devices_sparse_eq1,
     layer_plan,
     map_linear_dense,
     map_linear_sparse,
-    plan_matvec,
-    plan_products,
     plans_cost,
     steps_dense_eq3,
 )
@@ -56,23 +53,110 @@ def geom_1d(kernels=1, kernel_h=3, in_x=5, stride=1, padding=0, dilation=1, chan
                         dilation=dilation, channels=channels, one_d=True)
 
 
-def conv_plan(geom, codes, scheme, tile_size):
-    """``layer_plan`` of the conv layer with geometry ``geom`` and weight
-    codes ``codes``."""
-    spec = qnet.LayerSpec("conv1d" if geom.one_d else "conv2d", in_channels=geom.channels,
+def conv_spec(geom):
+    """The conv layer spec with geometry ``geom``."""
+    return qnet.LayerSpec("conv1d" if geom.one_d else "conv2d", in_channels=geom.channels,
                           kernels=geom.kernels, kernel_h=geom.kernel_h,
                           kernel_w=geom.kernel_w, stride=geom.stride, padding=geom.padding,
                           dilation=geom.dilation, in_x=geom.in_x, in_y=geom.in_y)
-    return layer_plan(spec, qnet.WeightTensor(codes, 1.0, 8), scheme, tile_size)
+
+
+def conv_plan(geom, codes, scheme, tile_size):
+    """``layer_plan`` of the conv layer with geometry ``geom`` and weight
+    codes ``codes``."""
+    return layer_plan(conv_spec(geom), qnet.WeightTensor(codes, 1.0, 8), scheme, tile_size)
+
+
+def cell_ids(plan, spec, weights):
+    """Weight id of each physical cell of ``plan``, the ``layer_plan`` of
+    ``spec`` and ``weights``: its flat index into ``weights.codes``, -1 for a
+    structural zero or an empty cell.
+
+    The ids are the codes of a second plan, of the same spec, scheme and tile
+    size, whose weights are their own flat index + 1. A compacted layout
+    drops zero weights, so there the ids of the layer's zero weights are 0
+    too. The two plans must lay out alike, and ``plan`` must hold at each
+    cell the code of the weight its id names, 0 where the id is -1."""
+    index_codes = np.arange(1, weights.codes.size + 1).reshape(weights.codes.shape)
+    if plan.row_map is not None:
+        index_codes[weights.codes == 0] = 0
+    # no validate(): index codes overflow every bit width; layer_plan checks
+    # the int16 range only, which holds layers of up to 32,767 weights
+    twin = layer_plan(spec, qnet.WeightTensor(index_codes, 1.0, weights.bit_width),
+                      plan.scheme, plan.tile_size)
+    assert twin.tiles == plan.tiles and twin.codes.shape == plan.codes.shape
+    assert np.array_equal(twin.row_map, plan.row_map)     # both None for a full layout
+    ids = twin.codes.astype(np.int64) - 1
+    assert np.array_equal(plan.codes, np.where(ids >= 0, weights.codes.ravel()[ids], 0))
+    return ids
+
+
+def _cells(plan, values):
+    """(logical row, logical column, value) of every mapped cell, in physical
+    row-major order, for a matrix ``values`` of the plan's physical shape."""
+    mapped = np.ones(plan.codes.shape, bool) if plan.row_map is None else plan.row_map >= 0
+    phys, cols = np.nonzero(mapped)
+    rows = phys if plan.row_map is None else plan.row_map[phys, cols]
+    return rows, cols, values[phys, cols]
+
+
+def plan_matvec(plan, x):
+    """Test oracle: the ideal logical product of the mapped layer,
+    y[n] = sum_m x[m] * code[m, n], for any scheme."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != plan.rows:
+        raise ValueError(f"input length {x.shape[1]} != logical rows {plan.rows}")
+    rows, cols, codes = _cells(plan, plan.codes)
+    y = np.zeros((plan.cols, x.shape[0]))
+    np.add.at(y, cols, (x[:, rows] * codes).T)
+    return y.T if y.shape[1] > 1 else y[:, 0]
+
+
+def plan_products(plan, spec, weights):
+    """Test oracle: the set of (input index, output index, weight id)
+    products that ``plan``, the ``layer_plan`` of ``spec`` and ``weights``,
+    realizes per sample; weight ids come from ``cell_ids``.
+
+    A plan that does not slide already pairs inputs with outputs in its
+    logical matrix. A sliding plan's read schedule expands each kernel
+    column over output positions; output ids follow the staggered
+    convention k * out_positions + p.
+    """
+    rows, cols, wids = _cells(plan, cell_ids(plan, spec, weights))
+    kept = wids >= 0
+    rows, cols, wids = rows[kept], cols[kept], wids[kept]
+    if not plan.slides:
+        return set(zip(rows.tolist(), cols.tolist(), wids.tolist()))
+    pn = plan.geometry.out_positions
+    inputs = plan.geometry.read_indices()[:, rows]             # (P, cells)
+    outputs = cols * pn + np.arange(pn)[:, None]
+    return set(zip(inputs.ravel().tolist(), outputs.ravel().tolist(),
+                   np.broadcast_to(wids, inputs.shape).ravel().tolist()))
+
+
+def derive_costs_cross_scheme(simulated_scheme, net, tile_size):
+    """Test oracle: cost reports for all schemes after constructing plans for
+    only one. The simulated scheme's report comes from its constructed
+    plans; the other two are derived analytically from shapes and zero
+    locations."""
+    if simulated_scheme not in SCHEMES:
+        raise MappingError(f"unknown scheme {simulated_scheme!r}")
+    out = {}
+    for scheme in SCHEMES:
+        if scheme == simulated_scheme:
+            out[scheme] = cost_network(net, scheme, tile_size)[0]
+        else:
+            out[scheme] = analytic_network_cost(net, scheme, tile_size)
+    return out
 
 
 TileCells = namedtuple("TileCells", "tile_row tile_col rows pair_slots logical_rows "
-                                    "logical_cols codes weight_ids")
+                                    "logical_cols codes")
 
 
 def tile_cells(plan):
     """Each tile's mapped cells as parallel arrays: device row and column-pair
-    slot inside the tile, logical row and column, code and weight id.
+    slot inside the tile, logical row and column, and code.
     Row-major inside full tiles; by column, then row, inside routed tiles.
     Tile (tr, tc) holds physical rows [tr * t, +t) and columns
     [tc * (t // 2), +t // 2)."""
@@ -89,8 +173,7 @@ def tile_cells(plan):
             slots, rows = np.nonzero(plan.row_map[block].T >= 0)
             logical_rows = plan.row_map[block][rows, slots]
         out.append(TileCells(tp.tile_row, tp.tile_col, rows, slots, logical_rows, slots + c0,
-                             plan.codes[block][rows, slots],
-                             plan.weight_ids[block][rows, slots]))
+                             plan.codes[block][rows, slots]))
     return out
 
 
@@ -115,7 +198,6 @@ class TestUnroll:
         mat = unroll_conv_staggered(geom_1d(kernel_h=1))
         assert mat.shape == (5, 5)
         assert mat.nnz == 5
-        assert (np.diff(mat.toarray(), axis=0) <= 0).all() or True  # one nonzero per column
         assert all(np.count_nonzero(mat.toarray()[:, c]) == 1 for c in range(5))
 
     def test_conv2d_counts(self):
@@ -202,19 +284,17 @@ class TestLinearDense:
             mat[rng.random((m, n)) < rng.random()] = 0
             mat[:, rng.random(n) < 0.2] = 0                 # all-zero columns
             cases.append(mat)
-        for i, mat in enumerate(cases):
+        for mat in cases:
             t = int(rng.integers(2, 21))
-            ids = rng.permutation(mat.size).reshape(mat.shape) if i % 2 else None
-            got = map_linear_dense(mat, t, ids)
-            want, perms = per_column_dense(mat, t, ids)
+            got = map_linear_dense(mat, t)
+            want, perms = per_column_dense(mat, t)
             assert (got.rows, got.cols, got.tile_size) == (*mat.shape, t)
             assert len(got.tiles) == len(want)
             for tp in got.tiles:
                 assert type(tp.tile_row) is type(tp.tile_col) is int
             for tp, ref in zip(tile_cells(got), want):
                 assert (tp.tile_row, tp.tile_col) == (ref.tile_row, ref.tile_col)
-                for name in ("rows", "pair_slots", "logical_rows", "logical_cols",
-                             "codes", "weight_ids"):
+                for name in ("rows", "pair_slots", "logical_rows", "logical_cols", "codes"):
                     a, b = getattr(tp, name), getattr(ref, name)
                     assert a.dtype == b.dtype and np.array_equal(a, b), name
             assert got.row_map.shape[1] == len(perms)
@@ -225,12 +305,10 @@ class TestLinearDense:
                 assert (got.row_map[perm.size:, col] == -1).all()
 
 
-def per_column_dense(mat, tile_size, weight_ids=None):
+def per_column_dense(mat, tile_size):
     """map_linear_dense's tile cells built column by column, one bucket per
     tile, and each column's logical rows in physical order."""
-    m, n = mat.shape
-    if weight_ids is None:
-        weight_ids = np.arange(m * n, dtype=np.int32).reshape(m, n)
+    n = mat.shape[1]
     cap = tile_size // 2
     perms, buckets = {}, {}
     for col in range(n):
@@ -242,9 +320,9 @@ def per_column_dense(mat, tile_size, weight_ids=None):
             part = phys[sel]
             buckets.setdefault((tr, col // cap), []).append((
                 part - tr * tile_size, np.full(part.size, col % cap), nz[sel],
-                np.full(part.size, col), mat[nz[sel], col], weight_ids[nz[sel], col]))
+                np.full(part.size, col), mat[nz[sel], col]))
     tiles = [TileCells(tr, tc, *(np.concatenate([p[k] for p in buckets[(tr, tc)]])
-                                 for k in range(6)))
+                                 for k in range(5)))
              for tr, tc in sorted(buckets)]
     return tiles, perms
 
@@ -313,7 +391,8 @@ class TestConvMappings:
         dense = conv_plan(geom, codes, "dense_kernel", 8)
 
         def kernel_cells(plan):
-            return sum(int((tp.weight_ids >= 0).sum()) for tp in tile_cells(plan))
+            ids = cell_ids(plan, conv_spec(geom), qnet.WeightTensor(codes, 1.0, 8))
+            return int((ids >= 0).sum())
 
         assert kernel_cells(staggered) == kernel_cells(dense) * geom.out_positions
 
@@ -413,28 +492,27 @@ class TestFullAllocation:
                     if scheme != "sparse_staggered":
                         continue  # dense schemes compact linear layers
                     values = wt.codes.T.astype(np.int16)     # plans hold int16 codes
-                    ids = mapping._default_ids(*wt.codes.shape).T
                 elif scheme == "sparse_staggered":
-                    values, ids = mapping._staggered_cells(ConvGeometry.from_spec(spec), wt.codes)
+                    values = mapping._staggered_cells(ConvGeometry.from_spec(spec), wt.codes)
                 else:
-                    values, ids = mapping._weight_matrix(wt.codes)
+                    values = mapping._weight_matrix(wt.codes)
                 for t in (2, 3, 8, 13, 32, 128):
                     if scheme == "dense_kernel" and ConvGeometry.from_spec(spec).footprint > t:
                         continue
                     plan = layer_plan(spec, wt, scheme, t)
-                    want = meshgrid_tiles(values, ids, t)
+                    want = meshgrid_tiles(values, t)
                     assert len(plan.tiles) == len(want)
                     for tp, ref in zip(tile_cells(plan), want):
                         assert (tp.tile_row, tp.tile_col) == (ref.tile_row, ref.tile_col)
                         for name in ("rows", "pair_slots", "logical_rows", "logical_cols",
-                                     "codes", "weight_ids"):
+                                     "codes"):
                             got, exp = getattr(tp, name), getattr(ref, name)
                             assert got.dtype == exp.dtype and np.array_equal(got, exp), name
                     checked += 1
         assert checked >= 10
 
 
-def meshgrid_tiles(matrix, weight_ids, tile_size):
+def meshgrid_tiles(matrix, tile_size):
     """Full allocation tile by tile, each tile's cells from its own meshgrid."""
     m, n = matrix.shape
     cap = tile_size // 2
@@ -447,34 +525,29 @@ def meshgrid_tiles(matrix, weight_ids, tile_size):
             tiles.append(TileCells(
                 tile_row=tr, tile_col=tc, rows=rr.ravel() - r0, pair_slots=cc.ravel() - c0,
                 logical_rows=rr.ravel(), logical_cols=cc.ravel(),
-                codes=matrix[r0:r1, c0:c1].ravel(), weight_ids=weight_ids[r0:r1, c0:c1].ravel()))
+                codes=matrix[r0:r1, c0:c1].ravel()))
     return tiles
 
 
 class TestPlanDtypes:
     def test_compact_integers_per_cell(self, fixture_net):
-        """layer_plan plans hold int16 codes and int32 weight ids and row
-        maps: 6 bytes per physical cell in a full layout, 10 in a compacted
-        one, and every mapped code equal to the weight its id names."""
+        """layer_plan plans hold int16 codes and int32 row maps: 2 bytes per
+        physical cell in a full layout, 6 in a compacted one, and every
+        mapped code equal to the weight its id names."""
         net = random_conv_net(np.random.default_rng(15))
         layouts = set()
         for model in (fixture_net, net):
             for scheme in SCHEMES:
                 for plan, layer in zip(mapping.network_plans(model, scheme, 32), model.layers):
                     assert plan.codes.dtype == np.int16
-                    assert plan.weight_ids.dtype == np.int32
-                    held = [plan.codes, plan.weight_ids]
+                    held = [plan.codes]
                     if plan.row_map is not None:
                         assert plan.row_map.dtype == np.int32
                         held.append(plan.row_map)
                     per_cell = sum(a.nbytes for a in held) / plan.codes.size
-                    assert per_cell == (6 if plan.row_map is None else 10)
+                    assert per_cell == (2 if plan.row_map is None else 6)
                     layouts.add(plan.row_map is None)
-                    _, _, codes, wids = mapping._cells(plan)
-                    flat = layer.weights.codes.ravel()
-                    kept = wids >= 0
-                    assert np.array_equal(codes[kept], flat[wids[kept]])
-                    assert not codes[~kept].any()
+                    cell_ids(plan, layer.spec, layer.weights)
         assert layouts == {True, False}
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -582,7 +655,7 @@ class TestConnectivity:
                 plan = layer_plan(spec, wt, scheme, t)
                 want = brute_force_products(geom, wt.codes,
                                             nonzero_only=(scheme == "dense_routed"))
-                assert plan_products(plan) == want
+                assert plan_products(plan, spec, wt) == want
 
 
 def brute_force_products(geom, codes, nonzero_only):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_mapping import unroll_conv_staggered
+from test_mapping import plan_products, unroll_conv_staggered
 from test_xbar import assert_same_tiles, per_tile_program
 from xbardse import mapping, qnet, xbar
 from xbardse.mapping import ConvGeometry
@@ -89,7 +89,8 @@ def test_plan_products_match_brute_force(case):
     for scheme in mapping.SCHEMES:
         plans = plans_or_none(net, scheme, t)
         for layer, plan in zip(net.layers, plans or []):
-            assert mapping.plan_products(plan) == brute_force_products(layer, scheme)
+            assert plan_products(plan, layer.spec, layer.weights) == \
+                brute_force_products(layer, scheme)
 
 
 @PROPERTY_SETTINGS

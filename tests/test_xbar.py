@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import mmap
 import tracemalloc
 from unittest import mock
 
@@ -446,6 +447,21 @@ class TestSampling:
 
 
 class TestProgramming:
+    def test_code_peak_is_abs_max(self):
+        """The layer peak is int(max |code|) for integer, float and bool codes,
+        all-zero and empty ones included, and where the largest magnitude is
+        negative."""
+        rng = np.random.default_rng(21)
+        ints = rng.integers(-7, 8, size=(6, 5))
+        cases = [ints, ints.astype(float), np.array([[3, -7, 5]]),
+                 np.array([[-2.0, 1.0]]), np.zeros((3, 4), dtype=np.int64), np.zeros((2, 2)),
+                 np.zeros((0, 3), dtype=np.int64), np.zeros((4, 0)),
+                 np.array([[True, False]])]
+        for codes in cases:
+            got = xbar._code_peak(qnet.WeightTensor(codes, 1.0, 4))
+            want = int(np.abs(codes).max(initial=0))
+            assert type(got) is int and got == want, codes
+
     def test_full_scale_weight_hits_endpoints(self):
         wt = qnet.WeightTensor(np.array([[7]]), 1.0, 4)
         plan = mapping.map_linear_sparse(wt.codes.T, 4)
@@ -909,10 +925,11 @@ class TestSimulation:
                              ids=["sparse_staggered", "dense_routed", "dense_kernel"])
     def test_program_network_holds_no_sampled_population(self, scheme, full, tiles):
         """On a linear layer of 64 full or 40 compacted tiles, the traced
-        peak of programming stays within G plus 16 t x t float64 tiles: a
-        tile or two of draws and the temporaries of a block, never the
-        layer's sampled tiles (each of which holds over three tiles' worth of
-        arrays) nor a physical matrix beside G."""
+        peak of programming stays within 16 t x t float64 tiles: a tile or
+        two of draws and the temporaries of a block, never the layer's
+        sampled tiles (each of which holds over three tiles' worth of arrays)
+        nor a physical matrix. G is not traced: it is one memory mapping of
+        its own size."""
         t = 32
         net = random_net("streamed", [qnet.linear(64)], (1, 512), 0)
         plans = mapping.network_plans(net, scheme, t)
@@ -928,7 +945,13 @@ class TestSimulation:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= sum(g.nbytes for g in mats) + 16 * t * t * 8
+        assert peak <= 16 * t * t * 8
+        for g, plan in zip(mats, plans):
+            assert g.nbytes == plan.rows * 2 * plan.cols * 8
+            base = g   # ndarray views, then np.frombuffer's memoryview of the mapping
+            while not isinstance(base, mmap.mmap):
+                base = base.obj if isinstance(base, memoryview) else base.base
+            assert len(base) == g.nbytes
 
     def test_rejects_conductances_that_do_not_fit_the_plans(self, fixture_net, test_data):
         hw = HardwareConfig(tile_size=8)
