@@ -74,7 +74,8 @@ def pair_capacity(tile_size: int) -> int:
 
 @dataclass
 class TilePlan:
-    """One occupied physical tile; ``MappingPlan.tile_slices`` gives its cells."""
+    """One occupied physical tile: physical rows [tile_row * t, +t) x columns
+    [tile_col * pair_capacity, +pair_capacity), cut at the matrix's edge."""
 
     tile_row: int
     tile_col: int
@@ -116,14 +117,6 @@ class MappingPlan:
         if not self.tiles:
             return 0
         return max(tp.tile_row for tp in self.tiles) + 1
-
-    def tile_slices(self, tp: TilePlan) -> tuple[slice, slice]:
-        """Physical rows and columns of tile ``tp``: [tile_row * t, +t) x
-        [tile_col * pair_capacity, +pair_capacity). An edge tile's slices
-        reach past the matrix; indexing the matrix with them clips them."""
-        t, cap = self.tile_size, pair_capacity(self.tile_size)
-        return (slice(tp.tile_row * t, (tp.tile_row + 1) * t),
-                slice(tp.tile_col * cap, (tp.tile_col + 1) * cap))
 
 
 def _plan_codes(codes) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -77,6 +78,8 @@ class LayerSpec:
         if self.kind == "linear":
             if self.out_features < 1:
                 raise ValueError("linear layer needs out_features >= 1")
+            if self.padding != 0:  # _pad_flat reads it on every layer
+                raise ValueError("linear layer takes no padding")
             return
         if self.kernels < 1:
             raise ValueError("conv layer needs kernels >= 1")
@@ -91,6 +94,13 @@ class LayerSpec:
         if self.kind == "conv1d":
             return (self.kernels, self.in_channels, self.kernel_h)
         return (self.kernels, self.in_channels, self.kernel_h, self.kernel_w)
+
+    @property
+    def out_shape(self) -> tuple[int, ...]:
+        """The layer's output shape, once its inputs are filled in."""
+        if self.kind == "linear":
+            return (self.out_features,)
+        return ConvGeometry.from_spec(self).out_shape
 
 
 def conv2d(kernels: int, kernel_h: int, kernel_w: int, stride: int = 1,
@@ -143,24 +153,16 @@ def propagate_shapes(specs: list[LayerSpec],
         try:
             spec.validate()
             if spec.kind == "linear":
-                feat = int(np.prod(shape))
-                spec.in_features = feat
-                shape = (spec.out_features,)
+                spec.in_features = int(np.prod(shape))
             elif spec.kind == "conv1d":
                 if len(shape) != 2:
                     raise ValueError(f"conv1d expects (channels, length) input, got {shape}")
-                c, x = shape
-                spec.in_channels, spec.in_x, spec.in_y = c, x, 1
-                ox = out_extent(x, spec.kernel_h, spec.stride, spec.padding, spec.dilation)
-                shape = (spec.kernels, ox)
+                spec.in_channels, spec.in_x, spec.in_y = (*shape, 1)
             else:  # conv2d
                 if len(shape) != 3:
                     raise ValueError(f"conv2d expects (channels, height, width) input, got {shape}")
-                c, x, y = shape
-                spec.in_channels, spec.in_x, spec.in_y = c, x, y
-                ox = out_extent(x, spec.kernel_h, spec.stride, spec.padding, spec.dilation)
-                oy = out_extent(y, spec.kernel_w, spec.stride, spec.padding, spec.dilation)
-                shape = (spec.kernels, ox, oy)
+                spec.in_channels, spec.in_x, spec.in_y = shape
+            shape = spec.out_shape
         except ValueError as err:
             raise ValueError(f"layers[{i}]: {err}") from err
         out.append(spec)
@@ -174,7 +176,11 @@ def propagate_shapes(specs: list[LayerSpec],
 @dataclass(frozen=True)
 class ConvGeometry:
     """Convolution geometry in crossbar terms (kernel count K, kernel extents
-    H x W, input extents X x Y, stride S, padding P, dilation D, channels)."""
+    H x W, input extents X x Y, stride S, padding P, dilation D, channels).
+
+    A conv1d layer is the unit-width case: Y = 1, W = 1 and, through
+    ``one_d``, no padding along y; every other formula is the 2-D one.
+    """
 
     kernels: int
     kernel_h: int
@@ -217,6 +223,11 @@ class ConvGeometry:
         return out_extent(self.in_y, self.kernel_w, self.stride, self.padding, self.dilation)
 
     @property
+    def out_shape(self) -> tuple[int, ...]:
+        """(kernels, out_x) for conv1d, (kernels, out_x, out_y) for conv2d."""
+        return (self.kernels, self.out_x) if self.one_d else (self.kernels, self.out_x, self.out_y)
+
+    @property
     def out_positions(self) -> int:
         return self.out_x * self.out_y
 
@@ -234,10 +245,6 @@ class ConvGeometry:
         padded input, ordered (c, kh, kw) to match flattened kernels."""
         s, d = self.stride, self.dilation
         pos_x = (np.arange(self.out_x) * s)[:, None] + (np.arange(self.kernel_h) * d)[None, :]
-        if self.one_d:
-            chan = np.arange(self.channels) * self.padded_x
-            idx = chan[None, :, None] + pos_x[:, None, :]        # (ox, C, H)
-            return idx.reshape(self.out_positions, self.footprint)
         pos_y = (np.arange(self.out_y) * s)[:, None] + (np.arange(self.kernel_w) * d)[None, :]
         chan = np.arange(self.channels) * self.padded_x * self.padded_y
         idx = (chan[None, None, :, None, None]
@@ -273,8 +280,8 @@ class WeightTensor:
         within the symmetric range of ``bit_width``."""
         if self.bit_width not in SUPPORTED_BIT_WIDTHS:
             raise ValueError(f"bit_width must be one of {SUPPORTED_BIT_WIDTHS}")
-        if self.scale <= 0:
-            raise ValueError("scale must be > 0")
+        if not 0 < self.scale <= sys.float_info.max:  # a condition NaN fails
+            raise ValueError("scale must be > 0 and finite")
         codes = np.asarray(self.codes)
         if codes.dtype.kind not in "biuf":
             raise ValueError(f"codes must be numbers, not {codes.dtype}")
@@ -396,24 +403,14 @@ def _chunk_rows(width: int, multiple: int = 1) -> int:
 
 def _forward_width(net: QuantizedNetwork) -> int:
     """Elements per sample of the widest array ``ideal_forward`` builds: the
-    input and, per layer, a linear layer's in or out features, or a conv
-    layer's padded input, window copy (out positions x footprint) and output
-    (kernels x out positions)."""
+    input, every layer's output, and a conv layer's padded input and window
+    copy (out positions x footprint)."""
     widest = math.prod(net.input_shape)
     for layer in net.layers:
-        spec = layer.spec
-        if spec.kind == "linear":
-            widest = max(widest, spec.in_features, spec.out_features)
-            continue
-        p = spec.padding
-        padded = spec.in_x + 2 * p
-        positions = out_extent(spec.in_x, spec.kernel_h, spec.stride, p, spec.dilation)
-        if spec.kind == "conv2d":
-            padded *= spec.in_y + 2 * p
-            positions *= out_extent(spec.in_y, spec.kernel_w, spec.stride, p, spec.dilation)
-        footprint = spec.in_channels * spec.kernel_h * spec.kernel_w
-        widest = max(widest, spec.in_channels * padded, positions * footprint,
-                     spec.kernels * positions)
+        widest = max(widest, math.prod(layer.spec.out_shape))
+        if layer.spec.kind != "linear":
+            geom = ConvGeometry.from_spec(layer.spec)
+            widest = max(widest, geom.padded_inputs, geom.out_positions * geom.footprint)
     return widest
 
 
@@ -432,30 +429,30 @@ def _zero_pad(x: np.ndarray, p: int) -> np.ndarray:
 def _conv_forward(spec: LayerSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Direct sliding-window convolution; the reference for everything else.
 
-    The kernels are contracted with every window over the channel and
-    kernel axes as one BLAS matrix product per chunk, on the matrices
-    ``np.tensordot`` would build: the windows as an (n * positions,
-    footprint) matrix ordered (c, kh, kw), and the kernels transposed to
-    (footprint, kernels). The window matrix is gathered from the padded
-    input at window positions taken from a strided view of an index grid,
-    built here and not from ``ConvGeometry.read_indices``, so the oracle
-    stays independent of the gather the simulator uses. The samples go
-    through in chunks of at most ``_CONV_CHUNK_ELEMENTS`` window elements,
-    each written into one preallocated output, so peak memory stays near
-    that of the output.
+    One path serves conv1d and conv2d: the spatial axes are those of ``x``
+    after the channel axis, and the kernel extents are read from the weight
+    tensor ``w`` (kernels, channels, *kernel). The kernels are contracted
+    with every window over the channel and kernel axes as one BLAS matrix
+    product per chunk, on the matrices ``np.tensordot`` would build: the
+    windows as an (n * positions, footprint) matrix ordered (c, *kernel),
+    and the kernels transposed to (footprint, kernels). The window matrix is
+    gathered from the padded input at window positions taken from a strided
+    view of an index grid, built here and not from
+    ``ConvGeometry.read_indices``, so the oracle stays independent of the
+    gather the simulator uses. The samples go through in chunks of at most
+    ``_CONV_CHUNK_ELEMENTS`` window elements (``_chunk_rows``), each written
+    into one preallocated output, so peak memory stays near that of the
+    output.
     """
     p, s, d = spec.padding, spec.stride, spec.dilation
     xp = _zero_pad(x, p)
     grid = np.arange(math.prod(xp.shape[1:])).reshape(xp.shape[1:])
-    if spec.kind == "conv1d":
-        span = d * (spec.kernel_h - 1) + 1
-        win = sliding_window_view(grid, span, axis=1)[:, ::s, ::d]   # (c, x, h)
-        spatial = win.shape[1:2]
-    else:
-        span_h = d * (spec.kernel_h - 1) + 1
-        span_w = d * (spec.kernel_w - 1) + 1
-        win = sliding_window_view(grid, (span_h, span_w), axis=(1, 2))[:, ::s, ::s, ::d, ::d]
-        spatial = win.shape[1:3]                                    # (c, x, y, h, w)
+    axes = tuple(range(1, grid.ndim))
+    spans = tuple(d * (k - 1) + 1 for k in w.shape[2:])
+    # (c, *spatial, *kernel): a window every s along each spatial axis, a tap every d
+    steps = (slice(None, None, s),) * len(axes) + (slice(None, None, d),) * len(axes)
+    win = sliding_window_view(grid, spans, axis=axes)[(slice(None), *steps)]
+    spatial = win.shape[1:grid.ndim]
     # (c, *spatial, *kernel) -> (positions, footprint), footprint ordered (c, *kernel)
     idx = np.moveaxis(win, 0, len(spatial)).reshape(math.prod(spatial), -1)
     kernels = w.shape[0]
@@ -463,7 +460,7 @@ def _conv_forward(spec: LayerSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     flat = xp.reshape(n, grid.size)
     out = np.empty((n, kernels, *spatial))
-    step = max(1, _CONV_CHUNK_ELEMENTS // idx.size)
+    step = _chunk_rows(idx.size)
     for start in range(0, n, step):
         chunk = slice(start, start + step)
         a = np.take(flat[chunk], idx, axis=1).reshape(-1, idx.shape[1])
@@ -551,18 +548,15 @@ def _forward_cache(specs, weights, x):
     cache = []
     last = len(specs) - 1
     for i, (spec, w) in enumerate(zip(specs, weights)):
+        saved = _pad_flat(spec, x)
         if spec.kind == "linear":
-            xf = x.reshape(x.shape[0], -1)
-            z = xf @ w.T
-            cache.append(("linear", xf, x.shape, z))
+            z = saved @ w.T
         else:
-            geom = ConvGeometry.from_spec(spec)
-            out_spatial = (geom.out_x,) if geom.one_d else (geom.out_x, geom.out_y)
-            patches = _pad_flat(spec, x)[:, geom.read_indices()]  # (n, P, F)
+            saved = saved[:, ConvGeometry.from_spec(spec).read_indices()]  # (n, P, F)
             wf = w.reshape(w.shape[0], -1)                # (K, F)
-            zp = patches @ wf.T                           # (n, P, K)
-            z = np.moveaxis(zp, -1, 1).reshape(x.shape[0], spec.kernels, *out_spatial)
-            cache.append(("conv", patches, x.shape, z))
+            zp = saved @ wf.T                             # (n, P, K)
+            z = np.moveaxis(zp, -1, 1).reshape(x.shape[0], *spec.out_shape)
+        cache.append((saved, x.shape, z))
         x = np.maximum(z, 0.0) if i < last else z
     return x, cache
 
@@ -571,30 +565,26 @@ def _backward(specs, weights, cache, dlogits):
     grads = [None] * len(specs)
     dz = dlogits
     for i in range(len(specs) - 1, -1, -1):
-        kind, saved, in_shape, z = cache[i]
+        saved, in_shape, z = cache[i]
         if i < len(specs) - 1:
             dz = dz * (z > 0)
-        if kind == "linear":
+        if specs[i].kind == "linear":
             grads[i] = dz.T @ saved
             dx = dz @ weights[i]
             dz = dx.reshape(in_shape)
         else:
-            spec = specs[i]
+            geom = ConvGeometry.from_spec(specs[i])
             n = in_shape[0]
-            dzp = np.moveaxis(dz.reshape(n, spec.kernels, -1), 1, -1)  # (n, P, K)
-            wf = weights[i].reshape(spec.kernels, -1)
+            dzp = np.moveaxis(dz.reshape(n, geom.kernels, -1), 1, -1)  # (n, P, K)
+            wf = weights[i].reshape(geom.kernels, -1)
             grads[i] = np.einsum("npk,npf->kf", dzp, saved).reshape(weights[i].shape)
             dpatch = dzp @ wf                                          # (n, P, F)
-            geom = ConvGeometry.from_spec(spec)
             dxp = np.zeros((n, geom.padded_inputs))
             np.add.at(dxp, (slice(None), geom.read_indices()), dpatch)
-            p = spec.padding
-            if spec.kind == "conv1d":
-                dxp = dxp.reshape(n, spec.in_channels, spec.in_x + 2 * p)
-                dz = dxp[:, :, p: p + spec.in_x] if p else dxp
-            else:
-                dxp = dxp.reshape(n, spec.in_channels, spec.in_x + 2 * p, spec.in_y + 2 * p)
-                dz = dxp[:, :, p: p + spec.in_x, p: p + spec.in_y] if p else dxp
+            # crop the padding: the inverse of _zero_pad, one slice per spatial axis
+            p, spatial = geom.padding, in_shape[2:]
+            dxp = dxp.reshape(*in_shape[:2], *(e + 2 * p for e in spatial))
+            dz = dxp[(..., *(slice(p, p + e) for e in spatial))]
     return grads
 
 
@@ -738,8 +728,10 @@ def load_network(path) -> QuantizedNetwork:
             params = {key: _require_int(entry, key, where) for key in _CONV_PARAMS}
             spec = LayerSpec(kind, **params)
         scale = _require(entry, "scale", where)
-        if not isinstance(scale, (int, float)) or scale <= 0:
-            raise NetworkFormatError(f"{where}.scale: must be a positive number")
+        # JSON true is an int; NaN, +-Infinity and ints past float range fail the range
+        if not (isinstance(scale, (int, float)) and not isinstance(scale, bool)
+                and 0 < scale <= sys.float_info.max):
+            raise NetworkFormatError(f"{where}.scale: must be a positive finite number")
         raw = _require(entry, "codes", where)
         # one flat list: nested lists, ragged or not, and true/false are refused
         if not isinstance(raw, list) or not all(map(_is_int, raw)):

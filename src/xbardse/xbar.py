@@ -307,8 +307,8 @@ def _program_tiles(tiles, plan: MappingPlan, weights: WeightTensor,
     stuck off at 1/r_off. G holds each mapped cell's device pair as
     programmed at columns 2n and 2n + 1; cells without devices stay 0.
 
-    Each tile's nr x nc block of the physical matrix (``plan.tile_slices``)
-    sits on its first nr device rows and 2 * nc device columns. Its 1/r_rest
+    Each tile's nr x nc block of the physical matrix (``TilePlan``) sits
+    on its first nr device rows and 2 * nc device columns. Its 1/r_rest
     goes straight into G: a full layout's as one slice, a compacted
     layout's mapped cells to their logical rows through ``plan.row_map``.
     That is every device's programmed value but a free active device's, the
@@ -577,14 +577,9 @@ def _forward_chunk(net: QuantizedNetwork, plans: list[MappingPlan],
     sizes = np.diff(starts, append=n)
     last = len(net.layers) - 1
     for li, (layer, plan) in enumerate(zip(net.layers, plans)):
-        spec = layer.spec
-        if spec.kind == "linear":
-            flat = x.reshape(n, -1)
-            out_shape = (spec.out_features,)
-        else:
-            flat = qnet._pad_flat(spec, x)
-            out_shape = ((spec.kernels, plan.geometry.out_x) if spec.kind == "conv1d"
-                         else (spec.kernels, plan.geometry.out_x, plan.geometry.out_y))
+        # a linear layer's padding is 0, which leaves its input as it is
+        flat = qnet._pad_flat(layer.spec, x)
+        out_shape = layer.spec.out_shape
         peaks = np.maximum.reduceat(np.abs(flat).max(axis=1), starts)
         live = peaks != 0
         scale = io.v_max / peaks[live]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -175,6 +176,7 @@ class TestIdealForward:
         net = QuantizedNetwork("id", 8, (2,), [qnet.Layer(spec, wt)])
         out = ideal_forward(net, np.array([[1.0, 2.0]]))
         assert np.allclose(out, [[1.0, 2.0]])
+        assert spec.out_shape == out.shape[1:] == (2,)
 
     def test_hand_convolution(self):
         spec, = propagate_shapes([qnet.conv1d(kernels=1, kernel_h=3)], (1, 5))[0]
@@ -247,6 +249,7 @@ class TestIdealForward:
                 want = nested_loop_conv(spec, wt.dequantized(), x)
                 got = ideal_forward(net, x)
                 assert got.shape == want.shape
+                assert spec.out_shape == got.shape[1:] == out_shape
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             checked += 1
 
@@ -383,37 +386,50 @@ class TestFixtureTraining:
         assert qnet.accuracy(fixture_net, test_data) >= 0.90
 
     def test_conv_gradients_match_finite_differences(self):
+        """Backprop equals central differences on a conv1d -> linear stack and
+        on conv -> conv -> linear stacks of each kind, whose second conv layer
+        (padding 1, stride 2, dilation 2) sends its gradient back through the
+        crop of its padded input."""
         rng = np.random.default_rng(4)
-        data = generate_synthetic_dataset(5, 24, 3, (1, 7))
-        arch = [qnet.conv1d(kernels=2, kernel_h=3), qnet.linear(3)]
-        specs, _ = propagate_shapes(arch, data.feature_shape)
-        weights = [rng.normal(size=s.weight_shape()) for s in specs]
-        x, y = data.features, data.labels
+        stacks = [((1, 7), [qnet.conv1d(kernels=2, kernel_h=3), qnet.linear(3)]),
+                  ((2, 9), [qnet.conv1d(2, 3, padding=1),
+                            qnet.conv1d(2, 2, stride=2, padding=1, dilation=2), qnet.linear(3)]),
+                  ((2, 7, 6), [qnet.conv2d(2, 3, 2, padding=1),
+                               qnet.conv2d(2, 2, 3, stride=2, padding=1, dilation=2),
+                               qnet.linear(3)])]
+        for shape, arch in stacks:
+            data = generate_synthetic_dataset(5, 24, 3, shape)
+            specs, _ = propagate_shapes(arch, data.feature_shape)
+            weights = [rng.normal(size=s.weight_shape()) for s in specs]
+            x, y = data.features, data.labels
 
-        def loss_of(ws):
-            logits, _ = qnet._forward_cache(specs, ws, x)
-            loss, _ = qnet._softmax_grad(logits, y)
-            return loss
+            def loss_of(ws):
+                logits, _ = qnet._forward_cache(specs, ws, x)
+                loss, _ = qnet._softmax_grad(logits, y)
+                return loss
 
-        logits, cache = qnet._forward_cache(specs, weights, x)
-        _, dlogits = qnet._softmax_grad(logits, y)
-        grads = qnet._backward(specs, weights, cache, dlogits)
-        eps = 1e-6
-        for li in range(len(weights)):
-            flat = weights[li].ravel()
-            for idx in rng.choice(flat.size, size=5, replace=False):
-                saved = flat[idx]
-                flat[idx] = saved + eps
-                up = loss_of(weights)
-                flat[idx] = saved - eps
-                down = loss_of(weights)
-                flat[idx] = saved
-                fd = (up - down) / (2 * eps)
-                assert grads[li].ravel()[idx] == pytest.approx(fd, abs=1e-5)
+            logits, cache = qnet._forward_cache(specs, weights, x)
+            _, dlogits = qnet._softmax_grad(logits, y)
+            grads = qnet._backward(specs, weights, cache, dlogits)
+            eps = 1e-6
+            for li in range(len(weights)):
+                flat = weights[li].ravel()
+                for idx in rng.choice(flat.size, size=5, replace=False):
+                    saved = flat[idx]
+                    flat[idx] = saved + eps
+                    up = loss_of(weights)
+                    flat[idx] = saved - eps
+                    down = loss_of(weights)
+                    flat[idx] = saved
+                    fd = (up - down) / (2 * eps)
+                    assert grads[li].ravel()[idx] == pytest.approx(fd, abs=1e-5), (shape, li)
 
     def test_rejects_noncomposing_arch(self, train_data):
         arch = [qnet.conv1d(kernels=2, kernel_h=3), qnet.linear(3)]  # 3 != 4 classes
         with pytest.raises(ValueError):
+            train_fixture(0, arch, train_data, l1=0.0)
+        arch = [qnet.conv1d(kernels=2, kernel_h=3), replace(qnet.linear(4), padding=1)]
+        with pytest.raises(ValueError, match=r"layers\[1\]: linear layer takes no padding"):
             train_fixture(0, arch, train_data, l1=0.0)
 
 
@@ -475,6 +491,23 @@ class TestFileFormats:
         path.write_text(json.dumps(doc))
         with pytest.raises(NetworkFormatError, match="scale"):
             load_network(path)
+
+    @pytest.mark.parametrize("scale", [True, math.nan, math.inf, -math.inf, 0, -1, 10 ** 400])
+    def test_bad_scale_is_parse_error(self, fixture_net, tmp_path, scale):
+        """JSON true, NaN and +-Infinity, which Python's json reads, are no
+        scale; nor is a number <= 0 or an integer too large for a float.
+        ``WeightTensor.validate`` refuses the numbers too."""
+        import json
+        path = tmp_path / "net.json"
+        save_network(fixture_net, path)
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["scale"] = scale
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NetworkFormatError, match=r"layers\[0\]\.scale"):
+            load_network(path)
+        if not isinstance(scale, bool):
+            with pytest.raises(ValueError, match="scale must be > 0 and finite"):
+                replace(fixture_net.layers[0].weights, scale=scale).validate()
 
     @pytest.mark.parametrize("field, value, message", [
         ("dilation", 0, "dilation must be >= 1, got 0"),

@@ -33,6 +33,15 @@ def ones_plan(rows=8, cols=8, t=8):
     return mapping.map_linear_sparse(np.ones((rows, cols)), t)
 
 
+def tile_slices(plan, tp):
+    """Physical rows and columns of tile ``tp``: [tile_row * t, +t) x
+    [tile_col * pair_capacity, +pair_capacity). An edge tile's slices
+    reach past the matrix; indexing the matrix with them clips them."""
+    t, cap = plan.tile_size, mapping.pair_capacity(plan.tile_size)
+    return (slice(tp.tile_row * t, (tp.tile_row + 1) * t),
+            slice(tp.tile_col * cap, (tp.tile_col + 1) * cap))
+
+
 def per_tile_currents(plan, tiles, v):
     """Reference read, tile by tile, of interleaved (pos, neg) currents.
 
@@ -107,7 +116,7 @@ def frozen_program(tiles, plan, weights, model):
     g = np.zeros((plan.rows, plan.cols, 2))
     for tp in plan.tiles:
         ta = tiles[(tp.tile_row, tp.tile_col)]
-        rows, cols = plan.tile_slices(tp)
+        rows, cols = tile_slices(plan, tp)
         codes = plan.codes[rows, cols]
         nr, nc = codes.shape
         dev = np.s_[:nr, :2 * nc]
@@ -845,7 +854,7 @@ class TestSimulation:
                 for plan in plans:
                     layouts.add(plan.row_map is None)
                     for tp in plan.tiles:
-                        nr, nc = plan.codes[plan.tile_slices(tp)].shape
+                        nr, nc = plan.codes[tile_slices(plan, tp)].shape
                         partial += nr < t or nc < t // 2
                 for model in models:
                     hw = HardwareConfig(tile_size=t, device=model)
@@ -915,7 +924,7 @@ class TestSimulation:
                             seen.add("all-zero" if not weights.codes.any() else
                                      "all-nonzero" if weights.codes.all() else "mixed")
                             seen.update("partial" for tp in plan.tiles
-                                        if plan.codes[plan.tile_slices(tp)].shape
+                                        if plan.codes[tile_slices(plan, tp)].shape
                                         != (t, t // 2))
         assert seen == {"full", "compacted", "all-zero", "all-nonzero", "mixed", "partial"}
 
