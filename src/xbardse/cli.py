@@ -328,6 +328,8 @@ def cmd_fixture(args) -> int:
               if getattr(args, name) < FIXTURE_CLASSES]
     if not 0 <= args.l1 < math.inf:
         errors.append(f"--l1: must be finite and >= 0, got {args.l1}")
+    if args.seed < 0:
+        errors.append(f"--seed: must be >= 0, got {args.seed}")
     if not out.is_dir():
         errors.append(f"output directory does not exist: {out}")
     if errors:

@@ -38,14 +38,15 @@ dense_routed
 
 ``layer_plan`` is the scheme table, the one place that turns a layer and a
 scheme name into a plan: it picks the logical matrix, one of the two
-layouts and the reads per sample. Readers of a plan ask
-``MappingPlan.slides``.
+layouts and a sliding plan's gather, building a conv layer's window indices
+once. Readers of a plan ask ``MappingPlan.slides``, ``reads_per_sample``
+and ``out_shape``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -83,10 +84,14 @@ class TilePlan:
 
 @dataclass
 class MappingPlan:
-    """A layer's physical matrix and the tiles it occupies. ``codes`` has
-    one column per logical column. ``row_map`` is None for full layouts,
-    whose physical matrix is the logical one; compacted layouts hold there
-    each physical cell's logical row, -1 if the cell is empty.
+    """A layer's physical matrix, the tiles it occupies and how it is read.
+    ``codes`` has one column per logical column. ``row_map`` is None for
+    full layouts, whose physical matrix is the logical one; compacted
+    layouts hold there each physical cell's logical row, -1 if the cell is
+    empty. ``gather`` is None unless the plan slides; then it holds the
+    read-only (out_positions, footprint) indices of each output position's
+    window into the flattened padded input. ``out_shape`` is the layer's
+    output shape, a bare matrix's (cols,).
 
     ``layer_plan`` gives int16 ``codes``; the builders keep the dtype of a
     matrix given to them. ``row_map`` is int32."""
@@ -97,9 +102,10 @@ class MappingPlan:
     cols: int                 # logical matrix columns N
     tiles: list
     codes: np.ndarray
+    out_shape: tuple
     row_map: np.ndarray | None = None
     geometry: ConvGeometry | None = None
-    reads_per_sample: int = 1
+    gather: np.ndarray | None = None
 
     @property
     def device_count(self) -> int:
@@ -109,8 +115,13 @@ class MappingPlan:
     @property
     def slides(self) -> bool:
         """Each output position is its own read of the kernel columns: the
-        dense layouts of a convolution."""
-        return self.geometry is not None and self.scheme != "sparse_staggered"
+        dense layouts of a convolution, which hold a gather."""
+        return self.gather is not None
+
+    @property
+    def reads_per_sample(self) -> int:
+        """One read per output position of a sliding plan, otherwise one."""
+        return 1 if self.gather is None else len(self.gather)
 
     @property
     def row_groups(self) -> int:
@@ -154,7 +165,7 @@ def map_linear_sparse(matrix, tile_size: int) -> MappingPlan:
     m, n = mat.shape
     tiles = [TilePlan(tr, tc) for tr in range(-(-m // tile_size))
              for tc in range(-(-n // pair_capacity(tile_size)))]
-    return MappingPlan("sparse_staggered", tile_size, m, n, tiles, mat)
+    return MappingPlan("sparse_staggered", tile_size, m, n, tiles, mat, (n,))
 
 
 def map_linear_dense(matrix, tile_size: int) -> MappingPlan:
@@ -176,18 +187,17 @@ def map_linear_dense(matrix, tile_size: int) -> MappingPlan:
     group_depth = np.maximum.reduceat(counts, np.arange(0, n, pair_capacity(tile_size)))
     tiles = [TilePlan(tr, tc) for tr in range(-(-depth // tile_size))
              for tc in np.flatnonzero(group_depth > tr * tile_size).tolist()]
-    return MappingPlan("dense_routed", tile_size, m, n, tiles, codes, row_map)
+    return MappingPlan("dense_routed", tile_size, m, n, tiles, codes, (n,), row_map)
 
 
 # ---------------------------------------------------------------------------
 # convolution layouts
 
 
-def _staggered_cells(geom: ConvGeometry, codes: np.ndarray) -> np.ndarray:
+def _staggered_cells(geom: ConvGeometry, idx: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """The unrolled logical matrix, dense and int16: column k * P + p holds
-    kernel k's codes at the inputs output position p reads, every other
-    cell a structural zero."""
-    idx = geom.read_indices()
+    kernel k's codes at the inputs output position p reads, row p of
+    ``idx`` (``read_indices``), every other cell a structural zero."""
     k, p, f = geom.kernels, geom.out_positions, geom.footprint
     kflat = _plan_codes(codes).reshape(k, f)
     m, n = geom.padded_inputs, k * p
@@ -214,8 +224,11 @@ def layer_plan(spec: LayerSpec, weights: WeightTensor, scheme: str,
       convolution, otherwise the layer's (fan-in, outputs) weight matrix;
     - the layout: full (``map_linear_sparse``) for sparse_staggered and for
       a dense_kernel convolution, compacted (``map_linear_dense``) otherwise;
-    - the reads per sample: one per output position for a sliding plan,
-      otherwise one.
+    - the gather: a convolution's window indices, built once and
+      read-only, for the dense layouts, which slide, one read per output
+      position; the staggered cells are laid out from the same indices.
+
+    The plan records the layer's output shape.
     """
     if scheme not in SCHEMES:
         raise MappingError(f"unknown scheme {scheme!r}")
@@ -223,16 +236,19 @@ def layer_plan(spec: LayerSpec, weights: WeightTensor, scheme: str,
     if geom is not None and scheme == "dense_kernel" and geom.footprint > tile_size:
         raise MappingError(
             f"kernel footprint {geom.footprint} exceeds tile size {tile_size}")
-    if geom is not None and scheme == "sparse_staggered":
-        matrix = _staggered_cells(geom, weights.codes)
-    else:
+    gather = None
+    if geom is None:
         matrix = _weight_matrix(weights.codes)
+    else:
+        idx = geom.read_indices()
+        idx.setflags(write=False)
+        if scheme == "sparse_staggered":
+            matrix = _staggered_cells(geom, idx, weights.codes)
+        else:
+            matrix, gather = _weight_matrix(weights.codes), idx
     full = scheme == "sparse_staggered" or (geom is not None and scheme == "dense_kernel")
     plan = (map_linear_sparse if full else map_linear_dense)(matrix, tile_size)
-    plan.scheme, plan.geometry = scheme, geom
-    if plan.slides:
-        plan.reads_per_sample = geom.out_positions
-    return plan
+    return replace(plan, scheme=scheme, out_shape=spec.out_shape, geometry=geom, gather=gather)
 
 
 def network_plans(net: QuantizedNetwork, scheme: str, tile_size: int) -> list[MappingPlan]:

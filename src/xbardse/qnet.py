@@ -543,16 +543,17 @@ def _pad_flat(spec: LayerSpec, x: np.ndarray) -> np.ndarray:
     return _zero_pad(x, spec.padding).reshape(x.shape[0], -1)
 
 
-def _forward_cache(specs, weights, x):
-    """Forward pass used by the trainer; caches what backprop needs."""
+def _forward_cache(specs, weights, gathers, x):
+    """Forward pass used by the trainer; caches what backprop needs. Conv
+    layers gather with their ``gathers`` entry, ``read_indices`` built once."""
     cache = []
     last = len(specs) - 1
-    for i, (spec, w) in enumerate(zip(specs, weights)):
+    for i, (spec, w, idx) in enumerate(zip(specs, weights, gathers)):
         saved = _pad_flat(spec, x)
         if spec.kind == "linear":
             z = saved @ w.T
         else:
-            saved = saved[:, ConvGeometry.from_spec(spec).read_indices()]  # (n, P, F)
+            saved = saved[:, idx]                         # (n, P, F)
             wf = w.reshape(w.shape[0], -1)                # (K, F)
             zp = saved @ wf.T                             # (n, P, K)
             z = np.moveaxis(zp, -1, 1).reshape(x.shape[0], *spec.out_shape)
@@ -561,7 +562,7 @@ def _forward_cache(specs, weights, x):
     return x, cache
 
 
-def _backward(specs, weights, cache, dlogits):
+def _backward(specs, weights, gathers, cache, dlogits):
     grads = [None] * len(specs)
     dz = dlogits
     for i in range(len(specs) - 1, -1, -1):
@@ -580,7 +581,7 @@ def _backward(specs, weights, cache, dlogits):
             grads[i] = np.einsum("npk,npf->kf", dzp, saved).reshape(weights[i].shape)
             dpatch = dzp @ wf                                          # (n, P, F)
             dxp = np.zeros((n, geom.padded_inputs))
-            np.add.at(dxp, (slice(None), geom.read_indices()), dpatch)
+            np.add.at(dxp, (slice(None), gathers[i]), dpatch)
             # crop the padding: the inverse of _zero_pad, one slice per spatial axis
             p, spatial = geom.padding, in_shape[2:]
             dxp = dxp.reshape(*in_shape[:2], *(e + 2 * p for e in spatial))
@@ -621,13 +622,15 @@ def train_fixture(seed: int, arch: list[LayerSpec], data: Dataset, l1: float,
         weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), shape))
     x_all = data.features.astype(float)
     y_all = data.labels
+    gathers = [None if spec.kind == "linear" else ConvGeometry.from_spec(spec).read_indices()
+               for spec in specs]
     for _ in range(_EPOCHS):
         order = rng.permutation(len(data))
         for start in range(0, len(data), _BATCH):
             idx = order[start: start + _BATCH]
-            logits, cache = _forward_cache(specs, weights, x_all[idx])
+            logits, cache = _forward_cache(specs, weights, gathers, x_all[idx])
             _, dlogits = _softmax_grad(logits, y_all[idx])
-            grads = _backward(specs, weights, cache, dlogits)
+            grads = _backward(specs, weights, gathers, cache, dlogits)
             for w, g in zip(weights, grads):
                 w -= _LR * g
                 np.copyto(w, np.sign(w) * np.maximum(np.abs(w) - _LR * l1, 0.0))

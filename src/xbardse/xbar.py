@@ -533,8 +533,9 @@ def simulate_forward(net: QuantizedNetwork, plans: list[MappingPlan],
                      adc_ranges: list[tuple[float, float]] | None = None) -> np.ndarray:
     """End-to-end analog inference: per layer encode -> one read of the
     layer conductance matrix from ``program_network`` (tile partial sums included)
-    -> differential readout -> activation. A sliding plan
-    (``MappingPlan.slides``) reads every output position as one row of the batch.
+    -> differential readout -> activation, shaped by the plan's ``out_shape``.
+    A sliding plan (``MappingPlan.slides``) reads every output position, a
+    window of its ``gather``, as one row of the batch.
 
     The batch is split into scaling groups of io.batch_size rows, the last
     possibly short; each group has its own input-voltage scale per layer.
@@ -579,19 +580,18 @@ def _forward_chunk(net: QuantizedNetwork, plans: list[MappingPlan],
     for li, (layer, plan) in enumerate(zip(net.layers, plans)):
         # a linear layer's padding is 0, which leaves its input as it is
         flat = qnet._pad_flat(layer.spec, x)
-        out_shape = layer.spec.out_shape
         peaks = np.maximum.reduceat(np.abs(flat).max(axis=1), starts)
         live = peaks != 0
         scale = io.v_max / peaks[live]
         # numpy scales by a scalar several times faster than by a column
         scale = scale[0] if scale.size == 1 else np.repeat(scale, sizes[live])[:, None]
-        layer_args = (layer, plan, conductances[li], out_shape, io, model,
+        layer_args = (layer, plan, conductances[li], io, model,
                       adc_ranges[li] if adc_ranges is not None else (None, None))
         if live.all():
             z = _read_layer(flat, scale, *layer_args)
         else:
             # rows of all-zero groups stay out of the DAC, the read and the ADC
-            z = np.zeros((n, *out_shape))
+            z = np.zeros((n, *plan.out_shape))
             if live.any():
                 rows = np.repeat(live, sizes)
                 z[rows] = _read_layer(flat[rows], scale, *layer_args)
@@ -601,28 +601,29 @@ def _forward_chunk(net: QuantizedNetwork, plans: list[MappingPlan],
 
 
 def _read_layer(flat: np.ndarray, scale: float | np.ndarray, layer: qnet.Layer,
-                plan: MappingPlan, g: np.ndarray, out_shape: tuple, io: IOConfig,
+                plan: MappingPlan, g: np.ndarray, io: IOConfig,
                 model: DeviceModel, adc_range: tuple) -> np.ndarray:
-    """One layer's pre-activations, shaped (rows, *out_shape), for flattened
-    inputs ``flat`` with voltage scale ``scale`` (one, or an (rows, 1) column),
-    read against the layer conductance matrix ``g``. A sliding plan's are
-    the (rows, kernels, *spatial) view of the readout buffer, which holds
-    them position by position; the caller makes it contiguous."""
+    """One layer's pre-activations, shaped (rows, *plan.out_shape), for
+    flattened inputs ``flat`` with voltage scale ``scale`` (one, or an
+    (rows, 1) column), read against the layer conductance matrix ``g``. A
+    sliding plan reads the windows of its ``gather``; its pre-activations
+    are the (rows, kernels, *spatial) view of the readout buffer, which
+    holds them position by position; the caller makes it contiguous."""
     m = flat.shape[0]
-    geom = plan.geometry
+    out_shape = plan.out_shape
     v = encode_inputs(flat, io, scale)
     w_max = _code_peak(layer.weights) * layer.weights.scale
     if w_max == 0.0:
         return np.zeros((m, *out_shape))
     if plan.slides:
-        v = np.take(v, geom.read_indices(), axis=1).reshape(m * geom.out_positions, -1)
+        v = np.take(v, plan.gather, axis=1).reshape(m * plan.reads_per_sample, -1)
     # one row per sample, so the scale column broadcasts over all its reads
     i = tile_vmm(v, g).reshape(m, -1)
     y = readout(i[:, 0::2], i[:, 1::2],
                 ReadoutCalibration(scale, model.g_span / w_max, *adc_range), io)
     if plan.slides:
         # (m, *spatial, K) -> (m, K, *spatial), a view
-        return np.moveaxis(y.reshape(m, *out_shape[1:], geom.kernels), -1, 1)
+        return np.moveaxis(y.reshape(m, *out_shape[1:], out_shape[0]), -1, 1)
     # other conv plans order their columns k * P + p; linear ones are the outputs
     return y.reshape(m, *out_shape)
 

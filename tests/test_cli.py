@@ -57,11 +57,13 @@ class TestFixtureCommand:
         (["--l1", "-1"], ["--l1: must be finite and >= 0, got -1.0"]),
         (["--l1", "nan"], ["--l1: must be finite and >= 0, got nan"]),
         (["--l1", "inf"], ["--l1: must be finite and >= 0, got inf"]),
+        (["--seed", "-1"], ["--seed: must be >= 0, got -1"]),
         (["--train-size", "3", "--test-size", "-1", "--l1=-inf"],
          ["--train-size: must be >= 4, one sample per class, got 3",
           "--test-size: must be >= 4, one sample per class, got -1",
           "--l1: must be finite and >= 0, got -inf"]),
-    ], ids=["train-size", "test-size", "l1-negative", "l1-nan", "l1-inf", "all"])
+    ], ids=["train-size", "test-size", "l1-negative", "l1-nan", "l1-inf", "seed-negative",
+            "all"])
     def test_bad_arguments_exit_2_before_training(self, tmp_path, capsys, monkeypatch,
                                                   args, lines):
         def no_training(*a, **k):

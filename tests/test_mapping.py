@@ -119,16 +119,16 @@ def plan_products(plan, spec, weights):
 
     A plan that does not slide already pairs inputs with outputs in its
     logical matrix. A sliding plan's read schedule expands each kernel
-    column over output positions; output ids follow the staggered
-    convention k * out_positions + p.
+    column over output positions, the windows of its ``gather``; output ids
+    follow the staggered convention k * out_positions + p.
     """
     rows, cols, wids = _cells(plan, cell_ids(plan, spec, weights))
     kept = wids >= 0
     rows, cols, wids = rows[kept], cols[kept], wids[kept]
     if not plan.slides:
         return set(zip(rows.tolist(), cols.tolist(), wids.tolist()))
-    pn = plan.geometry.out_positions
-    inputs = plan.geometry.read_indices()[:, rows]             # (P, cells)
+    pn = plan.reads_per_sample
+    inputs = plan.gather[:, rows]                              # (P, cells)
     outputs = cols * pn + np.arange(pn)[:, None]
     return set(zip(inputs.ravel().tolist(), outputs.ravel().tolist(),
                    np.broadcast_to(wids, inputs.shape).ravel().tolist()))
@@ -358,6 +358,22 @@ class TestConvMappings:
         floor3, rem3 = steps_dense_eq3(geom_1d())
         assert (floor3, rem3) == (1, False)
 
+    def test_sliding_plan_holds_a_read_only_gather(self):
+        """The dense layouts of a conv keep its window indices, read-only, as
+        their gather; the staggered one lays its cells out from them."""
+        geom = ConvGeometry(kernels=2, kernel_h=2, kernel_w=3, in_x=5, in_y=4,
+                            stride=2, padding=1, dilation=1, channels=2)
+        codes = np.arange(24).reshape(2, 2, 2, 3) - 12
+        for scheme in SCHEMES:
+            plan = conv_plan(geom, codes, scheme, 16)
+            if scheme == "sparse_staggered":
+                assert plan.gather is None
+                continue
+            assert np.array_equal(plan.gather, geom.read_indices())
+            assert not plan.gather.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                plan.gather[0, 0] = 0
+
     def test_zero_output_extent_errors(self):
         with pytest.raises(ValueError):
             geom_1d(in_x=2).out_positions
@@ -493,7 +509,8 @@ class TestFullAllocation:
                         continue  # dense schemes compact linear layers
                     values = wt.codes.T.astype(np.int16)     # plans hold int16 codes
                 elif scheme == "sparse_staggered":
-                    values = mapping._staggered_cells(ConvGeometry.from_spec(spec), wt.codes)
+                    geom = ConvGeometry.from_spec(spec)
+                    values = mapping._staggered_cells(geom, geom.read_indices(), wt.codes)
                 else:
                     values = mapping._weight_matrix(wt.codes)
                 for t in (2, 3, 8, 13, 32, 128):

@@ -85,10 +85,16 @@ def brute_force_products(layer, scheme):
 @PROPERTY_SETTINGS
 @given(conv_nets())
 def test_plan_products_match_brute_force(case):
+    """Each plan realizes the layer's products, and reads as its geometry
+    and spec say: a conv's dense layouts slide, once per output position."""
     net, t = case
     for scheme in mapping.SCHEMES:
         plans = plans_or_none(net, scheme, t)
         for layer, plan in zip(net.layers, plans or []):
+            slides = layer.spec.kind != "linear" and scheme != "sparse_staggered"
+            reads = ConvGeometry.from_spec(layer.spec).out_positions if slides else 1
+            assert (plan.slides, plan.reads_per_sample, plan.out_shape) == \
+                (slides, reads, layer.spec.out_shape)
             assert plan_products(plan, layer.spec, layer.weights) == \
                 brute_force_products(layer, scheme)
 

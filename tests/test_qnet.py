@@ -382,6 +382,16 @@ class TestFixtureTraining:
             assert np.array_equal(la.weights.codes, lb.weights.codes)
             assert la.weights.scale == lb.weights.scale
 
+    def test_builds_each_conv_layers_windows_once(self):
+        """A training run builds each conv layer's window indices once, and
+        every step's forward and backward pass gathers with them."""
+        data = generate_synthetic_dataset(3, 40, 3, (2, 9))
+        arch = [qnet.conv1d(2, 3, padding=1), qnet.conv1d(2, 2, stride=2), qnet.linear(3)]
+        with mock.patch.object(qnet.ConvGeometry, "read_indices", autospec=True,
+                               side_effect=qnet.ConvGeometry.read_indices) as built:
+            train_fixture(0, arch, data, l1=5e-4)
+        assert built.call_count == 2
+
     def test_accuracy_gate(self, fixture_net, test_data):
         assert qnet.accuracy(fixture_net, test_data) >= 0.90
 
@@ -401,16 +411,18 @@ class TestFixtureTraining:
             data = generate_synthetic_dataset(5, 24, 3, shape)
             specs, _ = propagate_shapes(arch, data.feature_shape)
             weights = [rng.normal(size=s.weight_shape()) for s in specs]
+            gathers = [None if s.kind == "linear"
+                       else qnet.ConvGeometry.from_spec(s).read_indices() for s in specs]
             x, y = data.features, data.labels
 
             def loss_of(ws):
-                logits, _ = qnet._forward_cache(specs, ws, x)
+                logits, _ = qnet._forward_cache(specs, ws, gathers, x)
                 loss, _ = qnet._softmax_grad(logits, y)
                 return loss
 
-            logits, cache = qnet._forward_cache(specs, weights, x)
+            logits, cache = qnet._forward_cache(specs, weights, gathers, x)
             _, dlogits = qnet._softmax_grad(logits, y)
-            grads = qnet._backward(specs, weights, cache, dlogits)
+            grads = qnet._backward(specs, weights, gathers, cache, dlogits)
             eps = 1e-6
             for li in range(len(weights)):
                 flat = weights[li].ravel()

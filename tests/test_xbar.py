@@ -1136,6 +1136,27 @@ class TestSimulation:
             assert logits.shape == want.shape and logits.flags.c_contiguous
             assert np.allclose(logits, want, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("scheme", mapping.SCHEMES)
+    def test_window_indices_are_built_with_the_plans_only(self, scheme):
+        """``ConvGeometry.read_indices`` runs once per conv layer when the
+        plans are built, and never while programming, calibrating or
+        reading: a sliding read takes its plan's gather."""
+        net = random_net("two-convs", [qnet.conv2d(3, 3, 3, padding=1),
+                                       qnet.conv2d(2, 2, 2, stride=2), qnet.linear(4)],
+                         (2, 6, 6), 9)
+        batch = np.random.default_rng(9).normal(size=(40, 2, 6, 6))
+        hw = HardwareConfig(32)
+        with mock.patch.object(qnet.ConvGeometry, "read_indices", autospec=True,
+                               side_effect=qnet.ConvGeometry.read_indices) as built:
+            plans = mapping.network_plans(net, scheme, 32)
+            assert built.call_count == 2
+            mats = xbar.program_network(net, scheme, hw, 0, plans)
+            ranges = xbar.calibrate_adc_ranges(net, qnet.Dataset(batch, np.zeros(40, int), 4))
+            for io in (IOConfig(io_bit_width=6, batch_size=8), IOConfig(batch_size=8)):
+                simulate_forward(net, plans, mats, batch, io, hw.device,
+                                 ranges if io.quantizes else None)
+        assert built.call_count == 2
+
     def test_same_seed_identical_logits(self, fixture_net, test_data):
         hw = HardwareConfig(tile_size=32, io=IOConfig(io_bit_width=8, batch_size=64))
         a = evaluate_accuracy(fixture_net, "sparse_staggered", hw, test_data, 7)
