@@ -3,7 +3,11 @@ simulation, grid-search exploration, and report re-emission.
 
 Files are the machine contract (CSV with mandatory header rows, JSON with
 format_version); stdout is human-oriented. Exit codes: 0 success, 1 runtime
-failure, 2 usage or configuration error.
+failure, 2 usage or configuration error. A command refuses with exit 2 in at
+most two stages, each one error listing every problem the stage can see: what
+the arguments and the run config show, before any network or dataset is
+loaded; then what the loaded inputs show, such as the design points the
+network cannot be mapped at.
 """
 
 from __future__ import annotations
@@ -25,6 +29,17 @@ FIXTURE_CLASSES = 4
 
 class ConfigError(ValueError):
     """Bad usage or configuration; maps to exit code 2."""
+
+
+def _refuse(heading: str, errors: list[str]) -> None:
+    """Raise one ConfigError listing every problem in ``errors``, if any."""
+    if errors:
+        raise ConfigError(f"{heading}:\n  " + "\n  ".join(errors))
+
+
+def _out_dir_errors(out) -> list[str]:
+    """The output-directory problem of ``out`` as a list entry, or none."""
+    return [] if Path(out).is_dir() else [f"output directory does not exist: {out}"]
 
 
 def _fmt(value) -> str:
@@ -57,13 +72,15 @@ DEVICE_FIELDS = ("r_on_mean", "r_on_std", "r_off_mean", "r_off_std")
 
 def load_run_config(path: str, seed_override: int | None = None,
                     out_override: str | None = None,
-                    jobs_override: int | None = None) -> dict:
+                    jobs_override: int | None = None, *,
+                    single_point: bool = False) -> dict:
     """Load and validate a run configuration, materializing all defaults.
 
-    Collects every validation problem, unknown top-level keys included,
-    before failing so a bad config is reported exhaustively. ``jobs`` must
-    be a positive integer; design points are evaluated serially in-process
-    whatever its value.
+    Collects every validation problem, unknown top-level keys, the output
+    directory and the space's size (one point if ``single_point``, else at
+    most ``max_grid``) included, before failing so a bad config is reported
+    exhaustively. ``jobs`` must be a positive integer; design points are
+    evaluated serially in-process whatever its value.
     """
     errors: list[str] = []
     try:
@@ -94,19 +111,23 @@ def load_run_config(path: str, seed_override: int | None = None,
             cfg[key] = {}
     if cfg["format_version"] != 1:
         errors.append(f"format_version: unsupported value {cfg['format_version']}")
-    if not cfg["network"]:
-        errors.append("network: missing path")
-    elif not Path(cfg["network"]).is_file():
-        errors.append(f"network: file not found: {cfg['network']}")
-    if not cfg["dataset"]:
-        errors.append("dataset: missing path")
-    elif not Path(cfg["dataset"]).is_file():
-        errors.append(f"dataset: file not found: {cfg['dataset']}")
+    for key in ("network", "dataset"):
+        if not cfg[key]:
+            errors.append(f"{key}: missing path")
+        elif not isinstance(cfg[key], str):
+            errors.append(f"{key}: must be a path string, got {cfg[key]!r}")
+        elif not Path(cfg[key]).is_file():
+            errors.append(f"{key}: file not found: {cfg[key]}")
+    if not isinstance(cfg["out"], str):
+        errors.append(f"out: must be a path string, got {cfg['out']!r}")
+    else:
+        errors += _out_dir_errors(cfg["out"])
     if not qnet._is_int(cfg["seed"]):
         errors.append("seed: must be an integer")
     if not qnet._is_int(cfg["jobs"]) or cfg["jobs"] < 1:
         errors.append("jobs: must be a positive integer")
-    if not qnet._is_int(cfg["max_grid"]) or cfg["max_grid"] < 1:
+    max_grid_ok = qnet._is_int(cfg["max_grid"]) and cfg["max_grid"] >= 1
+    if not max_grid_ok:
         errors.append("max_grid: must be a positive integer")
     if not isinstance(cfg["svg"], bool):
         errors.append("svg: must be true or false")
@@ -158,8 +179,16 @@ def load_run_config(path: str, seed_override: int | None = None,
             build(**dims)
         except (TypeError, ValueError) as err:
             errors.append(f"space.{'/'.join(dims)}: {'/'.join(map(repr, dims.values()))}: {err}")
-    if errors:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+    if single_point:
+        oversized = [name for name in dse.DIMENSIONS if len(getattr(space, name)) > 1]
+        if oversized:
+            errors.append("simulate needs a single-point space; dimensions "
+                          f"with multiple values: {', '.join(oversized)}")
+    elif max_grid_ok and space.size() > cfg["max_grid"]:
+        errors.append(f"grid has {space.size()} configurations, exceeding "
+                      f"max_grid={cfg['max_grid']}; raise max_grid or "
+                      "shrink the space")
+    _refuse("invalid configuration", errors)
 
     cfg["base_model"] = base_model
     cfg["space_obj"] = space
@@ -169,9 +198,12 @@ def load_run_config(path: str, seed_override: int | None = None,
     return cfg
 
 
-def _load_inputs(cfg: dict):
-    """Load the network and dataset; one ConfigError names every (scheme,
-    tile_size) of the space that cannot be mapped, before any point runs."""
+def _run_space(args, single_point: bool) -> tuple[dict, list[dse.ConfigResult]]:
+    """Evaluate the space of ``args.config``. Refuses what the config shows,
+    then, once the network and dataset are loaded, every (scheme, tile_size)
+    of the space that cannot be mapped; both before any point runs."""
+    cfg = load_run_config(args.config, args.seed, args.out, args.jobs,
+                          single_point=single_point)
     net = qnet.load_network(cfg["network"])
     data = qnet.load_dataset(cfg["dataset"])
     space = cfg["space_obj"]
@@ -183,9 +215,10 @@ def _load_inputs(cfg: dict):
                 mapping.analytic_network_cost(net, scheme, t)
             except mapping.MappingError as err:
                 infeasible.append(f"scheme {scheme}, tile_size {t}: {err}")
-    if infeasible:
-        raise ConfigError("infeasible design points:\n  " + "\n  ".join(infeasible))
-    return net, data
+    _refuse("infeasible design points", infeasible)
+    results = dse.grid_search(space, data, {net.name: net}, seed=cfg["seed"],
+                              base_model=cfg["base_model"], jobs=cfg["jobs"])
+    return cfg, results
 
 
 def _resolved_config_doc(cfg: dict) -> dict:
@@ -229,14 +262,27 @@ def _parse_cell(column: str, text: str):
 
 
 def load_results_csv(path) -> list[dse.ConfigResult]:
+    """Read a results file as ``write_results_csv`` wrote it. A row of the
+    wrong length, a cell that does not parse and an empty cell outside the
+    dimension columns are each a ConfigError naming the file, the row
+    (counted from 0 after the header) and the column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != RESULT_COLUMNS:
             raise ConfigError(f"{path}: unexpected results header {header}")
         results = []
-        for row in reader:
-            cells = {col: _parse_cell(col, txt) for col, txt in zip(header, row)}
+        for i, row in enumerate(reader):
+            if len(row) != len(header):
+                raise ConfigError(f"{path} row {i}: {len(row)} cells, expected {len(header)}")
+            cells = {}
+            for col, text in zip(header, row):
+                try:
+                    cells[col] = _parse_cell(col, text)
+                except ValueError as err:
+                    raise ConfigError(f"{path} row {i}, column {col}: {err}") from None
+                if cells[col] is None and col not in dse.DIMENSIONS:
+                    raise ConfigError(f"{path} row {i}, column {col}: empty cell")
             results.append(dse.ConfigResult(
                 config={d: cells[d] for d in dse.DIMENSIONS},
                 order_index=cells["order_index"], tsa=cells["tsa"],
@@ -330,10 +376,7 @@ def cmd_fixture(args) -> int:
         errors.append(f"--l1: must be finite and >= 0, got {args.l1}")
     if args.seed < 0:
         errors.append(f"--seed: must be >= 0, got {args.seed}")
-    if not out.is_dir():
-        errors.append(f"output directory does not exist: {out}")
-    if errors:
-        raise ConfigError("invalid arguments:\n  " + "\n  ".join(errors))
+    _refuse("invalid arguments", errors + _out_dir_errors(out))
     train = qnet.generate_synthetic_dataset(args.seed, args.train_size,
                                             FIXTURE_CLASSES, FIXTURE_SHAPE)
     test = qnet.generate_synthetic_dataset(args.seed + 1, args.test_size,
@@ -356,13 +399,13 @@ def cmd_fixture(args) -> int:
 
 
 def cmd_cost(args) -> int:
+    errors = [] if Path(args.net).is_file() else [f"network file not found: {args.net}"]
     if args.scheme not in mapping.SCHEMES:
-        raise ConfigError(f"unknown scheme {args.scheme!r} "
-                          f"(known: {', '.join(mapping.SCHEMES)})")
+        errors.append(f"unknown scheme {args.scheme!r} "
+                      f"(known: {', '.join(mapping.SCHEMES)})")
     if args.tile_size < 2:
-        raise ConfigError("tile size must be >= 2")
-    if not Path(args.net).is_file():
-        raise ConfigError(f"network file not found: {args.net}")
+        errors.append("tile size must be >= 2")
+    _refuse("invalid arguments", errors + (_out_dir_errors(args.out) if args.out else []))
     net = qnet.load_network(args.net)
     try:
         total, reports = mapping.cost_network(net, args.scheme, args.tile_size)
@@ -399,31 +442,14 @@ def cmd_cost(args) -> int:
         print("  ".join(_fmt(v).ljust(w) for v, w in zip(row, widths)).rstrip())
     if args.out:
         out = Path(args.out)
-        if not out.is_dir():
-            raise ConfigError(f"output directory does not exist: {out}")
         _write_csv(out / "cost.csv", header, rows)
         print(f"wrote {out / 'cost.csv'}")
     return 0
 
 
-def _single_point(space: dse.SearchSpace) -> None:
-    oversized = [name for name in dse.DIMENSIONS
-                 if len(getattr(space, name)) > 1]
-    if oversized:
-        raise ConfigError("simulate needs a single-point space; dimensions "
-                          f"with multiple values: {', '.join(oversized)}")
-
-
 def cmd_simulate(args) -> int:
-    cfg = load_run_config(args.config, args.seed, args.out, args.jobs)
-    net, data = _load_inputs(cfg)
-    _single_point(cfg["space_obj"])
+    cfg, (res,) = _run_space(args, single_point=True)
     out = Path(cfg["out"])
-    if not out.is_dir():
-        raise ConfigError(f"output directory does not exist: {out}")
-    results = dse.grid_search(cfg["space_obj"], data, {net.name: net},
-                              seed=cfg["seed"], base_model=cfg["base_model"])
-    res = results[0]
     doc = {"format_version": 1, "config": _resolved_config_doc(cfg),
            "point": res.config, "tsa": res.tsa, "rd": res.rd, "rwo": res.rwo,
            "tiles": res.tiles, "raw_score": res.raw_score, "seed": res.seed}
@@ -463,18 +489,8 @@ def _emit_reports(out: Path, results: list[dse.ConfigResult], svg: bool) -> list
 
 
 def cmd_dse(args) -> int:
-    cfg = load_run_config(args.config, args.seed, args.out, args.jobs)
-    net, data = _load_inputs(cfg)
-    space = cfg["space_obj"]
-    if space.size() > cfg["max_grid"]:
-        raise ConfigError(f"grid has {space.size()} configurations, exceeding "
-                          f"max_grid={cfg['max_grid']}; raise max_grid or "
-                          "shrink the space")
+    cfg, results = _run_space(args, single_point=False)
     out = Path(cfg["out"])
-    if not out.is_dir():
-        raise ConfigError(f"output directory does not exist: {out}")
-    results = dse.grid_search(space, data, {net.name: net}, seed=cfg["seed"],
-                              base_model=cfg["base_model"], jobs=cfg["jobs"])
     (out / "config_resolved.json").write_text(
         json.dumps(_resolved_config_doc(cfg), indent=1))
     write_results_csv(out / "results.csv", results)
@@ -490,10 +506,8 @@ def cmd_dse(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.out)
-    if not out.is_dir():
-        raise ConfigError(f"output directory does not exist: {out}")
-    if not Path(args.results).is_file():
-        raise ConfigError(f"results file not found: {args.results}")
+    errors = [] if Path(args.results).is_file() else [f"results file not found: {args.results}"]
+    _refuse("invalid arguments", errors + _out_dir_errors(out))
     results = load_results_csv(args.results)
     if not results:
         raise ConfigError(f"{args.results}: no result rows")

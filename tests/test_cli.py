@@ -472,3 +472,125 @@ def test_malformed_codes_exit_2(workdir, tmp_path, capsys, codes):
     assert main(["cost", "--net", str(net), "--scheme", "dense_kernel", "--tile-size", "8"]) == 2
     assert capsys.readouterr().err == \
         "error: layers[0].codes: must be JSON integers in one flat list\n"
+
+
+# usage problems a command sees before it loads any network or dataset:
+# (argv, run config fields or None, heading, error lines); "{missing}" is an
+# absent file, "{absent}" an absent directory, "{net}" the fixture network
+# and "{cfg}" the run config
+STAGE_ONE = {
+    "cost-all": (["cost", "--net", "{missing}", "--scheme", "bogus", "--tile-size", "1",
+                  "--out", "{absent}"], None, "invalid arguments",
+                 ["network file not found: {missing}",
+                  "unknown scheme 'bogus' (known: sparse_staggered, dense_routed, dense_kernel)",
+                  "tile size must be >= 2", "output directory does not exist: {absent}"]),
+    "cost-out": (["cost", "--net", "{net}", "--scheme", "dense_kernel", "--tile-size", "8",
+                  "--out", "{absent}"], None, "invalid arguments",
+                 ["output directory does not exist: {absent}"]),
+    "report-all": (["report", "--results", "{missing}", "--out", "{absent}"], None,
+                   "invalid arguments", ["results file not found: {missing}",
+                                         "output directory does not exist: {absent}"]),
+    "simulate-all": (["simulate", "--config", "{cfg}"],
+                     {"out": "{absent}", "seed": "zero",
+                      "space": {"tile_size": [8, 32], "batch_size": [16, 64]}},
+                     "invalid configuration",
+                     ["output directory does not exist: {absent}", "seed: must be an integer",
+                      "simulate needs a single-point space; dimensions with multiple values: "
+                      "tile_size, batch_size"]),
+    "simulate-out": (["simulate", "--config", "{cfg}"], {"out": "{absent}"},
+                     "invalid configuration", ["output directory does not exist: {absent}"]),
+    "simulate-multi": (["simulate", "--config", "{cfg}"],
+                       {"space": {"scheme": ["dense_kernel", "dense_routed"]}},
+                       "invalid configuration",
+                       ["simulate needs a single-point space; dimensions with multiple "
+                        "values: scheme"]),
+    "dse-all": (["dse", "--config", "{cfg}"],
+                {"out": "{absent}", "max_grid": 1, "sead": 7,
+                 "space": {"batch_size": [16, 64]}}, "invalid configuration",
+                ["sead: unknown field", "output directory does not exist: {absent}",
+                 "grid has 2 configurations, exceeding max_grid=1; raise max_grid or "
+                 "shrink the space"]),
+    "dse-out": (["dse", "--config", "{cfg}"], {"out": "{absent}"}, "invalid configuration",
+                ["output directory does not exist: {absent}"]),
+    "dse-max_grid": (["dse", "--config", "{cfg}"],
+                     {"max_grid": 3, "space": {"tile_size": [8, 32], "batch_size": [16, 64]}},
+                     "invalid configuration",
+                     ["grid has 4 configurations, exceeding max_grid=3; raise max_grid or "
+                      "shrink the space"]),
+}
+
+
+def single_point_config(workdir, out, fields):
+    """A one-point ``dse_config`` with the top-level ``fields`` set on top."""
+    cfg = dse_config(workdir, out, scheme=["dense_kernel"], tile_size=[64], batch_size=[64])
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **fields}))
+    return cfg
+
+
+@pytest.mark.parametrize("case", list(STAGE_ONE))
+def test_stage_one_lists_every_problem_before_loading(workdir, tmp_path, capsys, monkeypatch,
+                                                      case):
+    argv, fields, heading, lines = STAGE_ONE[case]
+    paths = {"missing": str(tmp_path / "missing.json"), "absent": str(tmp_path / "absent"),
+             "net": str(workdir / "fixture_net.json"), "cfg": str(tmp_path / "config.json")}
+
+    def fill(text):
+        for key, value in paths.items():
+            text = text.replace("{" + key + "}", value)
+        return text
+
+    if fields is not None:
+        single_point_config(workdir, tmp_path, json.loads(fill(json.dumps(fields))))
+
+    def no_loading(*a, **k):
+        raise AssertionError("loaded an input on a usage error")
+    monkeypatch.setattr(qnet, "load_network", no_loading)
+    monkeypatch.setattr(qnet, "load_dataset", no_loading)
+    assert main([fill(arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {heading}:\n" + "".join(f"  {fill(l)}\n" for l in lines)
+
+
+@pytest.mark.parametrize("keys", [["network"], ["dataset"], ["out"], ["network", "dataset", "out"]],
+                         ids=["network", "dataset", "out", "all"])
+def test_non_string_paths_exit_2(workdir, tmp_path, capsys, keys):
+    cfg = single_point_config(workdir, tmp_path, {key: 5 for key in keys})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: invalid configuration:\n" + "".join(
+        f"  {key}: must be a path string, got 5\n" for key in keys)
+    assert not (tmp_path / "simulate_result.json").exists()
+
+
+@pytest.fixture(scope="module")
+def results_csv(workdir, tmp_path_factory):
+    """The lines of a dse run's results.csv; its dimension cells for
+    io_bit_width and n_states are empty."""
+    out = tmp_path_factory.mktemp("results")
+    assert main(["dse", "--config", str(dse_config(workdir, out))]) == 0
+    return (out / "results.csv").read_text().splitlines()
+
+
+METRIC_COLUMNS = ["order_index", "tsa", "rd", "rwo", "tiles", "raw_score",
+                  "normalized_score", "seed"]
+
+
+@pytest.mark.parametrize("column, text, message", [
+    (None, None, ": 17 cells, expected 18"),
+    ("tile_size", "eight", ", column tile_size: could not convert string to float: 'eight'"),
+    *[(column, "", f", column {column}: empty cell") for column in METRIC_COLUMNS],
+], ids=["short-row", "unparsable", *[f"empty-{column}" for column in METRIC_COLUMNS]])
+def test_malformed_results_row_exit_2_names_row_and_column(results_csv, tmp_path, capsys,
+                                                          column, text, message):
+    lines = list(results_csv)
+    row = lines[1 + 3].split(",")            # data row 3, after the header line
+    if column is None:
+        row.pop()
+    else:
+        row[cli.RESULT_COLUMNS.index(column)] = text
+    lines[1 + 3] = ",".join(row)
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--results", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path} row 3{message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
