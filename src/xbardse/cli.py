@@ -7,7 +7,7 @@ failure, 2 usage or configuration error. A command refuses with exit 2 in at
 most two stages, each one error listing every problem the stage can see: what
 the arguments and the run config show, before any network or dataset is
 loaded; then what the loaded inputs show, such as the design points the
-network cannot be mapped at.
+network cannot be mapped at, one line for every layer that fails at each.
 """
 
 from __future__ import annotations
@@ -156,13 +156,11 @@ def load_run_config(path: str, seed_override: int | None = None,
             errors.append(f"space.{key}: empty value list")
             continue
         setattr(space, key, values)
-    for scheme in space.scheme:
-        if scheme not in mapping.SCHEMES:
-            errors.append(f"space.scheme: unknown scheme {scheme!r} "
-                          f"(known: {', '.join(mapping.SCHEMES)})")
-    for t in space.tile_size:
-        if not isinstance(t, int) or t < 2:
-            errors.append(f"space.tile_size: {t!r} is not an integer >= 2")
+    errors += [f"space.scheme: {problem}" for scheme in space.scheme
+               for problem in mapping.layer_problems(None, scheme, None)]
+    errors += [f"space.tile_size: {t!r}: {problem}" for t in space.tile_size
+               for problem in (mapping.layer_problems(None, None, t) if isinstance(t, int)
+                               else ["not an integer"])]
     # build each I/O and device model the grid will, so that their own
     # checks report every bad value before any point runs
     def device(**dims):
@@ -198,24 +196,25 @@ def load_run_config(path: str, seed_override: int | None = None,
     return cfg
 
 
+def _refuse_infeasible(net: qnet.QuantizedNetwork, schemes: list, tile_sizes: list) -> None:
+    """Refuse with one line per (scheme, tile_size, layer) that cannot be mapped."""
+    _refuse("infeasible design points", [
+        f"scheme {scheme}, tile_size {t}: {problem} (layer {i}, {layer.spec.kind})"
+        for scheme in schemes for t in tile_sizes for i, layer in enumerate(net.layers)
+        for problem in mapping.layer_problems(layer.spec, scheme, t)])
+
+
 def _run_space(args, single_point: bool) -> tuple[dict, list[dse.ConfigResult]]:
     """Evaluate the space of ``args.config``. Refuses what the config shows,
-    then, once the network and dataset are loaded, every (scheme, tile_size)
-    of the space that cannot be mapped; both before any point runs."""
+    then, once the network and dataset are loaded, every layer the space
+    cannot map; both before any point runs."""
     cfg = load_run_config(args.config, args.seed, args.out, args.jobs,
                           single_point=single_point)
     net = qnet.load_network(cfg["network"])
     data = qnet.load_dataset(cfg["dataset"])
     space = cfg["space_obj"]
     space.network = [net.name]
-    infeasible = []
-    for scheme in space.scheme:
-        for t in space.tile_size:
-            try:
-                mapping.analytic_network_cost(net, scheme, t)
-            except mapping.MappingError as err:
-                infeasible.append(f"scheme {scheme}, tile_size {t}: {err}")
-    _refuse("infeasible design points", infeasible)
+    _refuse_infeasible(net, space.scheme, space.tile_size)
     results = dse.grid_search(space, data, {net.name: net}, seed=cfg["seed"],
                               base_model=cfg["base_model"], jobs=cfg["jobs"])
     return cfg, results
@@ -248,7 +247,7 @@ def write_results_csv(path: Path, results: list[dse.ConfigResult]) -> None:
 
 def _parse_cell(column: str, text: str):
     """A results cell as ``_fmt`` wrote it: empty is None, network and scheme
-    are text, any other cell an int if it reads as one, else a float. A
+    are text, any other cell an int if it reads as one, else a finite float. A
     dimension value then keeps the type its config gave it, so ``report``
     re-emits the ranking and contour files ``dse`` wrote, byte for byte."""
     if text == "":
@@ -258,14 +257,17 @@ def _parse_cell(column: str, text: str):
     try:
         return int(text)
     except ValueError:
-        return float(text)
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 def load_results_csv(path) -> list[dse.ConfigResult]:
     """Read a results file as ``write_results_csv`` wrote it. A row of the
-    wrong length, a cell that does not parse and an empty cell outside the
-    dimension columns are each a ConfigError naming the file, the row
-    (counted from 0 after the header) and the column."""
+    wrong length, a cell that does not parse to a finite value and an empty
+    cell outside the dimension columns are each a ConfigError naming the
+    file, the row (counted from 0 after the header) and the column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -400,17 +402,12 @@ def cmd_fixture(args) -> int:
 
 def cmd_cost(args) -> int:
     errors = [] if Path(args.net).is_file() else [f"network file not found: {args.net}"]
-    if args.scheme not in mapping.SCHEMES:
-        errors.append(f"unknown scheme {args.scheme!r} "
-                      f"(known: {', '.join(mapping.SCHEMES)})")
-    if args.tile_size < 2:
-        errors.append("tile size must be >= 2")
+    errors += mapping.layer_problems(None, args.scheme, None) + \
+        mapping.layer_problems(None, None, args.tile_size)
     _refuse("invalid arguments", errors + (_out_dir_errors(args.out) if args.out else []))
     net = qnet.load_network(args.net)
-    try:
-        total, reports = mapping.cost_network(net, args.scheme, args.tile_size)
-    except mapping.MappingError as err:
-        raise ConfigError(str(err)) from None
+    _refuse_infeasible(net, [args.scheme], [args.tile_size])
+    total, reports = mapping.cost_network(net, args.scheme, args.tile_size)
     header = ["layer", "kind", "rd", "tiles", "rwo", "programming_writes",
               "eq1_staggered_devices", "eq1_remainder", "eq2_dense_devices",
               "eq3_dense_steps", "eq3_remainder"]

@@ -59,8 +59,7 @@ class SearchSpace:
             if not isinstance(values, list) or not values:
                 raise ValueError(f"dimension '{f.name}' must be a non-empty list")
         for scheme in self.scheme:
-            if scheme not in mapping.SCHEMES:
-                raise ValueError(f"unknown scheme {scheme!r}")
+            mapping._require_mappable(None, scheme, None)
 
     def size(self) -> int:
         return math.prod(len(getattr(self, name)) for name in DIMENSIONS)
@@ -172,7 +171,6 @@ def grid_search(space: SearchSpace, data: Dataset, networks: dict,
     identity (network, scheme, tile size), so the output does not depend on
     ``jobs`` or the visiting order.
     """
-    space.validate()
     if not qnet._is_int(jobs) or jobs < 1:
         raise ValueError("jobs must be a positive integer")
     base_model = base_model or xbar.DeviceModel()

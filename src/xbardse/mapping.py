@@ -40,7 +40,9 @@ dense_routed
 scheme name into a plan: it picks the logical matrix, one of the two
 layouts and a sliding plan's gather, building a conv layer's window indices
 once. Readers of a plan ask ``MappingPlan.slides``, ``reads_per_sample``
-and ``out_shape``.
+and ``out_shape``. Next to it, ``layer_problems`` is the feasibility rule,
+the one place that lists why a layer cannot be mapped under (scheme,
+tile_size); whatever builds or costs a layer raises ``MappingError`` from it.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import qnet
 from .qnet import ConvGeometry, LayerSpec, QuantizedNetwork, WeightTensor
 
 SCHEMES = ("sparse_staggered", "dense_routed", "dense_kernel")
@@ -67,6 +68,44 @@ class MappingError(ValueError):
 def pair_capacity(tile_size: int) -> int:
     """Logical columns (differential pairs) that fit in one tile."""
     return tile_size // 2
+
+
+def _geometry(spec: LayerSpec) -> ConvGeometry | None:
+    return None if spec.kind == "linear" else ConvGeometry.from_spec(spec)
+
+
+def _matrix_shape(spec: LayerSpec, geom: ConvGeometry | None, scheme: str) -> tuple[int, int]:
+    """Logical matrix shape: a staggered conv's unrolling, else fan-in x outputs."""
+    if geom is None:
+        return spec.in_features, spec.out_features
+    if scheme == "sparse_staggered":
+        return geom.padded_inputs, geom.kernels * geom.out_positions
+    return geom.footprint, geom.kernels
+
+
+def layer_problems(spec: LayerSpec | None, scheme: str | None, tile_size: int | None,
+                   geom: ConvGeometry | None = None) -> list[str]:
+    """The feasibility rule: every reason, from shapes alone, that ``spec``
+    (of geometry ``geom``, if built) cannot be mapped under (scheme,
+    tile_size); a scheme not in SCHEMES is then the only one. A None argument
+    is not checked, so ``layer_problems(None, None, t)`` checks a tile size."""
+    if scheme is not None and scheme not in SCHEMES:
+        return [f"unknown scheme {scheme!r} (known: {', '.join(SCHEMES)})"]
+    problems = ["tile size must be >= 2"] if tile_size is not None and tile_size < 2 else []
+    if spec is not None:
+        geom = geom or _geometry(spec)
+        if geom is not None and scheme == "dense_kernel" and geom.footprint > tile_size:
+            problems.append(f"kernel footprint {geom.footprint} exceeds tile size {tile_size}")
+        cells = math.prod(_matrix_shape(spec, geom, scheme))
+        if cells > np.iinfo(_INDEX_DTYPE).max:
+            problems.append(f"logical matrix of {cells} cells exceeds the int32 index range")
+    return problems
+
+
+def _require_mappable(spec, scheme, tile_size, geom=None) -> None:
+    problems = layer_problems(spec, scheme, tile_size, geom)
+    if problems:
+        raise MappingError("; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +164,7 @@ class MappingPlan:
 
     @property
     def row_groups(self) -> int:
-        if not self.tiles:
-            return 0
-        return max(tp.tile_row for tp in self.tiles) + 1
+        return max((tp.tile_row for tp in self.tiles), default=-1) + 1
 
 
 def _plan_codes(codes) -> np.ndarray:
@@ -142,15 +179,11 @@ def _plan_codes(codes) -> np.ndarray:
 
 def _logical_matrix(matrix, tile_size: int) -> np.ndarray:
     """A layout builder's checked 2-D logical matrix, finite if it is of a
-    float dtype. Every logical row is below the cell count, which must fit
-    the int32 index dtype of row maps."""
-    if tile_size < 2:
-        raise MappingError("tile size must be >= 2 to hold a differential pair")
+    float dtype; ``layer_plan``'s rule bounds its cells to int32 indexes."""
+    _require_mappable(None, None, tile_size)
     mat = np.asarray(matrix)
     if mat.ndim != 2:
         raise MappingError("expected a 2-D logical matrix")
-    if mat.size > np.iinfo(_INDEX_DTYPE).max:
-        raise MappingError(f"{mat.size} logical cells exceed the int32 index range")
     if mat.dtype.kind == "f" and not np.isfinite(mat).all():
         raise MappingError("logical matrix has non-finite values")
     return mat
@@ -200,12 +233,9 @@ def _staggered_cells(geom: ConvGeometry, idx: np.ndarray, codes: np.ndarray) -> 
     ``idx`` (``read_indices``), every other cell a structural zero."""
     k, p, f = geom.kernels, geom.out_positions, geom.footprint
     kflat = _plan_codes(codes).reshape(k, f)
-    m, n = geom.padded_inputs, k * p
-    values = np.zeros((m, n), dtype=_CODE_DTYPE)
-    rows = np.broadcast_to(idx[None, :, :], (k, p, f))
-    cols = np.broadcast_to((np.arange(k) * p)[:, None, None]
-                           + np.arange(p)[None, :, None], (k, p, f))
-    values[rows.ravel(), cols.ravel()] = np.broadcast_to(kflat[:, None, :], (k, p, f)).ravel()
+    values = np.zeros((geom.padded_inputs, k * p), dtype=_CODE_DTYPE)
+    cols = (np.arange(k) * p)[:, None, None] + np.arange(p)[None, :, None]   # (k, p, 1)
+    values[idx[None, :, :], cols] = kflat[:, None, :]
     return values
 
 
@@ -230,12 +260,8 @@ def layer_plan(spec: LayerSpec, weights: WeightTensor, scheme: str,
 
     The plan records the layer's output shape.
     """
-    if scheme not in SCHEMES:
-        raise MappingError(f"unknown scheme {scheme!r}")
-    geom = None if spec.kind == "linear" else ConvGeometry.from_spec(spec)
-    if geom is not None and scheme == "dense_kernel" and geom.footprint > tile_size:
-        raise MappingError(
-            f"kernel footprint {geom.footprint} exceeds tile size {tile_size}")
+    geom = _geometry(spec)
+    _require_mappable(spec, scheme, tile_size, geom)
     gather = None
     if geom is None:
         matrix = _weight_matrix(weights.codes)
@@ -248,7 +274,8 @@ def layer_plan(spec: LayerSpec, weights: WeightTensor, scheme: str,
             matrix, gather = _weight_matrix(weights.codes), idx
     full = scheme == "sparse_staggered" or (geom is not None and scheme == "dense_kernel")
     plan = (map_linear_sparse if full else map_linear_dense)(matrix, tile_size)
-    return replace(plan, scheme=scheme, out_shape=spec.out_shape, geometry=geom, gather=gather)
+    return replace(plan, scheme=scheme, out_shape=(geom or plan).out_shape, geometry=geom,
+                   gather=gather)
 
 
 def network_plans(net: QuantizedNetwork, scheme: str, tile_size: int) -> list[MappingPlan]:
@@ -331,40 +358,20 @@ def _analytic_layer_cost(spec: LayerSpec, weights: WeightTensor, scheme: str,
                          tile_size: int) -> CostReport:
     """Cost of one layer from arithmetic on shapes and zero locations only,
     without constructing a plan."""
-    if scheme not in SCHEMES:
-        raise MappingError(f"unknown scheme {scheme!r}")
-    if tile_size < 2:
-        raise MappingError("tile size must be >= 2 to hold a differential pair")
+    geom = _geometry(spec)
+    _require_mappable(spec, scheme, tile_size, geom)
     cap = pair_capacity(tile_size)
-    geom = None if spec.kind == "linear" else ConvGeometry.from_spec(spec)
-
-    if scheme == "sparse_staggered":
-        if geom is None:
-            m, n = spec.in_features, spec.out_features
-        else:
-            m, n = geom.padded_inputs, geom.kernels * geom.out_positions
-        rd = 2 * m * n
-        tiles = -(-m // tile_size) * (-(-n // cap))
-        rwo = -(-m // tile_size)
-    elif scheme == "dense_kernel" and geom is not None:
-        if geom.footprint > tile_size:
-            raise MappingError(
-                f"kernel footprint {geom.footprint} exceeds tile size {tile_size}")
-        rd = 2 * geom.footprint * geom.kernels
-        tiles = -(-geom.kernels // cap)
-        rwo = geom.out_positions
-    else:
-        # compacted layouts: dense_routed everywhere, dense_kernel on linear
-        logical = _weight_matrix(weights.codes)
-        reads = 1 if geom is None else geom.out_positions
-        nnz = np.count_nonzero(logical, axis=0)
-        rd = 2 * int(nnz.sum())
-        tiles = 0
-        for g0 in range(0, logical.shape[1], cap):
-            peak = int(nnz[g0: g0 + cap].max(initial=0))
-            tiles += -(-peak // tile_size)
-        rwo = reads * (-(-int(nnz.max(initial=0)) // tile_size))
-    return CostReport(scheme=scheme, rd=rd, tiles=tiles, rwo=rwo)
+    reads = 1 if geom is None or scheme == "sparse_staggered" else geom.out_positions
+    if scheme == "sparse_staggered" or (geom is not None and scheme == "dense_kernel"):
+        # full layouts: every logical cell is a pair
+        m, n = _matrix_shape(spec, geom, scheme)
+        return CostReport(scheme, 2 * m * n, -(-m // tile_size) * -(-n // cap),
+                          reads * -(-m // tile_size))
+    # compacted layouts: a column is as deep as its nonzero weights
+    nnz = np.count_nonzero(_weight_matrix(weights.codes), axis=0)
+    peaks = [int(nnz[g0: g0 + cap].max()) for g0 in range(0, nnz.size, cap)]
+    return CostReport(scheme, 2 * int(nnz.sum()), sum(-(-peak // tile_size) for peak in peaks),
+                      reads * -(-max(peaks) // tile_size))
 
 
 def analytic_network_cost(net: QuantizedNetwork, scheme: str,

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xbardse import cli, mapping, qnet
+from xbardse import cli, dse, mapping, qnet
 from xbardse.cli import load_results_csv, main
 
 
@@ -594,3 +594,100 @@ def test_malformed_results_row_exit_2_names_row_and_column(results_csv, tmp_path
     assert main(["report", "--results", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {path} row 3{message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["tsa", "raw_score"])
+def test_non_finite_results_cell_exit_2(results_csv, tmp_path, capsys, column, text):
+    lines = list(results_csv)
+    row = lines[1 + 3].split(",")
+    row[cli.RESULT_COLUMNS.index(column)] = text
+    lines[1 + 3] = ",".join(row)
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--results", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path} row 3, column {column}: non-finite value {text!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
+
+
+def save_net_and_data(tmp_path, arch, input_shape, samples=8):
+    """Save a network of all-one codes and a synthetic dataset for it;
+    return the path of a run config over both, without a space."""
+    specs, _ = qnet.propagate_shapes(arch, input_shape)
+    layers = [qnet.Layer(spec, qnet.WeightTensor(np.ones(spec.weight_shape(), np.int64),
+                                                 0.1, 4)) for spec in specs]
+    qnet.save_network(qnet.QuantizedNetwork("net", 4, input_shape, layers),
+                      tmp_path / "net.json")
+    qnet.save_dataset(qnet.generate_synthetic_dataset(0, samples, 2, input_shape),
+                      tmp_path / "data.csv")
+    return {"network": str(tmp_path / "net.json"), "dataset": str(tmp_path / "data.csv"),
+            "out": str(tmp_path)}
+
+
+def refuse_to_run(monkeypatch):
+    def no_point(*a, **k):
+        raise AssertionError("ran a design point of an infeasible space")
+    monkeypatch.setattr(dse, "grid_search", no_point)
+
+
+class TestEveryUnmappableLayerNamed:
+    """Kernel footprints 9 and 18: dense_kernel maps neither conv layer at
+    t=4 or t=8, and only the first at t=16."""
+
+    ARCH = [qnet.conv2d(2, 3, 3), qnet.conv2d(2, 3, 3), qnet.linear(4)]
+
+    def test_cost_names_both_conv_layers(self, tmp_path, capsys):
+        save_net_and_data(tmp_path, self.ARCH, (1, 8, 8))
+        assert main(["cost", "--net", str(tmp_path / "net.json"), "--scheme", "dense_kernel",
+                     "--tile-size", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: infeasible design points:\n"
+            "  scheme dense_kernel, tile_size 4: kernel footprint 9 exceeds tile size 4"
+            " (layer 0, conv2d)\n"
+            "  scheme dense_kernel, tile_size 4: kernel footprint 18 exceeds tile size 4"
+            " (layer 1, conv2d)\n")
+
+    def test_dse_names_every_layer_at_every_tile_size(self, tmp_path, capsys, monkeypatch):
+        cfg = save_net_and_data(tmp_path, self.ARCH, (1, 8, 8))
+        cfg["space"] = {"scheme": ["dense_kernel"], "tile_size": [4, 8, 16]}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        refuse_to_run(monkeypatch)
+        assert main(["dse", "--config", str(tmp_path / "config.json")]) == 2
+        assert capsys.readouterr().err == "error: infeasible design points:\n" + "".join(
+            f"  scheme dense_kernel, tile_size {t}: kernel footprint {f} exceeds tile size {t}"
+            f" (layer {i}, conv2d)\n" for t, i, f in
+            [(4, 0, 9), (4, 1, 18), (8, 0, 9), (8, 1, 18), (16, 1, 18)])
+        assert not (tmp_path / "results.csv").exists()
+
+
+class TestInt32CellBound:
+    """A staggered conv2d(1, 3, 3) over 1x256x256 unrolls to 65,536 x 64,516
+    logical cells, more than int32 indexes: refused from shapes, before the
+    matrix is built."""
+
+    LINE = ("scheme sparse_staggered, tile_size 64: logical matrix of 4228120576 cells "
+            "exceeds the int32 index range (layer 0, conv2d)")
+
+    @pytest.fixture
+    def config(self, tmp_path, monkeypatch):
+        def no_cells(*a, **k):
+            raise AssertionError("built the staggered matrix of an unmappable layer")
+        monkeypatch.setattr(mapping, "_staggered_cells", no_cells)
+        return save_net_and_data(tmp_path, [qnet.conv2d(1, 3, 3)], (1, 256, 256), samples=2)
+
+    def test_cost_refuses_without_building(self, tmp_path, capsys, config):
+        assert main(["cost", "--net", config["network"], "--scheme", "sparse_staggered",
+                     "--tile-size", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: infeasible design points:\n  {self.LINE}\n"
+
+    def test_dse_refuses_at_stage_two(self, tmp_path, capsys, monkeypatch, config):
+        config["space"] = {"scheme": ["sparse_staggered", "dense_routed"], "tile_size": [64]}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        refuse_to_run(monkeypatch)
+        assert main(["dse", "--config", str(tmp_path / "config.json")]) == 2
+        assert capsys.readouterr().err == f"error: infeasible design points:\n  {self.LINE}\n"

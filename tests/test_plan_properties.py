@@ -153,3 +153,23 @@ def test_noise_off_simulation_equals_ideal(case):
         conductances = xbar.program_network(net, scheme, hw, 0, plans)
         logits = xbar.simulate_forward(net, plans, conductances, x, hw.io, hw.device)
         assert (np.abs(logits - ideal) <= bound).all(), scheme
+
+
+@PROPERTY_SETTINGS
+@given(conv_nets(), st.integers(1, 28))
+def test_rule_decides_feasibility(case, t):
+    """The feasibility rule finds no problem exactly when every plan builds
+    and the analytic cost is given, at tile sizes from 1 past the largest
+    footprint: a caller the rule has passed gets no ``MappingError``."""
+    net, _ = case
+    for scheme in mapping.SCHEMES:
+        failed = []
+        for build in (mapping.network_plans, mapping.analytic_network_cost):
+            try:
+                build(net, scheme, t)
+            except mapping.MappingError:
+                failed.append(build.__name__)
+        problems = [line for layer in net.layers
+                    for line in mapping.layer_problems(layer.spec, scheme, t)]
+        expected = ["network_plans", "analytic_network_cost"] if problems else []
+        assert failed == expected, (scheme, t)
