@@ -6,8 +6,21 @@ format_version); stdout is human-oriented. Exit codes: 0 success, 1 runtime
 failure, 2 usage or configuration error. A command refuses with exit 2 in at
 most two stages, each one error listing every problem the stage can see: what
 the arguments and the run config show, before any network or dataset is
-loaded; then what the loaded inputs show, such as the design points the
-network cannot be mapped at, one line for every layer that fails at each.
+loaded; then what the loaded inputs show, before any design point runs.
+
+Stage 2 loads every input file and lists every problem in each (at most 20
+lines a file, then ``... and N more``), every way the dataset does not fit
+the network (``qnet.fit_problems``) and, if the network parsed, one line for
+every layer that a design point cannot map. A lone file or pairing problem
+is its line alone (``error: dataset row 5: non-finite feature``); otherwise
+those go under the command's stage-1 heading and the layers under
+``infeasible design points``::
+
+    error: invalid configuration:
+      layers[0].scale: must be a positive finite number
+      dataset row 3: non-finite feature
+    infeasible design points:
+      scheme dense_kernel, tile_size 2: kernel footprint 3 exceeds tile size 2 (layer 0, conv1d)
 """
 
 from __future__ import annotations
@@ -31,10 +44,30 @@ class ConfigError(ValueError):
     """Bad usage or configuration; maps to exit code 2."""
 
 
-def _refuse(heading: str, errors: list[str]) -> None:
-    """Raise one ConfigError listing every problem in ``errors``, if any."""
-    if errors:
-        raise ConfigError(f"{heading}:\n  " + "\n  ".join(errors))
+def _refuse(heading: str, errors: list[str], *more: tuple[str, list[str]]) -> None:
+    """Raise one ConfigError listing every problem, if there is any: those in
+    ``errors`` under ``heading``, then those of each (heading, lines) of
+    ``more`` under its own."""
+    listings = [f"{h}:\n  " + "\n  ".join(lines) for h, lines in ((heading, errors), *more)
+                if lines]
+    if listings:
+        raise ConfigError("\n".join(listings))
+
+
+def _load(loader, path) -> tuple[object, list[str]]:
+    """``loader(path)`` and no problems, or None and the problem lines of
+    the one error the loader raised."""
+    try:
+        return loader(path), []
+    except (ConfigError, qnet.NetworkFormatError) as err:
+        return None, str(err).splitlines()
+
+
+def _refuse_inputs(heading: str, problems: list[str], infeasible: list[str] = ()) -> None:
+    """Stage 2's one refusal, in the format of the module docstring."""
+    if len(problems) == 1 and not infeasible:
+        raise ConfigError(problems[0])
+    _refuse(heading, problems, ("infeasible design points", infeasible))
 
 
 def _out_dir_errors(out) -> list[str]:
@@ -159,7 +192,7 @@ def load_run_config(path: str, seed_override: int | None = None,
     errors += [f"space.scheme: {problem}" for scheme in space.scheme
                for problem in mapping.layer_problems(None, scheme, None)]
     errors += [f"space.tile_size: {t!r}: {problem}" for t in space.tile_size
-               for problem in (mapping.layer_problems(None, None, t) if isinstance(t, int)
+               for problem in (mapping.layer_problems(None, None, t) if qnet._is_int(t)
                                else ["not an integer"])]
     # build each I/O and device model the grid will, so that their own
     # checks report every bad value before any point runs
@@ -196,25 +229,30 @@ def load_run_config(path: str, seed_override: int | None = None,
     return cfg
 
 
-def _refuse_infeasible(net: qnet.QuantizedNetwork, schemes: list, tile_sizes: list) -> None:
-    """Refuse with one line per (scheme, tile_size, layer) that cannot be mapped."""
-    _refuse("infeasible design points", [
-        f"scheme {scheme}, tile_size {t}: {problem} (layer {i}, {layer.spec.kind})"
-        for scheme in schemes for t in tile_sizes for i, layer in enumerate(net.layers)
-        for problem in mapping.layer_problems(layer.spec, scheme, t)])
+def _infeasible(net: qnet.QuantizedNetwork | None, schemes: list, tile_sizes: list) -> list[str]:
+    """One line per (scheme, tile_size, layer) that cannot be mapped; none
+    for a network that did not load."""
+    return [f"scheme {scheme}, tile_size {t}: {problem} (layer {i}, {layer.spec.kind})"
+            for scheme in schemes for t in tile_sizes
+            for i, layer in enumerate(net.layers if net is not None else [])
+            for problem in mapping.layer_problems(layer.spec, scheme, t)]
 
 
 def _run_space(args, single_point: bool) -> tuple[dict, list[dse.ConfigResult]]:
     """Evaluate the space of ``args.config``. Refuses what the config shows,
-    then, once the network and dataset are loaded, every layer the space
-    cannot map; both before any point runs."""
+    then what the network, the dataset, their pairing and the space show;
+    both before any point runs."""
     cfg = load_run_config(args.config, args.seed, args.out, args.jobs,
                           single_point=single_point)
-    net = qnet.load_network(cfg["network"])
-    data = qnet.load_dataset(cfg["dataset"])
+    net, problems = _load(qnet.load_network, cfg["network"])
+    data, data_problems = _load(qnet.load_dataset, cfg["dataset"])
+    problems += data_problems
+    if net is not None and data is not None:
+        problems += qnet.fit_problems(net.input_shape, net.layers[-1].spec.out_shape, data)
     space = cfg["space_obj"]
+    _refuse_inputs("invalid configuration", problems,
+                   _infeasible(net, space.scheme, space.tile_size))
     space.network = [net.name]
-    _refuse_infeasible(net, space.scheme, space.tile_size)
     results = dse.grid_search(space, data, {net.name: net}, seed=cfg["seed"],
                               base_model=cfg["base_model"], jobs=cfg["jobs"])
     return cfg, results
@@ -264,33 +302,40 @@ def _parse_cell(column: str, text: str):
 
 
 def load_results_csv(path) -> list[dse.ConfigResult]:
-    """Read a results file as ``write_results_csv`` wrote it. A row of the
-    wrong length, a cell that does not parse to a finite value and an empty
-    cell outside the dimension columns are each a ConfigError naming the
-    file, the row (counted from 0 after the header) and the column."""
+    """Read a results file as ``write_results_csv`` wrote it. Every row of
+    the wrong length, cell that does not parse to a finite value and empty
+    cell outside the dimension columns is a line naming the file, the row
+    (counted from 0 after the header) and the column; all of them are raised
+    as one ConfigError, capped as ``qnet``'s loaders cap theirs. A file whose
+    first line is not the header raises at once."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != RESULT_COLUMNS:
             raise ConfigError(f"{path}: unexpected results header {header}")
-        results = []
+        results, problems = [], []
         for i, row in enumerate(reader):
             if len(row) != len(header):
-                raise ConfigError(f"{path} row {i}: {len(row)} cells, expected {len(header)}")
+                problems.append(f"{path} row {i}: {len(row)} cells, expected {len(header)}")
+                continue
             cells = {}
             for col, text in zip(header, row):
                 try:
                     cells[col] = _parse_cell(col, text)
                 except ValueError as err:
-                    raise ConfigError(f"{path} row {i}, column {col}: {err}") from None
+                    problems.append(f"{path} row {i}, column {col}: {err}")
+                    continue
                 if cells[col] is None and col not in dse.DIMENSIONS:
-                    raise ConfigError(f"{path} row {i}, column {col}: empty cell")
+                    problems.append(f"{path} row {i}, column {col}: empty cell")
+            if problems:  # the rows are only checked from here on
+                continue
             results.append(dse.ConfigResult(
                 config={d: cells[d] for d in dse.DIMENSIONS},
                 order_index=cells["order_index"], tsa=cells["tsa"],
                 rd=cells["rd"], rwo=cells["rwo"], tiles=cells["tiles"],
                 raw_score=cells["raw_score"], seed=cells["seed"],
                 normalized_score=cells["normalized_score"]))
+    qnet._raise_all(problems, ConfigError)
     return results
 
 
@@ -405,8 +450,9 @@ def cmd_cost(args) -> int:
     errors += mapping.layer_problems(None, args.scheme, None) + \
         mapping.layer_problems(None, None, args.tile_size)
     _refuse("invalid arguments", errors + (_out_dir_errors(args.out) if args.out else []))
-    net = qnet.load_network(args.net)
-    _refuse_infeasible(net, [args.scheme], [args.tile_size])
+    net, problems = _load(qnet.load_network, args.net)
+    _refuse_inputs("invalid arguments", problems,
+                   _infeasible(net, [args.scheme], [args.tile_size]))
     total, reports = mapping.cost_network(net, args.scheme, args.tile_size)
     header = ["layer", "kind", "rd", "tiles", "rwo", "programming_writes",
               "eq1_staggered_devices", "eq1_remainder", "eq2_dense_devices",
@@ -505,9 +551,9 @@ def cmd_report(args) -> int:
     out = Path(args.out)
     errors = [] if Path(args.results).is_file() else [f"results file not found: {args.results}"]
     _refuse("invalid arguments", errors + _out_dir_errors(out))
-    results = load_results_csv(args.results)
-    if not results:
-        raise ConfigError(f"{args.results}: no result rows")
+    results, problems = _load(load_results_csv, args.results)
+    _refuse_inputs("invalid arguments",
+                   problems or ([] if results else [f"{args.results}: no result rows"]))
     written = _emit_reports(out, results, svg=args.svg)
     print(f"re-emitted reports for {len(results)} configurations")
     print("wrote " + ", ".join(written))

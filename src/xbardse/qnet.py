@@ -7,10 +7,17 @@ integer codes plus one per-tensor scale, so that every analog simulation
 result can be checked against ``ideal_forward`` on the dequantized weights.
 Also provides a desk-scale trainer and synthetic dataset generator used to
 produce reproducible fixture networks.
+
+``load_network`` and ``load_dataset`` collect every problem in their file
+and raise one NetworkFormatError, one line each, prefixed with what it names
+(``layers[i].field``, ``dataset header``, ``dataset row i``): at most 20
+lines (``_MAX_LISTED``), then ``... and N more``. Only a file that leaves
+nothing to parse raises at its first problem.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -28,7 +35,34 @@ LAYER_KINDS = ("conv2d", "conv1d", "linear")
 
 
 class NetworkFormatError(ValueError):
-    """A network or dataset file failed validation; message names the field."""
+    """A network or dataset file failed validation; each line of the message
+    is one problem and names its field or row."""
+
+
+# the most problems one file's error lists before it counts the rest
+_MAX_LISTED = 20
+
+
+def _raise_all(problems: list[str], error: type[ValueError] = NetworkFormatError) -> None:
+    """Raise one ``error`` for every problem in ``problems``, one line each,
+    if there are any: at most ``_MAX_LISTED`` lines, then ``... and N more``."""
+    if problems:
+        more = len(problems) - _MAX_LISTED
+        raise error("\n".join(problems[:_MAX_LISTED]
+                              + ([f"... and {more} more"] if more > 0 else [])))
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, never a bool: JSON ``true`` and ``false``
+    load as bools, which are ints."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_positive_finite(value) -> bool:
+    """A number in (0, inf), never a bool: NaN, +-inf, ints past float range
+    and JSON ``true``, which loads as the int 1, all fail."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and 0 < value <= sys.float_info.max)
 
 
 def _round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -140,6 +174,25 @@ def out_extent(extent: int, kernel: int, stride: int, padding: int,
     return span // stride + 1
 
 
+def _composed(spec: LayerSpec, shape: tuple[int, ...]) -> tuple[LayerSpec, tuple[int, ...]]:
+    """A copy of ``spec`` with its fan-in/spatial fields filled in from an
+    input of ``shape``, and its output shape; raises ValueError if the layer
+    does not compose."""
+    spec = replace(spec)
+    spec.validate()
+    if spec.kind == "linear":
+        spec.in_features = int(np.prod(shape))
+    elif spec.kind == "conv1d":
+        if len(shape) != 2:
+            raise ValueError(f"conv1d expects (channels, length) input, got {shape}")
+        spec.in_channels, spec.in_x, spec.in_y = (*shape, 1)
+    else:  # conv2d
+        if len(shape) != 3:
+            raise ValueError(f"conv2d expects (channels, height, width) input, got {shape}")
+        spec.in_channels, spec.in_x, spec.in_y = shape
+    return spec, spec.out_shape
+
+
 def propagate_shapes(specs: list[LayerSpec],
                      feature_shape: tuple[int, ...]) -> tuple[list[LayerSpec], tuple[int, ...]]:
     """Fill in fan-in/spatial fields layer by layer; returns (specs, out_shape).
@@ -149,20 +202,8 @@ def propagate_shapes(specs: list[LayerSpec],
     shape = tuple(int(d) for d in feature_shape)
     out: list[LayerSpec] = []
     for i, spec in enumerate(specs):
-        spec = replace(spec)
         try:
-            spec.validate()
-            if spec.kind == "linear":
-                spec.in_features = int(np.prod(shape))
-            elif spec.kind == "conv1d":
-                if len(shape) != 2:
-                    raise ValueError(f"conv1d expects (channels, length) input, got {shape}")
-                spec.in_channels, spec.in_x, spec.in_y = (*shape, 1)
-            else:  # conv2d
-                if len(shape) != 3:
-                    raise ValueError(f"conv2d expects (channels, height, width) input, got {shape}")
-                spec.in_channels, spec.in_x, spec.in_y = shape
-            shape = spec.out_shape
+            spec, shape = _composed(spec, shape)
         except ValueError as err:
             raise ValueError(f"layers[{i}]: {err}") from err
         out.append(spec)
@@ -280,7 +321,7 @@ class WeightTensor:
         within the symmetric range of ``bit_width``."""
         if self.bit_width not in SUPPORTED_BIT_WIDTHS:
             raise ValueError(f"bit_width must be one of {SUPPORTED_BIT_WIDTHS}")
-        if not 0 < self.scale <= sys.float_info.max:  # a condition NaN fails
+        if not _is_positive_finite(self.scale):
             raise ValueError("scale must be > 0 and finite")
         codes = np.asarray(self.codes)
         if codes.dtype.kind not in "biuf":
@@ -337,21 +378,34 @@ class QuantizedNetwork:
     layers: list[Layer]
     seed: int | None = None
 
-    def validate(self) -> None:
-        specs = [layer.spec for layer in self.layers]
-        propagated, _ = propagate_shapes(specs, self.input_shape)
-        for i, (layer, spec) in enumerate(zip(self.layers, propagated)):
-            layer.spec = spec
+    def problems(self) -> list[str]:
+        """Every problem of the network, one line each, naming its layer.
+        Shapes propagate from ``input_shape`` up to the first layer that
+        does not compose, whose line ends the list, since later shapes
+        depend on it; each layer before it gets its fan-in/spatial fields
+        filled in and its weights checked."""
+        problems = []
+        shape = tuple(int(d) for d in self.input_shape)
+        for i, layer in enumerate(self.layers):
+            where = f"layers[{i}]"
+            try:
+                layer.spec, shape = _composed(layer.spec, shape)
+            except ValueError as err:
+                return problems + [f"{where}: {err}"]
             try:
                 layer.weights.validate()
             except ValueError as err:
-                raise NetworkFormatError(f"layers[{i}]: {err}") from err
+                problems.append(f"{where}: {err}")
             if layer.weights.bit_width != self.bit_width:
-                raise NetworkFormatError(
-                    f"layers[{i}]: bit_width {layer.weights.bit_width} != network {self.bit_width}")
-            if layer.weights.shape != spec.weight_shape():
-                raise NetworkFormatError(
-                    f"layers[{i}]: weight shape {layer.weights.shape} != expected {spec.weight_shape()}")
+                problems.append(
+                    f"{where}: bit_width {layer.weights.bit_width} != network {self.bit_width}")
+            if layer.weights.shape != layer.spec.weight_shape():
+                problems.append(f"{where}: weight shape {layer.weights.shape} != expected "
+                                f"{layer.spec.weight_shape()}")
+        return problems
+
+    def validate(self) -> None:
+        _raise_all(self.problems())
 
     def total_weights(self) -> int:
         return sum(layer.weights.codes.size for layer in self.layers)
@@ -384,6 +438,22 @@ class Dataset:
             raise ValueError("class_count must be >= 2")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= self.class_count:
             raise ValueError("labels must lie in [0, class_count)")
+
+
+def fit_problems(input_shape: tuple[int, ...], output_shape: tuple[int, ...],
+                 data: Dataset) -> list[str]:
+    """The pairing rule: why a network of ``input_shape`` and ``output_shape``
+    cannot be scored on ``data``, one line each. The dataset's feature shape
+    must be the network's input shape, and every class must be an output the
+    network can give: ``class_count`` at most the network's output count."""
+    problems = []
+    if data.feature_shape != input_shape:
+        problems.append(f"dataset feature shape {data.feature_shape} != "
+                        f"network input {input_shape}")
+    if data.class_count > math.prod(output_shape):
+        problems.append(f"architecture output {output_shape} does not match "
+                        f"{data.class_count} classes")
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +681,7 @@ def train_fixture(seed: int, arch: list[LayerSpec], data: Dataset, l1: float,
     """
     data.validate()
     specs, out_shape = propagate_shapes(arch, data.feature_shape)
-    if out_shape != (data.class_count,):
-        raise ValueError(
-            f"architecture output {out_shape} does not match {data.class_count} classes")
+    _raise_all(fit_problems(data.feature_shape, out_shape, data), ValueError)
     rng = np.random.default_rng(seed)
     weights = []
     for spec in specs:
@@ -679,85 +747,91 @@ def save_network(net: QuantizedNetwork, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise NetworkFormatError(f"{where}: missing field '{key}'")
-    return doc[key]
+def _take(entry: dict, key: str, where: str, problems: list[str], ok=None,
+          message: str = ""):
+    """``entry[key]`` if it is there and ``ok`` holds for it; else None, with
+    the problem added to ``problems``: the missing field, or ``message``
+    formatted with the ``value``."""
+    if key not in entry:
+        problems.append(f"{where}: missing field '{key}'")
+    elif ok is None or ok(entry[key]):
+        return entry[key]
+    else:
+        problems.append(message.format(value=entry[key]))
+    return None
 
 
-def _is_int(value) -> bool:
-    """An int or numpy integer, never a bool: JSON ``true`` and ``false``
-    load as bools, which are ints."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _require_int(doc: dict, key: str, where: str) -> int:
-    value = _require(doc, key, where)
-    if not _is_int(value):
-        raise NetworkFormatError(f"{where}.{key}: must be an integer, got {value!r}")
-    return value
+def _load_layer(entry, where: str, bit_width, problems: list[str]) -> Layer | None:
+    """One ``layers`` entry as a Layer, or None with its problems added."""
+    if not isinstance(entry, dict):
+        problems.append(f"{where}: must be an object, got {entry!r}")
+        return None
+    known = len(problems)
+    kind = _take(entry, "kind", where, problems, lambda v: v in LAYER_KINDS,
+                 f"{where}.kind: unknown kind {{value!r}}")
+    keys = () if kind is None else ("in_features", "out_features") if kind == "linear" \
+        else _CONV_PARAMS
+    params = {key: _take(entry, key, where, problems, _is_int,
+                         f"{where}.{key}: must be an integer, got {{value!r}}") for key in keys}
+    scale = _take(entry, "scale", where, problems, _is_positive_finite,
+                  f"{where}.scale: must be a positive finite number")
+    # one flat list: nested lists, ragged or not, and true/false are refused
+    raw = _take(entry, "codes", where, problems,
+                lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                f"{where}.codes: must be JSON integers in one flat list")
+    if len(problems) > known:
+        return None
+    spec = LayerSpec(kind, **params)
+    if kind == "linear" and (spec.in_features < 1 or spec.out_features < 1):
+        problems.append(f"{where}: linear features must be >= 1")
+        return None
+    try:
+        codes = np.array(raw, dtype=np.int64)
+    except OverflowError:
+        problems.append(f"{where}.codes: codes exceed {bit_width}-bit symmetric range")
+        return None
+    shape = spec.weight_shape()
+    expected = math.prod(shape) if all(d > 0 for d in shape) else 0
+    if codes.size != expected:
+        problems.append(f"{where}.codes: {codes.size} values, expected {expected}")
+        return None
+    return Layer(spec, WeightTensor(codes.reshape(shape), float(scale), bit_width))
 
 
 def load_network(path) -> QuantizedNetwork:
+    """Read a network file as ``save_network`` writes it, refusing once for
+    every problem in it (see the module docstring). A file that is not JSON,
+    or whose top level is not an object, raises at once. The top level's and
+    every layer's field problems come first. Then, if ``bit_width`` and
+    ``input_shape`` parsed, shapes propagate over the leading layers that
+    parsed, up to the first that does not compose, and their weights are
+    checked (``QuantizedNetwork.problems``)."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise NetworkFormatError(f"not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise NetworkFormatError("top level must be an object")
-    version = _require(doc, "format_version", "top level")
-    if version != FORMAT_VERSION:
-        raise NetworkFormatError(f"unsupported format_version {version}")
-    name = _require(doc, "name", "top level")
-    bit_width = _require(doc, "bit_width", "top level")
-    if bit_width not in SUPPORTED_BIT_WIDTHS:
-        raise NetworkFormatError(f"bit_width: must be one of {SUPPORTED_BIT_WIDTHS}")
-    input_shape = _require(doc, "input_shape", "top level")
-    if not isinstance(input_shape, list) or not all(map(_is_int, input_shape)):
-        raise NetworkFormatError(
-            f"input_shape: must be a list of integers, got {input_shape!r}")
-    raw_layers = _require(doc, "layers", "top level")
-    layers = []
-    for i, entry in enumerate(raw_layers):
-        where = f"layers[{i}]"
-        kind = _require(entry, "kind", where)
-        if kind not in LAYER_KINDS:
-            raise NetworkFormatError(f"{where}.kind: unknown kind {kind!r}")
-        if kind == "linear":
-            spec = LayerSpec("linear",
-                             in_features=_require_int(entry, "in_features", where),
-                             out_features=_require_int(entry, "out_features", where))
-        else:
-            params = {key: _require_int(entry, key, where) for key in _CONV_PARAMS}
-            spec = LayerSpec(kind, **params)
-        scale = _require(entry, "scale", where)
-        # JSON true is an int; NaN, +-Infinity and ints past float range fail the range
-        if not (isinstance(scale, (int, float)) and not isinstance(scale, bool)
-                and 0 < scale <= sys.float_info.max):
-            raise NetworkFormatError(f"{where}.scale: must be a positive finite number")
-        raw = _require(entry, "codes", where)
-        # one flat list: nested lists, ragged or not, and true/false are refused
-        if not isinstance(raw, list) or not all(map(_is_int, raw)):
-            raise NetworkFormatError(f"{where}.codes: must be JSON integers in one flat list")
-        try:
-            codes = np.array(raw, dtype=np.int64)
-        except OverflowError:
-            raise NetworkFormatError(
-                f"{where}.codes: codes exceed {bit_width}-bit symmetric range") from None
-        shape = spec.weight_shape()
-        expected = int(np.prod(shape)) if all(d > 0 for d in shape) else 0
-        if kind == "linear" and (spec.in_features < 1 or spec.out_features < 1):
-            raise NetworkFormatError(f"{where}: linear features must be >= 1")
-        if codes.size != expected:
-            raise NetworkFormatError(
-                f"{where}.codes: {codes.size} values, expected {expected}")
-        layers.append(Layer(spec, WeightTensor(codes.reshape(shape), float(scale), bit_width)))
-    net = QuantizedNetwork(str(name), int(bit_width), tuple(input_shape), layers,
-                           seed=doc.get("seed"))
-    try:
-        net.validate()
-    except ValueError as err:
-        raise NetworkFormatError(str(err)) from err
+    problems: list[str] = []
+    top = "top level"
+    _take(doc, "format_version", top, problems, lambda v: v == FORMAT_VERSION,
+          "unsupported format_version {value}")
+    name = _take(doc, "name", top, problems)
+    bit_width = _take(doc, "bit_width", top, problems, lambda v: v in SUPPORTED_BIT_WIDTHS,
+                      f"bit_width: must be one of {SUPPORTED_BIT_WIDTHS}")
+    input_shape = _take(doc, "input_shape", top, problems,
+                        lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                        "input_shape: must be a list of integers, got {value!r}")
+    raw_layers = _take(doc, "layers", top, problems, lambda v: isinstance(v, list) and v,
+                       "layers: must be a non-empty list, got {value!r}")
+    layers = [_load_layer(entry, f"layers[{i}]", doc.get("bit_width"), problems)
+              for i, entry in enumerate(raw_layers or [])]
+    if bit_width is not None and input_shape is not None:
+        parsed = list(itertools.takewhile(lambda layer: layer is not None, layers))
+        net = QuantizedNetwork(str(name), int(bit_width), tuple(input_shape), parsed,
+                               seed=doc.get("seed"))
+        problems += net.problems()
+    _raise_all(problems)  # a None bit_width or input_shape has put its problem there
     return net
 
 
@@ -776,7 +850,38 @@ def save_dataset(data: Dataset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_rows(lines: list[str], dim: int, problems: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The labels and (n, dim) features of the non-blank data ``lines``,
+    adding to ``problems`` one line for every bad row, in row order: a wrong
+    length, a label or feature that does not parse, or a non-finite feature.
+    A bad row's label reads 0. Only the failure branches collect, so a clean
+    file costs one parse per row and one vectorized finiteness check."""
+    rows = [line for line in lines if line.strip()]
+    labels = np.empty(len(rows), dtype=np.int64)
+    feats = np.empty((len(rows), dim))
+    bad = {}  # row -> its problem
+    for i, line in enumerate(rows):
+        parts = line.split(",")
+        if len(parts) != dim + 1:
+            bad[i], labels[i] = f"{len(parts) - 1} features, expected {dim}", 0
+            continue
+        try:
+            labels[i] = int(parts[0])
+            feats[i] = [float(v) for v in parts[1:]]
+        except (ValueError, OverflowError) as err:
+            bad[i], labels[i] = str(err), 0
+    for i in np.flatnonzero(~np.isfinite(feats).all(axis=1)):
+        bad.setdefault(int(i), "non-finite feature")  # a bad row's features are unread
+    problems.extend(f"dataset row {i}: {bad[i]}" for i in sorted(bad))
+    return labels, feats
+
+
 def load_dataset(path) -> Dataset:
+    """Read a dataset file as ``save_dataset`` writes it, refusing once for
+    every problem in it (see the module docstring): the header's, every bad
+    row's (``_read_rows``), then the labels' range. A file without its
+    ``# format_version`` line raises at once, and the rows are only read
+    against a feature_shape that parsed."""
     text = Path(path).read_text().splitlines()
     if not text or not text[0].startswith("#"):
         raise NetworkFormatError("dataset: missing '# format_version ...' header line")
@@ -784,34 +889,31 @@ def load_dataset(path) -> Dataset:
     for part in text[0].lstrip("# ").split(","):
         key, _, value = part.partition(":")
         header[key.strip()] = value.strip()
+    problems = []
     if header.get("format_version") != str(FORMAT_VERSION):
-        raise NetworkFormatError("dataset: unsupported or missing format_version")
+        problems.append("dataset: unsupported or missing format_version")
     try:
         shape = tuple(int(d) for d in header["feature_shape"].split("x"))
+        if min(shape) < 1:
+            raise ValueError(f"feature_shape extents must be >= 1, got {header['feature_shape']}")
+    except (KeyError, ValueError) as err:
+        problems.append(f"dataset header: {err}")
+        shape = None
+    try:
         class_count = int(header["class_count"])
     except (KeyError, ValueError) as err:
-        raise NetworkFormatError(f"dataset header: {err}") from err
+        problems.append(f"dataset header: {err}")
+        class_count = None
     if len(text) < 2:
-        raise NetworkFormatError("dataset: missing column header row")
-    rows = [line for line in text[2:] if line.strip()]
-    dim = int(np.prod(shape))
-    labels = np.empty(len(rows), dtype=np.int64)
-    feats = np.empty((len(rows), dim))
-    for i, line in enumerate(rows):
-        parts = line.split(",")
-        if len(parts) != dim + 1:
-            raise NetworkFormatError(f"dataset row {i}: {len(parts) - 1} features, expected {dim}")
-        try:
-            labels[i] = int(parts[0])
-            feats[i] = [float(v) for v in parts[1:]]
-        except (ValueError, OverflowError) as err:
-            raise NetworkFormatError(f"dataset row {i}: {err}") from err
-    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-    if bad.size:
-        raise NetworkFormatError(f"dataset row {bad[0]}: non-finite feature")
-    data = Dataset(feats.reshape(len(rows), *shape), labels, class_count)
-    try:
-        data.validate()
-    except ValueError as err:
-        raise NetworkFormatError(f"dataset: {err}") from err
+        problems.append("dataset: missing column header row")
+    data = None
+    if shape is not None:
+        labels, feats = _read_rows(text[2:], int(np.prod(shape)), problems)
+        if class_count is not None:
+            data = Dataset(feats.reshape(len(labels), *shape), labels, class_count)
+            try:
+                data.validate()
+            except ValueError as err:
+                problems.append(f"dataset: {err}")
+    _raise_all(problems)
     return data

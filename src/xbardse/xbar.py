@@ -100,9 +100,11 @@ class DeviceModel:
         _reject_bools(r_on_mean=self.r_on_mean, r_on_std=self.r_on_std,
                       r_off_mean=self.r_off_mean, r_off_std=self.r_off_std,
                       p_stuck_on=self.p_stuck_on, p_stuck_off=self.p_stuck_off)
-        # positive conditions, so that NaN fails each of them
-        if not 0 < self.r_on_mean < self.r_off_mean < math.inf:
+        if not (qnet._is_positive_finite(self.r_on_mean)
+                and qnet._is_positive_finite(self.r_off_mean)
+                and self.r_on_mean < self.r_off_mean):
             raise ValueError("need 0 < r_on_mean < r_off_mean < inf")
+        # positive conditions, so that NaN fails each of them
         if not (self.r_on_std >= 0 and self.r_off_std >= 0):
             raise ValueError("resistance std must be >= 0")
         if not (self.r_on_std < math.inf and self.r_off_std < math.inf):
@@ -141,10 +143,8 @@ class IOConfig:
             if self.io_bit_width < 1:
                 raise ValueError("io_bit_width must be >= 1")
         _reject_bools(v_max=self.v_max)
-        if not self.v_max > 0:
-            raise ValueError("v_max must be > 0")
-        if not self.v_max < math.inf:
-            raise ValueError("v_max must be finite")
+        if not qnet._is_positive_finite(self.v_max):
+            raise ValueError("v_max must be finite" if self.v_max > 0 else "v_max must be > 0")
         if not qnet._is_int(self.batch_size):
             raise ValueError("batch_size must be an integer")
         if self.batch_size < 1:

@@ -691,3 +691,150 @@ class TestInt32CellBound:
         refuse_to_run(monkeypatch)
         assert main(["dse", "--config", str(tmp_path / "config.json")]) == 2
         assert capsys.readouterr().err == f"error: infeasible design points:\n  {self.LINE}\n"
+
+
+def write_dataset(workdir, path, cells=(), header=("", "")):
+    """The fixture's test set with every (row, field, text) of ``cells`` set
+    and ``header[0]`` replaced by ``header[1]`` in its header line."""
+    lines = (workdir / "fixture_test.csv").read_text().splitlines()
+    lines[0] = lines[0].replace(*header)
+    for row, field, text in cells:
+        parts = lines[2 + row].split(",")       # data row ``row``, after the two header lines
+        parts[field] = text
+        lines[2 + row] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def write_broken_network(workdir, path):
+    """The fixture network with a negative layer-0 scale and a layer 1 of
+    kind 'dense'; return its two error lines."""
+    doc = json.loads((workdir / "fixture_net.json").read_text())
+    doc["layers"][0]["scale"] = -1.0
+    doc["layers"][1]["kind"] = "dense"
+    path.write_text(json.dumps(doc))
+    return ["layers[0].scale: must be a positive finite number",
+            "layers[1].kind: unknown kind 'dense'"]
+
+
+BAD_ROWS = [(1, 4, "abc"), (3, 0, "x")]
+BAD_ROW_LINES = ["dataset row 1: could not convert string to float: 'abc'",
+                 "dataset row 3: invalid literal for int() with base 10: 'x'"]
+
+
+class TestStageTwoListsEverything:
+    """Every problem in the network, the dataset, their pairing and the space
+    is refused in one message, before any point runs. dense_kernel cannot
+    map the fixture's conv1d layer (footprint 3) at t=2."""
+
+    def refused_dse(self, tmp_path, capsys, monkeypatch, network):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "network": str(network), "dataset": str(tmp_path / "data.csv"),
+            "out": str(tmp_path), "space": {"scheme": ["dense_kernel"], "tile_size": [2, 8]}}))
+        refuse_to_run(monkeypatch)
+        assert main(["dse", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not (tmp_path / "results.csv").exists()
+        return captured.err
+
+    def test_network_and_dataset_problems_together(self, workdir, tmp_path, capsys,
+                                                   monkeypatch):
+        net_lines = write_broken_network(workdir, tmp_path / "net.json")
+        write_dataset(workdir, tmp_path / "data.csv", BAD_ROWS)
+        err = self.refused_dse(tmp_path, capsys, monkeypatch, tmp_path / "net.json")
+        assert err == "error: invalid configuration:\n" + "".join(
+            f"  {line}\n" for line in net_lines + BAD_ROW_LINES)
+
+    def test_dataset_problems_with_infeasible_points(self, workdir, tmp_path, capsys,
+                                                     monkeypatch):
+        write_dataset(workdir, tmp_path / "data.csv", BAD_ROWS)
+        err = self.refused_dse(tmp_path, capsys, monkeypatch, workdir / "fixture_net.json")
+        assert err == (
+            "error: invalid configuration:\n" + "".join(f"  {line}\n" for line in BAD_ROW_LINES)
+            + "infeasible design points:\n  scheme dense_kernel, tile_size 2: kernel footprint 3"
+              " exceeds tile size 2 (layer 0, conv1d)\n")
+
+    def test_cost_lists_every_layer_problem(self, workdir, tmp_path, capsys):
+        net_lines = write_broken_network(workdir, tmp_path / "net.json")
+        assert main(["cost", "--net", str(tmp_path / "net.json"), "--scheme", "dense_kernel",
+                     "--tile-size", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid arguments:\n" + "".join(
+            f"  {line}\n" for line in net_lines)
+
+    def test_a_file_lists_at_most_20_problems(self, workdir, tmp_path, capsys, monkeypatch):
+        write_dataset(workdir, tmp_path / "data.csv", [(row, 1, "nan") for row in range(25)])
+        cfg = single_point_config(workdir, tmp_path, {"dataset": str(tmp_path / "data.csv")})
+        refuse_to_run(monkeypatch)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: invalid configuration:\n" + "".join(
+            f"  dataset row {row}: non-finite feature\n" for row in range(20)) + \
+            "  ... and 5 more\n"
+
+
+# datasets that the fixture network cannot score, or whose header has a bad
+# extent: (header edit, cell edits, the one error line)
+UNFIT_DATASETS = {
+    "ten-classes": (("class_count: 4", "class_count: 10"),
+                    [(row, 0, "7") for row in range(0, 200, 3)],
+                    "architecture output (4,) does not match 10 classes"),
+    "flat-features": (("feature_shape: 1x16", "feature_shape: 16"), [],
+                      "dataset feature shape (16,) != network input (1, 16)"),
+    "negative-extent": (("feature_shape: 1x16", "feature_shape: -2"), [],
+                        "dataset header: feature_shape extents must be >= 1, got -2"),
+    "zero-extent": (("feature_shape: 1x16", "feature_shape: 0"), [],
+                    "dataset header: feature_shape extents must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNFIT_DATASETS))
+def test_unfit_dataset_exit_2_before_any_point(workdir, tmp_path, capsys, monkeypatch, case):
+    header, cells, line = UNFIT_DATASETS[case]
+    write_dataset(workdir, tmp_path / "data.csv", cells, header)
+    cfg = single_point_config(workdir, tmp_path, {"dataset": str(tmp_path / "data.csv")})
+    refuse_to_run(monkeypatch)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "simulate_result.json").exists()
+
+
+@pytest.mark.parametrize("layers, line", [
+    (5, "layers: must be a non-empty list, got 5"),
+    ([5], "layers[0]: must be an object, got 5"),
+    (["kind"], "layers[0]: must be an object, got 'kind'"),
+    ({"a": 1}, "layers: must be a non-empty list, got {'a': 1}"),
+    ([], "layers: must be a non-empty list, got []"),
+], ids=["number", "list-of-number", "list-of-string", "object", "empty"])
+def test_malformed_layers_exit_2_at_load(workdir, tmp_path, capsys, layers, line):
+    doc = json.loads((workdir / "fixture_net.json").read_text())
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({**doc, "layers": layers}))
+    assert main(["cost", "--net", str(net), "--scheme", "dense_kernel", "--tile-size", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
+def test_report_names_every_bad_row(results_csv, tmp_path, capsys):
+    lines = list(results_csv)
+    row = lines[1 + 3].split(",")
+    row[cli.RESULT_COLUMNS.index("tsa")] = "nan"
+    lines[1 + 3] = ",".join(row)
+    lines[1 + 5] = ",".join(lines[1 + 5].split(",")[:-1])
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--results", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid arguments:\n  {path} row 3, column tsa: non-finite value 'nan'\n"
+        f"  {path} row 5: 17 cells, expected 18\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
+
+
+def test_boolean_tile_size_is_not_an_integer(workdir, tmp_path, capsys):
+    cfg = dse_config(workdir, tmp_path, tile_size=[True, 8.0])
+    assert main(["dse", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == ("error: invalid configuration:\n"
+                                       "  space.tile_size: True: not an integer\n"
+                                       "  space.tile_size: 8.0: not an integer\n")

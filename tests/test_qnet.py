@@ -588,3 +588,54 @@ class TestFileFormats:
         path.write_text("label,f0\n0,1.0\n")
         with pytest.raises(NetworkFormatError):
             load_dataset(path)
+
+    def test_network_problems_listed_together(self, fixture_net, tmp_path):
+        """Field problems of every layer come first. Then shapes propagate
+        over the layers that parsed, here layer 0 alone, and stop at its
+        stride before its out-of-range code is checked."""
+        import json
+        path = tmp_path / "net.json"
+        save_network(fixture_net, path)
+        doc = json.loads(path.read_text())
+        doc["layers"][0].update(stride=0, codes=[1000] + doc["layers"][0]["codes"][1:])
+        del doc["layers"][1]["scale"]
+        doc["layers"][1]["codes"] = "none"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NetworkFormatError) as err:
+            load_network(path)
+        assert str(err.value).splitlines() == [
+            "layers[1]: missing field 'scale'",
+            "layers[1].codes: must be JSON integers in one flat list",
+            "layers[0]: stride must be >= 1, got 0"]
+
+    def test_weight_problems_of_every_layer_listed(self, fixture_net, tmp_path):
+        import json
+        path = tmp_path / "net.json"
+        save_network(fixture_net, path)
+        doc = json.loads(path.read_text())
+        for layer in doc["layers"]:
+            layer["codes"][0] = -1000
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NetworkFormatError) as err:
+            load_network(path)
+        assert str(err.value).splitlines() == [
+            f"layers[{i}]: codes exceed 8-bit symmetric range" for i in (0, 1)]
+
+    def test_dataset_lists_every_bad_row_in_order(self, test_data, tmp_path):
+        """Rows that do not parse and rows with a non-finite feature, which a
+        separate pass finds, are listed together in row order."""
+        path = tmp_path / "data.csv"
+        save_dataset(test_data, path)
+        lines = path.read_text().splitlines()
+        for row, field, text in ((1, 3, "inf"), (2, 16, "1.0,2.0"), (4, 0, "x"), (6, 5, "-inf")):
+            parts = lines[2 + row].split(",")
+            parts[field] = text
+            lines[2 + row] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NetworkFormatError) as err:
+            load_dataset(path)
+        assert str(err.value).splitlines() == [
+            "dataset row 1: non-finite feature",
+            "dataset row 2: 17 features, expected 16",
+            "dataset row 4: invalid literal for int() with base 10: 'x'",
+            "dataset row 6: non-finite feature"]
