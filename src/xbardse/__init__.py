@@ -4,7 +4,6 @@ weight-mapping schemes and grid-search design-space exploration."""
 __version__ = "0.1.0"
 
 from .qnet import (
-    ConvGeometry,
     Dataset,
     Layer,
     LayerSpec,

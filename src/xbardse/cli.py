@@ -462,10 +462,9 @@ def cmd_cost(args) -> int:
     closed = {}
     for i, layer in enumerate(net.layers):
         if layer.spec.kind != "linear":
-            geom = mapping.ConvGeometry.from_spec(layer.spec)
-            eq1 = mapping.devices_sparse_eq1(geom)
-            closed[i] = (eq1, eq1.denominator != 1, mapping.devices_dense_eq2(geom),
-                         *mapping.steps_dense_eq3(geom))
+            eq1 = mapping.devices_sparse_eq1(layer.spec)
+            closed[i] = (eq1, eq1.denominator != 1, mapping.devices_dense_eq2(layer.spec),
+                         *mapping.steps_dense_eq3(layer.spec))
 
     def eq_cells(eq1, rem1, eq2, eq3, rem3):
         return [float(eq1), rem1, eq2, eq3, rem3]
@@ -576,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="existing output directory")
     p.add_argument("--train-size", type=int, default=256)
     p.add_argument("--test-size", type=int, default=200)
-    p.add_argument("--bit-width", type=int, default=8, choices=(4, 6, 8))
+    p.add_argument("--bit-width", type=int, default=8, choices=qnet.SUPPORTED_BIT_WIDTHS)
     p.add_argument("--l1", type=float, default=5e-4)
     p.set_defaults(func=cmd_fixture)
 

@@ -53,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qnet import ConvGeometry, LayerSpec, QuantizedNetwork, WeightTensor
+from .qnet import LayerSpec, QuantizedNetwork, WeightTensor
 
 SCHEMES = ("sparse_staggered", "dense_routed", "dense_kernel")
 
@@ -70,40 +70,35 @@ def pair_capacity(tile_size: int) -> int:
     return tile_size // 2
 
 
-def _geometry(spec: LayerSpec) -> ConvGeometry | None:
-    return None if spec.kind == "linear" else ConvGeometry.from_spec(spec)
-
-
-def _matrix_shape(spec: LayerSpec, geom: ConvGeometry | None, scheme: str) -> tuple[int, int]:
+def _matrix_shape(spec: LayerSpec, scheme: str) -> tuple[int, int]:
     """Logical matrix shape: a staggered conv's unrolling, else fan-in x outputs."""
-    if geom is None:
+    if spec.kind == "linear":
         return spec.in_features, spec.out_features
     if scheme == "sparse_staggered":
-        return geom.padded_inputs, geom.kernels * geom.out_positions
-    return geom.footprint, geom.kernels
+        return spec.padded_inputs, spec.kernels * spec.out_positions
+    return spec.footprint, spec.kernels
 
 
-def layer_problems(spec: LayerSpec | None, scheme: str | None, tile_size: int | None,
-                   geom: ConvGeometry | None = None) -> list[str]:
+def layer_problems(spec: LayerSpec | None, scheme: str | None,
+                   tile_size: int | None) -> list[str]:
     """The feasibility rule: every reason, from shapes alone, that ``spec``
-    (of geometry ``geom``, if built) cannot be mapped under (scheme,
-    tile_size); a scheme not in SCHEMES is then the only one. A None argument
-    is not checked, so ``layer_problems(None, None, t)`` checks a tile size."""
+    cannot be mapped under (scheme, tile_size); a scheme not in SCHEMES is
+    then the only one. A None argument is not checked, so
+    ``layer_problems(None, None, t)`` checks a tile size."""
     if scheme is not None and scheme not in SCHEMES:
         return [f"unknown scheme {scheme!r} (known: {', '.join(SCHEMES)})"]
     problems = ["tile size must be >= 2"] if tile_size is not None and tile_size < 2 else []
     if spec is not None:
-        geom = geom or _geometry(spec)
-        if geom is not None and scheme == "dense_kernel" and geom.footprint > tile_size:
-            problems.append(f"kernel footprint {geom.footprint} exceeds tile size {tile_size}")
-        cells = math.prod(_matrix_shape(spec, geom, scheme))
+        if spec.kind != "linear" and scheme == "dense_kernel" and spec.footprint > tile_size:
+            problems.append(f"kernel footprint {spec.footprint} exceeds tile size {tile_size}")
+        cells = math.prod(_matrix_shape(spec, scheme))
         if cells > np.iinfo(_INDEX_DTYPE).max:
             problems.append(f"logical matrix of {cells} cells exceeds the int32 index range")
     return problems
 
 
-def _require_mappable(spec, scheme, tile_size, geom=None) -> None:
-    problems = layer_problems(spec, scheme, tile_size, geom)
+def _require_mappable(spec, scheme, tile_size) -> None:
+    problems = layer_problems(spec, scheme, tile_size)
     if problems:
         raise MappingError("; ".join(problems))
 
@@ -130,7 +125,8 @@ class MappingPlan:
     empty. ``gather`` is None unless the plan slides; then it holds the
     read-only (out_positions, footprint) indices of each output position's
     window into the flattened padded input. ``out_shape`` is the layer's
-    output shape, a bare matrix's (cols,).
+    output shape, a bare matrix's (cols,); ``spec`` is the layer's spec,
+    None for a bare matrix.
 
     ``layer_plan`` gives int16 ``codes``; the builders keep the dtype of a
     matrix given to them. ``row_map`` is int32."""
@@ -143,7 +139,7 @@ class MappingPlan:
     codes: np.ndarray
     out_shape: tuple
     row_map: np.ndarray | None = None
-    geometry: ConvGeometry | None = None
+    spec: LayerSpec | None = None
     gather: np.ndarray | None = None
 
     @property
@@ -227,13 +223,13 @@ def map_linear_dense(matrix, tile_size: int) -> MappingPlan:
 # convolution layouts
 
 
-def _staggered_cells(geom: ConvGeometry, idx: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def _staggered_cells(spec: LayerSpec, idx: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """The unrolled logical matrix, dense and int16: column k * P + p holds
     kernel k's codes at the inputs output position p reads, row p of
     ``idx`` (``read_indices``), every other cell a structural zero."""
-    k, p, f = geom.kernels, geom.out_positions, geom.footprint
+    k, p, f = spec.kernels, spec.out_positions, spec.footprint
     kflat = _plan_codes(codes).reshape(k, f)
-    values = np.zeros((geom.padded_inputs, k * p), dtype=_CODE_DTYPE)
+    values = np.zeros((spec.padded_inputs, k * p), dtype=_CODE_DTYPE)
     cols = (np.arange(k) * p)[:, None, None] + np.arange(p)[None, :, None]   # (k, p, 1)
     values[idx[None, :, :], cols] = kflat[:, None, :]
     return values
@@ -260,22 +256,20 @@ def layer_plan(spec: LayerSpec, weights: WeightTensor, scheme: str,
 
     The plan records the layer's output shape.
     """
-    geom = _geometry(spec)
-    _require_mappable(spec, scheme, tile_size, geom)
+    _require_mappable(spec, scheme, tile_size)
     gather = None
-    if geom is None:
+    if spec.kind == "linear":
         matrix = _weight_matrix(weights.codes)
     else:
-        idx = geom.read_indices()
+        idx = spec.read_indices()
         idx.setflags(write=False)
         if scheme == "sparse_staggered":
-            matrix = _staggered_cells(geom, idx, weights.codes)
+            matrix = _staggered_cells(spec, idx, weights.codes)
         else:
             matrix, gather = _weight_matrix(weights.codes), idx
-    full = scheme == "sparse_staggered" or (geom is not None and scheme == "dense_kernel")
+    full = scheme == "sparse_staggered" or (spec.kind != "linear" and scheme == "dense_kernel")
     plan = (map_linear_sparse if full else map_linear_dense)(matrix, tile_size)
-    return replace(plan, scheme=scheme, out_shape=(geom or plan).out_shape, geometry=geom,
-                   gather=gather)
+    return replace(plan, scheme=scheme, out_shape=spec.out_shape, spec=spec, gather=gather)
 
 
 def network_plans(net: QuantizedNetwork, scheme: str, tile_size: int) -> list[MappingPlan]:
@@ -287,24 +281,24 @@ def network_plans(net: QuantizedNetwork, scheme: str, tile_size: int) -> list[Ma
 # closed-form cost model
 
 
-def devices_sparse_eq1(geom: ConvGeometry) -> Fraction:
+def devices_sparse_eq1(spec: LayerSpec) -> Fraction:
     """Closed-form device count of the staggered arrangement, evaluated
     verbatim as printed: K^2 * X * W * (X + 2P - D(H-1) - 1) / (S + 1)."""
-    span = geom.in_x + 2 * geom.padding - geom.dilation * (geom.kernel_h - 1) - 1
-    return Fraction(geom.kernels ** 2 * geom.in_x * geom.kernel_w * span,
-                    geom.stride + 1)
+    span = spec.in_x + 2 * spec.padding - spec.dilation * (spec.kernel_h - 1) - 1
+    return Fraction(spec.kernels ** 2 * spec.in_x * spec.kernel_w * span,
+                    spec.stride + 1)
 
 
-def devices_dense_eq2(geom: ConvGeometry) -> int:
+def devices_dense_eq2(spec: LayerSpec) -> int:
     """Closed-form device count of the dense kernel arrangement: K * H * W."""
-    return geom.kernels * geom.kernel_h * geom.kernel_w
+    return spec.kernels * spec.kernel_h * spec.kernel_w
 
 
-def steps_dense_eq3(geom: ConvGeometry) -> tuple[int, bool]:
+def steps_dense_eq3(spec: LayerSpec) -> tuple[int, bool]:
     """Closed-form step count of the dense arrangement, evaluated verbatim:
     (X + 2P - D(H-1) - 1) / (S + 1). Returns (floor, remainder_flag)."""
-    span = geom.in_x + 2 * geom.padding - geom.dilation * (geom.kernel_h - 1) - 1
-    frac = Fraction(span, geom.stride + 1)
+    span = spec.in_x + 2 * spec.padding - spec.dilation * (spec.kernel_h - 1) - 1
+    frac = Fraction(span, spec.stride + 1)
     return math.floor(frac), frac.denominator != 1
 
 
@@ -358,13 +352,13 @@ def _analytic_layer_cost(spec: LayerSpec, weights: WeightTensor, scheme: str,
                          tile_size: int) -> CostReport:
     """Cost of one layer from arithmetic on shapes and zero locations only,
     without constructing a plan."""
-    geom = _geometry(spec)
-    _require_mappable(spec, scheme, tile_size, geom)
+    _require_mappable(spec, scheme, tile_size)
     cap = pair_capacity(tile_size)
-    reads = 1 if geom is None or scheme == "sparse_staggered" else geom.out_positions
-    if scheme == "sparse_staggered" or (geom is not None and scheme == "dense_kernel"):
+    conv = spec.kind != "linear"
+    reads = spec.out_positions if conv and scheme != "sparse_staggered" else 1
+    if scheme == "sparse_staggered" or (conv and scheme == "dense_kernel"):
         # full layouts: every logical cell is a pair
-        m, n = _matrix_shape(spec, geom, scheme)
+        m, n = _matrix_shape(spec, scheme)
         return CostReport(scheme, 2 * m * n, -(-m // tile_size) * -(-n // cap),
                           reads * -(-m // tile_size))
     # compacted layouts: a column is as deep as its nonzero weights

@@ -131,10 +131,63 @@ class LayerSpec:
 
     @property
     def out_shape(self) -> tuple[int, ...]:
-        """The layer's output shape, once its inputs are filled in."""
+        """The layer's output shape, once its inputs are filled in:
+        (out_features,) for linear, (kernels, out_x) for conv1d and
+        (kernels, out_x, out_y) for conv2d."""
         if self.kind == "linear":
             return (self.out_features,)
-        return ConvGeometry.from_spec(self).out_shape
+        if self.kind == "conv1d":
+            return (self.kernels, self.out_x)
+        return (self.kernels, self.out_x, self.out_y)
+
+    # A conv layer's geometry in crossbar terms (kernel count K, kernel
+    # extents H x W, input extents X x Y, stride S, padding P, dilation D,
+    # channels C). A conv1d layer is the unit-width case: Y = 1 whatever
+    # in_y holds, W = 1 and no padding along y; every other formula is the
+    # 2-D one.
+
+    @property
+    def padded_x(self) -> int:
+        return self.in_x + 2 * self.padding
+
+    @property
+    def padded_y(self) -> int:
+        return 1 if self.kind == "conv1d" else self.in_y + 2 * self.padding
+
+    @property
+    def out_x(self) -> int:
+        return out_extent(self.in_x, self.kernel_h, self.stride, self.padding, self.dilation)
+
+    @property
+    def out_y(self) -> int:
+        if self.kind == "conv1d":
+            return 1
+        return out_extent(self.in_y, self.kernel_w, self.stride, self.padding, self.dilation)
+
+    @property
+    def out_positions(self) -> int:
+        return self.out_x * self.out_y
+
+    @property
+    def footprint(self) -> int:
+        """Devices per kernel column: channels x kernel_h x kernel_w."""
+        return self.in_channels * self.kernel_h * self.kernel_w
+
+    @property
+    def padded_inputs(self) -> int:
+        return self.in_channels * self.padded_x * self.padded_y
+
+    def read_indices(self) -> np.ndarray:
+        """(out_positions, footprint) gather indices into the flattened
+        padded input, ordered (c, kh, kw) to match flattened kernels."""
+        s, d = self.stride, self.dilation
+        pos_x = (np.arange(self.out_x) * s)[:, None] + (np.arange(self.kernel_h) * d)[None, :]
+        pos_y = (np.arange(self.out_y) * s)[:, None] + (np.arange(self.kernel_w) * d)[None, :]
+        chan = np.arange(self.in_channels) * self.padded_x * self.padded_y
+        idx = (chan[None, None, :, None, None]
+               + pos_x[:, None, None, :, None] * self.padded_y
+               + pos_y[None, :, None, None, :])                  # (ox, oy, C, H, W)
+        return idx.reshape(self.out_positions, self.footprint)
 
 
 def conv2d(kernels: int, kernel_h: int, kernel_w: int, stride: int = 1,
@@ -159,7 +212,7 @@ def out_extent(extent: int, kernel: int, stride: int, padding: int,
     """Output length of one convolved dimension (standard formula); always
     >= 1, so the mappers and the cost model need no check of their own. The
     one check of stride, dilation and padding: ``propagate_shapes`` calls it
-    for every conv layer, and ``ConvGeometry`` for every extent it reads."""
+    for every conv layer, and ``LayerSpec`` for every extent it reads."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if dilation < 1:
@@ -211,91 +264,15 @@ def propagate_shapes(specs: list[LayerSpec],
 
 
 # ---------------------------------------------------------------------------
-# convolution geometry
-
-
-@dataclass(frozen=True)
-class ConvGeometry:
-    """Convolution geometry in crossbar terms (kernel count K, kernel extents
-    H x W, input extents X x Y, stride S, padding P, dilation D, channels).
-
-    A conv1d layer is the unit-width case: Y = 1, W = 1 and, through
-    ``one_d``, no padding along y; every other formula is the 2-D one.
-    """
-
-    kernels: int
-    kernel_h: int
-    kernel_w: int
-    in_x: int
-    in_y: int
-    stride: int
-    padding: int
-    dilation: int
-    channels: int
-    one_d: bool = False
-
-    @classmethod
-    def from_spec(cls, spec: LayerSpec) -> "ConvGeometry":
-        if spec.kind == "linear":
-            raise ValueError("linear layers have no convolution geometry")
-        return cls(kernels=spec.kernels, kernel_h=spec.kernel_h,
-                   kernel_w=spec.kernel_w, in_x=spec.in_x,
-                   in_y=spec.in_y if spec.kind == "conv2d" else 1,
-                   stride=spec.stride, padding=spec.padding,
-                   dilation=spec.dilation, channels=spec.in_channels,
-                   one_d=spec.kind == "conv1d")
-
-    @property
-    def padded_x(self) -> int:
-        return self.in_x + 2 * self.padding
-
-    @property
-    def padded_y(self) -> int:
-        return self.in_y + (0 if self.one_d else 2 * self.padding)
-
-    @property
-    def out_x(self) -> int:
-        return out_extent(self.in_x, self.kernel_h, self.stride, self.padding, self.dilation)
-
-    @property
-    def out_y(self) -> int:
-        if self.one_d:
-            return 1
-        return out_extent(self.in_y, self.kernel_w, self.stride, self.padding, self.dilation)
-
-    @property
-    def out_shape(self) -> tuple[int, ...]:
-        """(kernels, out_x) for conv1d, (kernels, out_x, out_y) for conv2d."""
-        return (self.kernels, self.out_x) if self.one_d else (self.kernels, self.out_x, self.out_y)
-
-    @property
-    def out_positions(self) -> int:
-        return self.out_x * self.out_y
-
-    @property
-    def footprint(self) -> int:
-        """Devices per kernel column: channels x kernel_h x kernel_w."""
-        return self.channels * self.kernel_h * self.kernel_w
-
-    @property
-    def padded_inputs(self) -> int:
-        return self.channels * self.padded_x * self.padded_y
-
-    def read_indices(self) -> np.ndarray:
-        """(out_positions, footprint) gather indices into the flattened
-        padded input, ordered (c, kh, kw) to match flattened kernels."""
-        s, d = self.stride, self.dilation
-        pos_x = (np.arange(self.out_x) * s)[:, None] + (np.arange(self.kernel_h) * d)[None, :]
-        pos_y = (np.arange(self.out_y) * s)[:, None] + (np.arange(self.kernel_w) * d)[None, :]
-        chan = np.arange(self.channels) * self.padded_x * self.padded_y
-        idx = (chan[None, None, :, None, None]
-               + pos_x[:, None, None, :, None] * self.padded_y
-               + pos_y[None, :, None, None, :])                  # (ox, oy, C, H, W)
-        return idx.reshape(self.out_positions, self.footprint)
-
-
-# ---------------------------------------------------------------------------
 # quantization
+
+
+def _code_limit(bit_width: int) -> int:
+    """The largest code magnitude of a supported ``bit_width``, 2^(b-1) - 1:
+    codes are symmetric, so the most negative code is never used."""
+    if bit_width not in SUPPORTED_BIT_WIDTHS:
+        raise ValueError(f"bit_width must be one of {SUPPORTED_BIT_WIDTHS}")
+    return 2 ** (bit_width - 1) - 1
 
 
 @dataclass
@@ -311,7 +288,7 @@ class WeightTensor:
         return self.codes.shape
 
     def code_limit(self) -> int:
-        return 2 ** (self.bit_width - 1) - 1
+        return _code_limit(self.bit_width)
 
     def dequantized(self) -> np.ndarray:
         return self.codes.astype(float) * self.scale
@@ -319,8 +296,7 @@ class WeightTensor:
     def validate(self) -> None:
         """Codes must be finite integers, of a bool, integer or float dtype,
         within the symmetric range of ``bit_width``."""
-        if self.bit_width not in SUPPORTED_BIT_WIDTHS:
-            raise ValueError(f"bit_width must be one of {SUPPORTED_BIT_WIDTHS}")
+        limit = self.code_limit()  # raises first on an unsupported bit width
         if not _is_positive_finite(self.scale):
             raise ValueError("scale must be > 0 and finite")
         codes = np.asarray(self.codes)
@@ -331,7 +307,6 @@ class WeightTensor:
                 raise ValueError("codes must be finite")
             if (codes != np.trunc(codes)).any():
                 raise ValueError("codes must be integers")
-        limit = self.code_limit()
         if codes.size and (codes.min() < -limit or codes.max() > limit):
             raise ValueError(f"codes exceed {self.bit_width}-bit symmetric range")
 
@@ -343,14 +318,12 @@ def quantize_weights(values: np.ndarray, bit_width: int) -> WeightTensor:
     clamp to the symmetric range (the most negative code is never used).
     An all-zero tensor quantizes to scale 1 with all-zero codes.
     """
-    if bit_width not in SUPPORTED_BIT_WIDTHS:
-        raise ValueError(f"bit_width must be one of {SUPPORTED_BIT_WIDTHS}")
+    limit = _code_limit(bit_width)  # raises first on an unsupported bit width
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot quantize an empty tensor")
     if not np.all(np.isfinite(values)):
         raise ValueError("cannot quantize non-finite values")
-    limit = 2 ** (bit_width - 1) - 1
     peak = float(np.max(np.abs(values)))
     if peak == 0.0:
         return WeightTensor(np.zeros(values.shape, dtype=np.int64), 1.0, bit_width)
@@ -434,6 +407,8 @@ class Dataset:
     def validate(self) -> None:
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
+        if len(self) == 0:
+            raise ValueError("needs at least one sample")
         if self.class_count < 2:
             raise ValueError("class_count must be >= 2")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= self.class_count:
@@ -444,12 +419,15 @@ def fit_problems(input_shape: tuple[int, ...], output_shape: tuple[int, ...],
                  data: Dataset) -> list[str]:
     """The pairing rule: why a network of ``input_shape`` and ``output_shape``
     cannot be scored on ``data``, one line each. The dataset's feature shape
-    must be the network's input shape, and every class must be an output the
-    network can give: ``class_count`` at most the network's output count."""
+    must be the network's input shape, the network's output must be one
+    vector of logits, and every class must be an output the network can give:
+    ``class_count`` at most the network's output count."""
     problems = []
     if data.feature_shape != input_shape:
         problems.append(f"dataset feature shape {data.feature_shape} != "
                         f"network input {input_shape}")
+    if len(output_shape) != 1:
+        problems.append(f"architecture output {output_shape} is not a vector of logits")
     if data.class_count > math.prod(output_shape):
         problems.append(f"architecture output {output_shape} does not match "
                         f"{data.class_count} classes")
@@ -476,11 +454,10 @@ def _forward_width(net: QuantizedNetwork) -> int:
     input, every layer's output, and a conv layer's padded input and window
     copy (out positions x footprint)."""
     widest = math.prod(net.input_shape)
-    for layer in net.layers:
-        widest = max(widest, math.prod(layer.spec.out_shape))
-        if layer.spec.kind != "linear":
-            geom = ConvGeometry.from_spec(layer.spec)
-            widest = max(widest, geom.padded_inputs, geom.out_positions * geom.footprint)
+    for spec in (layer.spec for layer in net.layers):
+        widest = max(widest, math.prod(spec.out_shape))
+        if spec.kind != "linear":
+            widest = max(widest, spec.padded_inputs, spec.out_positions * spec.footprint)
     return widest
 
 
@@ -508,7 +485,7 @@ def _conv_forward(spec: LayerSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     and the kernels transposed to (footprint, kernels). The window matrix is
     gathered from the padded input at window positions taken from a strided
     view of an index grid, built here and not from
-    ``ConvGeometry.read_indices``, so the oracle stays independent of the
+    ``LayerSpec.read_indices``, so the oracle stays independent of the
     gather the simulator uses. The samples go through in chunks of at most
     ``_CONV_CHUNK_ELEMENTS`` window elements (``_chunk_rows``), each written
     into one preallocated output, so peak memory stays near that of the
@@ -539,6 +516,15 @@ def _conv_forward(spec: LayerSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _float_batch(net: QuantizedNetwork, batch) -> np.ndarray:
+    """``batch`` as a float array of samples of the network's input shape."""
+    x = np.asarray(batch, dtype=float)
+    if x.shape[1:] != tuple(net.input_shape):
+        raise ValueError(
+            f"batch feature shape {x.shape[1:]} != network input {net.input_shape}")
+    return x
+
+
 def ideal_forward(net: QuantizedNetwork, batch: np.ndarray,
                   on_preact: Callable[[np.ndarray], None] | None = None) -> np.ndarray:
     """Noise-free forward pass on dequantized weights; returns the logits
@@ -550,10 +536,7 @@ def ideal_forward(net: QuantizedNetwork, batch: np.ndarray,
     so a callback that keeps more than a reduction of it must copy it. The
     pass itself holds one layer's input and output at a time.
     """
-    x = np.asarray(batch, dtype=float)
-    if x.shape[1:] != tuple(net.input_shape):
-        raise ValueError(
-            f"batch feature shape {x.shape[1:]} != network input {net.input_shape}")
+    x = _float_batch(net, batch)
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
         w = layer.weights.dequantized()
@@ -644,16 +627,16 @@ def _backward(specs, weights, gathers, cache, dlogits):
             dx = dz @ weights[i]
             dz = dx.reshape(in_shape)
         else:
-            geom = ConvGeometry.from_spec(specs[i])
+            spec = specs[i]
             n = in_shape[0]
-            dzp = np.moveaxis(dz.reshape(n, geom.kernels, -1), 1, -1)  # (n, P, K)
-            wf = weights[i].reshape(geom.kernels, -1)
+            dzp = np.moveaxis(dz.reshape(n, spec.kernels, -1), 1, -1)  # (n, P, K)
+            wf = weights[i].reshape(spec.kernels, -1)
             grads[i] = np.einsum("npk,npf->kf", dzp, saved).reshape(weights[i].shape)
             dpatch = dzp @ wf                                          # (n, P, F)
-            dxp = np.zeros((n, geom.padded_inputs))
+            dxp = np.zeros((n, spec.padded_inputs))
             np.add.at(dxp, (slice(None), gathers[i]), dpatch)
             # crop the padding: the inverse of _zero_pad, one slice per spatial axis
-            p, spatial = geom.padding, in_shape[2:]
+            p, spatial = spec.padding, in_shape[2:]
             dxp = dxp.reshape(*in_shape[:2], *(e + 2 * p for e in spatial))
             dz = dxp[(..., *(slice(p, p + e) for e in spatial))]
     return grads
@@ -690,8 +673,7 @@ def train_fixture(seed: int, arch: list[LayerSpec], data: Dataset, l1: float,
         weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), shape))
     x_all = data.features.astype(float)
     y_all = data.labels
-    gathers = [None if spec.kind == "linear" else ConvGeometry.from_spec(spec).read_indices()
-               for spec in specs]
+    gathers = [None if spec.kind == "linear" else spec.read_indices() for spec in specs]
     for _ in range(_EPOCHS):
         order = rng.permutation(len(data))
         for start in range(0, len(data), _BATCH):

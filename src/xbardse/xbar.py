@@ -319,13 +319,11 @@ def _program_tiles(tiles, plan: MappingPlan, weights: WeightTensor,
     once, so a run holds at most ``_RUN_CELLS`` cells' worth, or one tile's.
     G has a memory mapping of its own (``_mapped_zeros``).
     """
-    if plan.geometry is None:
+    if plan.spec is None or plan.spec.kind == "linear":
         if plan.rows != weights.codes.shape[1] or plan.cols != weights.codes.shape[0]:
             raise ValueError("weight tensor does not match plan dimensions")
-    else:
-        geom = plan.geometry
-        if weights.codes.size != geom.kernels * geom.footprint:
-            raise ValueError("weight tensor does not match plan geometry")
+    elif weights.codes.size != plan.spec.kernels * plan.spec.footprint:
+        raise ValueError("weight tensor does not match plan geometry")
     t, cap = plan.tile_size, mapping.pair_capacity(plan.tile_size)
     depth, width = plan.codes.shape
     w_max = _code_peak(weights)
@@ -548,10 +546,7 @@ def simulate_forward(net: QuantizedNetwork, plans: list[MappingPlan],
     single group is read. A group whose input peak is 0, and a layer whose
     weights are all 0, give zero pre-activations.
     """
-    x = np.asarray(batch, dtype=float)
-    if x.shape[1:] != tuple(net.input_shape):
-        raise ValueError(
-            f"batch feature shape {x.shape[1:]} != network input {net.input_shape}")
+    x = qnet._float_batch(net, batch)
     if len(x) == 0:
         raise ValueError("empty batch")
     if not len(plans) == len(conductances) == len(net.layers):

@@ -16,7 +16,6 @@ from xbardse import dse, mapping, qnet, xbar
 from xbardse.cli import load_results_csv, main
 from xbardse.mapping import (
     SCHEMES,
-    ConvGeometry,
     analytic_network_cost,
     cost_network,
     devices_dense_eq2,
@@ -66,9 +65,9 @@ EQ_CASES = [
 def test_c1_formula_evaluators_exact():
     assert len(EQ_CASES) >= 20
     for (k, h, w, x, s, p, d, n1, d1, e2, f3, r3) in EQ_CASES:
-        geom = ConvGeometry(kernels=k, kernel_h=h, kernel_w=w, in_x=x, in_y=x,
-                            stride=s, padding=p, dilation=d, channels=1,
-                            one_d=(w == 1))
+        geom = qnet.LayerSpec("conv1d" if w == 1 else "conv2d", kernels=k, kernel_h=h,
+                              kernel_w=w, in_x=x, in_y=x, stride=s, padding=p, dilation=d,
+                              in_channels=1)
         eq1 = devices_sparse_eq1(geom)
         assert eq1 == Fraction(n1, d1), (k, h, w, x, s, p, d)
         assert (eq1.denominator != 1) == (d1 != 1)
@@ -103,12 +102,11 @@ def test_c2_connectivity_brute_force():
             spec = qnet.propagate_shapes([spec], shape)[0][0]
         except ValueError:
             continue
-        geom = ConvGeometry.from_spec(spec)
         wt = random_quantized(rng, spec.weight_shape())
         scheme = SCHEMES[checked % 3]
-        tile = max(8, geom.footprint)
+        tile = max(8, spec.footprint)
         plan = layer_plan(spec, wt, scheme, tile)
-        want = brute_force_products(geom, wt.codes,
+        want = brute_force_products(spec, wt.codes,
                                     nonzero_only=(scheme == "dense_routed"))
         assert plan_products(plan, spec, wt) == want, (scheme, spec)
         checked += 1

@@ -121,7 +121,7 @@ class TestCostCommand:
             rng.integers(-7, 8, size=spec.weight_shape()), 1.0, 4)) for spec in specs]
         net_path = tmp_path / "net.json"
         qnet.save_network(qnet.QuantizedNetwork("two-conv", 4, (1, 16), layers), net_path)
-        geoms = [mapping.ConvGeometry.from_spec(spec) for spec in specs[:2]]
+        geoms = specs[:2]
         for scheme in mapping.SCHEMES:
             assert main(["cost", "--net", str(net_path), "--scheme", scheme,
                          "--tile-size", "8", "--out", str(tmp_path)]) == 0
@@ -690,7 +690,10 @@ class TestInt32CellBound:
         (tmp_path / "config.json").write_text(json.dumps(config))
         refuse_to_run(monkeypatch)
         assert main(["dse", "--config", str(tmp_path / "config.json")]) == 2
-        assert capsys.readouterr().err == f"error: infeasible design points:\n  {self.LINE}\n"
+        assert capsys.readouterr().err == (
+            "error: invalid configuration:\n"
+            "  architecture output (1, 254, 254) is not a vector of logits\n"
+            f"infeasible design points:\n  {self.LINE}\n")
 
 
 def write_dataset(workdir, path, cells=(), header=("", "")):
@@ -797,6 +800,39 @@ def test_unfit_dataset_exit_2_before_any_point(workdir, tmp_path, capsys, monkey
     refuse_to_run(monkeypatch)
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "simulate_result.json").exists()
+
+
+def header_only_dataset(workdir, tmp_path):
+    """The fixture's test set cut to its two header lines."""
+    lines = (workdir / "fixture_test.csv").read_text().splitlines()
+    (tmp_path / "data.csv").write_text("\n".join(lines[:2]) + "\n")
+    return {"dataset": str(tmp_path / "data.csv")}
+
+
+def conv_output_network(workdir, tmp_path):
+    """A one-layer conv1d(4, 3) network on the fixture's input, whose output
+    (4, 14) is not a vector of logits."""
+    return {"network": save_net_and_data(tmp_path, [qnet.conv1d(4, 3)], (1, 16))["network"]}
+
+
+# inputs that load but that no design point could score: (the run config
+# fields that point at them, the one error line)
+UNSCORABLE_INPUTS = {
+    "no-data-rows": (header_only_dataset, "dataset: needs at least one sample"),
+    "conv-output": (conv_output_network,
+                    "architecture output (4, 14) is not a vector of logits"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNSCORABLE_INPUTS))
+def test_unscorable_inputs_exit_2_before_any_point(workdir, tmp_path, capsys, monkeypatch,
+                                                   case):
+    write, line = UNSCORABLE_INPUTS[case]
+    cfg = single_point_config(workdir, tmp_path, write(workdir, tmp_path))
+    refuse_to_run(monkeypatch)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
     assert not (tmp_path / "simulate_result.json").exists()
 
 

@@ -9,7 +9,6 @@ from scipy.sparse import coo_matrix
 from xbardse import mapping, qnet
 from xbardse.mapping import (
     SCHEMES,
-    ConvGeometry,
     MappingError,
     analytic_network_cost,
     cost,
@@ -24,7 +23,7 @@ from xbardse.mapping import (
 )
 
 
-def unroll_conv_staggered(geom: ConvGeometry, kernel: np.ndarray | None = None):
+def unroll_conv_staggered(geom: qnet.LayerSpec, kernel: np.ndarray | None = None):
     """Test oracle: the Toeplitz-style unrolled logical matrix of a conv
     layer, as a scipy ``csr_matrix``: rows = padded input cells x channels,
     columns = output positions x kernels; column k*P + p holds the copy of
@@ -48,23 +47,16 @@ def unroll_conv_staggered(geom: ConvGeometry, kernel: np.ndarray | None = None):
 
 
 def geom_1d(kernels=1, kernel_h=3, in_x=5, stride=1, padding=0, dilation=1, channels=1):
-    return ConvGeometry(kernels=kernels, kernel_h=kernel_h, kernel_w=1,
-                        in_x=in_x, in_y=1, stride=stride, padding=padding,
-                        dilation=dilation, channels=channels, one_d=True)
-
-
-def conv_spec(geom):
-    """The conv layer spec with geometry ``geom``."""
-    return qnet.LayerSpec("conv1d" if geom.one_d else "conv2d", in_channels=geom.channels,
-                          kernels=geom.kernels, kernel_h=geom.kernel_h,
-                          kernel_w=geom.kernel_w, stride=geom.stride, padding=geom.padding,
-                          dilation=geom.dilation, in_x=geom.in_x, in_y=geom.in_y)
+    """A conv1d layer spec with its input fields filled in."""
+    return qnet.LayerSpec("conv1d", in_channels=channels, kernels=kernels, kernel_h=kernel_h,
+                          kernel_w=1, in_x=in_x, in_y=1, stride=stride, padding=padding,
+                          dilation=dilation)
 
 
 def conv_plan(geom, codes, scheme, tile_size):
-    """``layer_plan`` of the conv layer with geometry ``geom`` and weight
-    codes ``codes``."""
-    return layer_plan(conv_spec(geom), qnet.WeightTensor(codes, 1.0, 8), scheme, tile_size)
+    """``layer_plan`` of the conv layer spec ``geom`` with weight codes
+    ``codes``."""
+    return layer_plan(geom, qnet.WeightTensor(codes, 1.0, 8), scheme, tile_size)
 
 
 def cell_ids(plan, spec, weights):
@@ -201,8 +193,8 @@ class TestUnroll:
         assert all(np.count_nonzero(mat.toarray()[:, c]) == 1 for c in range(5))
 
     def test_conv2d_counts(self):
-        geom = ConvGeometry(kernels=1, kernel_h=3, kernel_w=3, in_x=4, in_y=4,
-                            stride=1, padding=0, dilation=1, channels=1)
+        geom = qnet.LayerSpec("conv2d", kernels=1, kernel_h=3, kernel_w=3, in_x=4, in_y=4,
+                              stride=1, padding=0, dilation=1, in_channels=1)
         mat = unroll_conv_staggered(geom)
         assert mat.shape == (16, 4)
         assert mat.nnz == 36
@@ -337,16 +329,16 @@ class TestConvMappings:
         assert rep.rwo == 1
 
     def test_dense_kernel_counts(self):
-        geom = ConvGeometry(kernels=64, kernel_h=3, kernel_w=3, in_x=8, in_y=8,
-                            stride=1, padding=0, dilation=1, channels=1)
+        geom = qnet.LayerSpec("conv2d", kernels=64, kernel_h=3, kernel_w=3, in_x=8, in_y=8,
+                              stride=1, padding=0, dilation=1, in_channels=1)
         codes = np.ones((64, 1, 3, 3), dtype=np.int64)
         plan = conv_plan(geom, codes, "dense_kernel", 16)
         assert cost(plan).rd == 2 * 64 * 9
         assert devices_dense_eq2(geom) == 576
 
     def test_kernel_must_fit_tile(self):
-        geom = ConvGeometry(kernels=1, kernel_h=3, kernel_w=3, in_x=8, in_y=8,
-                            stride=1, padding=0, dilation=1, channels=2)
+        geom = qnet.LayerSpec("conv2d", kernels=1, kernel_h=3, kernel_w=3, in_x=8, in_y=8,
+                              stride=1, padding=0, dilation=1, in_channels=2)
         codes = np.ones((1, 2, 3, 3), dtype=np.int64)
         with pytest.raises(MappingError, match="footprint"):
             conv_plan(geom, codes, "dense_kernel", 16)
@@ -361,8 +353,8 @@ class TestConvMappings:
     def test_sliding_plan_holds_a_read_only_gather(self):
         """The dense layouts of a conv keep its window indices, read-only, as
         their gather; the staggered one lays its cells out from them."""
-        geom = ConvGeometry(kernels=2, kernel_h=2, kernel_w=3, in_x=5, in_y=4,
-                            stride=2, padding=1, dilation=1, channels=2)
+        geom = qnet.LayerSpec("conv2d", kernels=2, kernel_h=2, kernel_w=3, in_x=5, in_y=4,
+                              stride=2, padding=1, dilation=1, in_channels=2)
         codes = np.arange(24).reshape(2, 2, 2, 3) - 12
         for scheme in SCHEMES:
             plan = conv_plan(geom, codes, scheme, 16)
@@ -407,7 +399,7 @@ class TestConvMappings:
         dense = conv_plan(geom, codes, "dense_kernel", 8)
 
         def kernel_cells(plan):
-            ids = cell_ids(plan, conv_spec(geom), qnet.WeightTensor(codes, 1.0, 8))
+            ids = cell_ids(plan, geom, qnet.WeightTensor(codes, 1.0, 8))
             return int((ids >= 0).sum())
 
         assert kernel_cells(staggered) == kernel_cells(dense) * geom.out_positions
@@ -417,13 +409,13 @@ class TestEquationEvaluators:
     def test_eq1_worked_examples(self):
         assert devices_sparse_eq1(geom_1d()) == Fraction(5)
         assert devices_sparse_eq1(geom_1d(in_x=3)) == 0
-        g = ConvGeometry(kernels=2, kernel_h=1, kernel_w=1, in_x=4, in_y=1,
-                         stride=0, padding=0, dilation=1, channels=1, one_d=True)
+        g = qnet.LayerSpec("conv1d", kernels=2, kernel_h=1, kernel_w=1, in_x=4, in_y=1,
+                           stride=0, padding=0, dilation=1, in_channels=1)
         assert devices_sparse_eq1(g) == 48
 
     def test_eq2_worked_examples(self):
-        g = ConvGeometry(kernels=64, kernel_h=3, kernel_w=3, in_x=8, in_y=8,
-                         stride=1, padding=0, dilation=1, channels=1)
+        g = qnet.LayerSpec("conv2d", kernels=64, kernel_h=3, kernel_w=3, in_x=8, in_y=8,
+                           stride=1, padding=0, dilation=1, in_channels=1)
         assert devices_dense_eq2(g) == 576
         assert devices_dense_eq2(geom_1d(kernel_h=1)) == 1
 
@@ -509,12 +501,11 @@ class TestFullAllocation:
                         continue  # dense schemes compact linear layers
                     values = wt.codes.T.astype(np.int16)     # plans hold int16 codes
                 elif scheme == "sparse_staggered":
-                    geom = ConvGeometry.from_spec(spec)
-                    values = mapping._staggered_cells(geom, geom.read_indices(), wt.codes)
+                    values = mapping._staggered_cells(spec, spec.read_indices(), wt.codes)
                 else:
                     values = mapping._weight_matrix(wt.codes)
                 for t in (2, 3, 8, 13, 32, 128):
-                    if scheme == "dense_kernel" and ConvGeometry.from_spec(spec).footprint > t:
+                    if scheme == "dense_kernel" and spec.footprint > t:
                         continue
                     plan = layer_plan(spec, wt, scheme, t)
                     want = meshgrid_tiles(values, t)
@@ -665,12 +656,11 @@ class TestConnectivity:
             except ValueError:
                 continue
             spec = specs[0]
-            geom = ConvGeometry.from_spec(spec)
             wt = random_quantized(rng, spec.weight_shape())
             for scheme in SCHEMES:
-                t = max(8, geom.footprint)
+                t = max(8, spec.footprint)
                 plan = layer_plan(spec, wt, scheme, t)
-                want = brute_force_products(geom, wt.codes,
+                want = brute_force_products(spec, wt.codes,
                                             nonzero_only=(scheme == "dense_routed"))
                 assert plan_products(plan, spec, wt) == want
 
@@ -683,7 +673,7 @@ def brute_force_products(geom, codes, nonzero_only):
         for p in range(geom.out_positions):
             ox, oy = divmod(p, geom.out_y)
             f = 0
-            for c in range(geom.channels):
+            for c in range(geom.in_channels):
                 for kh in range(geom.kernel_h):
                     for kw in range(geom.kernel_w):
                         if nonzero_only and kflat[k, f] == 0:
@@ -691,7 +681,7 @@ def brute_force_products(geom, codes, nonzero_only):
                             continue
                         ax = ox * geom.stride + kh * geom.dilation
                         ay = oy * geom.stride + kw * geom.dilation
-                        if geom.one_d:
+                        if geom.kind == "conv1d":
                             flat = c * geom.padded_x + ax
                         else:
                             flat = (c * geom.padded_x + ax) * geom.padded_y + ay

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from test_mapping import plan_products, unroll_conv_staggered
 from test_xbar import assert_same_tiles, per_tile_program
 from xbardse import mapping, qnet, xbar
-from xbardse.mapping import ConvGeometry
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=40)
@@ -69,7 +68,7 @@ def brute_force_products(layer, scheme):
         kept = (codes != 0) | (scheme == "sparse_staggered")
         return set(zip(ins[kept].tolist(), outs[kept].tolist(),
                        np.flatnonzero(kept.ravel()).tolist()))
-    geom = ConvGeometry.from_spec(layer.spec)
+    geom = layer.spec
     k, p, f = geom.kernels, geom.out_positions, geom.footprint
     if scheme == "sparse_staggered":
         unrolled = unroll_conv_staggered(geom, np.arange(1, k * f + 1)).tocoo()
@@ -92,7 +91,7 @@ def test_plan_products_match_brute_force(case):
         plans = plans_or_none(net, scheme, t)
         for layer, plan in zip(net.layers, plans or []):
             slides = layer.spec.kind != "linear" and scheme != "sparse_staggered"
-            reads = ConvGeometry.from_spec(layer.spec).out_positions if slides else 1
+            reads = layer.spec.out_positions if slides else 1
             assert (plan.slides, plan.reads_per_sample, plan.out_shape) == \
                 (slides, reads, layer.spec.out_shape)
             assert plan_products(plan, layer.spec, layer.weights) == \

@@ -216,8 +216,8 @@ class TestIdealForward:
     def test_conv_matches_nested_loop_reference(self, monkeypatch):
         # the oracle must not borrow the simulator's gather
         def gather_used(self):
-            raise AssertionError("ideal_forward used ConvGeometry.read_indices")
-        monkeypatch.setattr(qnet.ConvGeometry, "read_indices", gather_used)
+            raise AssertionError("ideal_forward used LayerSpec.read_indices")
+        monkeypatch.setattr(qnet.LayerSpec, "read_indices", gather_used)
         rng = np.random.default_rng(11)
         checked = 0
         while checked < 60:
@@ -338,12 +338,11 @@ class TestConvForwardProducts:
         spec, shape = layer
         rng = np.random.default_rng(seed)
         w = quantize_weights(rng.normal(size=spec.weight_shape()), 8).dequantized()
-        geom = qnet.ConvGeometry.from_spec(spec)
-        per_sample = geom.out_positions * geom.footprint
+        per_sample = spec.out_positions * spec.footprint
         per_chunk = int(rng.integers(1, 4))
         x = rng.normal(size=(chunks * per_chunk + int(rng.integers(0, per_chunk)), *shape))
         with mock.patch.object(qnet, "_CONV_CHUNK_ELEMENTS", per_chunk * per_sample), \
-                mock.patch.object(qnet.ConvGeometry, "read_indices",
+                mock.patch.object(qnet.LayerSpec, "read_indices",
                                   side_effect=AssertionError("oracle used read_indices")):
             want = tensordot_conv(spec, w, x)
             got = qnet._conv_forward(spec, w, x)
@@ -387,8 +386,8 @@ class TestFixtureTraining:
         every step's forward and backward pass gathers with them."""
         data = generate_synthetic_dataset(3, 40, 3, (2, 9))
         arch = [qnet.conv1d(2, 3, padding=1), qnet.conv1d(2, 2, stride=2), qnet.linear(3)]
-        with mock.patch.object(qnet.ConvGeometry, "read_indices", autospec=True,
-                               side_effect=qnet.ConvGeometry.read_indices) as built:
+        with mock.patch.object(qnet.LayerSpec, "read_indices", autospec=True,
+                               side_effect=qnet.LayerSpec.read_indices) as built:
             train_fixture(0, arch, data, l1=5e-4)
         assert built.call_count == 2
 
@@ -411,8 +410,7 @@ class TestFixtureTraining:
             data = generate_synthetic_dataset(5, 24, 3, shape)
             specs, _ = propagate_shapes(arch, data.feature_shape)
             weights = [rng.normal(size=s.weight_shape()) for s in specs]
-            gathers = [None if s.kind == "linear"
-                       else qnet.ConvGeometry.from_spec(s).read_indices() for s in specs]
+            gathers = [None if s.kind == "linear" else s.read_indices() for s in specs]
             x, y = data.features, data.labels
 
             def loss_of(ws):

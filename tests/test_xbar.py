@@ -539,6 +539,17 @@ class TestProgramming:
         with pytest.raises(ValueError):
             program(tiles, plan, wt, IDEAL_DEVICES)
 
+    def test_mismatched_layer_plan_rejected(self):
+        """A layer plan checks the weights against its spec: a conv layer's
+        by its geometry, a linear layer's by the plan's dimensions."""
+        specs, _ = qnet.propagate_shapes([qnet.conv1d(2, 3), qnet.linear(4)], (1, 8))
+        wrong = qnet.WeightTensor(np.ones((3, 3), dtype=np.int64), 1.0, 4)
+        for spec, message in zip(specs, ("plan geometry", "plan dimensions")):
+            wt = qnet.WeightTensor(np.ones(spec.weight_shape(), dtype=np.int64), 1.0, 4)
+            plan = mapping.layer_plan(spec, wt, "dense_routed", 8)
+            with pytest.raises(ValueError, match=message):
+                xbar._program_tiles((), plan, wrong, IDEAL_DEVICES)
+
     @pytest.mark.parametrize("scheme", mapping.SCHEMES)
     def test_program_matches_per_tile_reference(self, scheme):
         arch = [qnet.conv1d(kernels=11, kernel_h=3), qnet.linear(5)]
@@ -778,8 +789,8 @@ class TestCalibration:
         """On three chunks and a remainder, calibration calls ``ideal_forward``
         once per chunk, on consecutive slices of the set, and its ranges equal
         the min and max of one full-batch pass within 1e-12 relative. The
-        chunk width is the widest array of the pass, checked against
-        ``ConvGeometry``."""
+        chunk width is the widest array of the pass, checked against the
+        conv layers' geometry."""
         conv2d = [qnet.conv2d(8, 3, 3), qnet.conv2d(16, 3, 3, stride=2), qnet.linear(10)]
         conv1d = [qnet.conv1d(4, 3, padding=2, dilation=2), qnet.conv1d(3, 2, stride=2),
                   qnet.linear(4)]
@@ -796,9 +807,9 @@ class TestCalibration:
                 if layer.spec.kind == "linear":
                     width = max(width, layer.spec.in_features, layer.spec.out_features)
                 else:
-                    geom = qnet.ConvGeometry.from_spec(layer.spec)
-                    width = max(width, geom.padded_inputs, geom.out_positions * geom.footprint,
-                                geom.kernels * geom.out_positions)
+                    spec = layer.spec
+                    width = max(width, spec.padded_inputs, spec.out_positions * spec.footprint,
+                                spec.kernels * spec.out_positions)
             assert qnet._forward_width(net) == width, net.name
             with monkeypatch.context() as patch:
                 if rows is not None:
@@ -1138,7 +1149,7 @@ class TestSimulation:
 
     @pytest.mark.parametrize("scheme", mapping.SCHEMES)
     def test_window_indices_are_built_with_the_plans_only(self, scheme):
-        """``ConvGeometry.read_indices`` runs once per conv layer when the
+        """``LayerSpec.read_indices`` runs once per conv layer when the
         plans are built, and never while programming, calibrating or
         reading: a sliding read takes its plan's gather."""
         net = random_net("two-convs", [qnet.conv2d(3, 3, 3, padding=1),
@@ -1146,8 +1157,8 @@ class TestSimulation:
                          (2, 6, 6), 9)
         batch = np.random.default_rng(9).normal(size=(40, 2, 6, 6))
         hw = HardwareConfig(32)
-        with mock.patch.object(qnet.ConvGeometry, "read_indices", autospec=True,
-                               side_effect=qnet.ConvGeometry.read_indices) as built:
+        with mock.patch.object(qnet.LayerSpec, "read_indices", autospec=True,
+                               side_effect=qnet.LayerSpec.read_indices) as built:
             plans = mapping.network_plans(net, scheme, 32)
             assert built.call_count == 2
             mats = xbar.program_network(net, scheme, hw, 0, plans)
@@ -1164,11 +1175,16 @@ class TestSimulation:
         assert a == b
 
     def test_all_stuck_off_near_chance(self, fixture_net, test_data):
+        """With every device stuck off, TSA is chance (1/4 classes) on
+        average over device seeds: the mean of seeds 0-19 lies within 0.05
+        of 0.25. One seed's TSA spreads about 0.03, so a single-seed bound
+        fails on some seeds; the mean's spreads about 0.007."""
         model = DeviceModel(p_stuck_on=0.0, p_stuck_off=1.0)
         hw = HardwareConfig(tile_size=32, io=IOConfig(io_bit_width=8, batch_size=64),
                             device=model)
-        tsa = evaluate_accuracy(fixture_net, "sparse_staggered", hw, test_data, 0)
-        assert abs(tsa - 0.25) <= 0.10
+        tsa = [evaluate_accuracy(fixture_net, "sparse_staggered", hw, test_data, seed)
+               for seed in range(20)]
+        assert abs(np.mean(tsa) - 0.25) <= 0.05
 
     def test_permutation_invariance_logical_keying(self, linear_net, test_data):
         hw = HardwareConfig(tile_size=16, io=IOConfig(io_bit_width=None, batch_size=64))
