@@ -2,7 +2,11 @@
 simulation, grid-search exploration, and report re-emission.
 
 Files are the machine contract (CSV with mandatory header rows, JSON with
-format_version); stdout is human-oriented. Exit codes: 0 success, 1 runtime
+format_version); stdout is human-oriented. Each layout has one definition:
+``load_run_config`` builds the resolved run config that ``config_resolved.json``
+and ``simulate_result.json`` hold, ``RESULT_COLUMNS`` is a row of
+``results.csv`` and ``ranking.csv`` for writing and reading, and every CSV
+file goes through ``_write_csv``. Exit codes: 0 success, 1 runtime
 failure, 2 usage or configuration error. A command refuses with exit 2 in at
 most two stages, each one error listing every problem the stage can see: what
 the arguments and the run config show, before any network or dataset is
@@ -85,8 +89,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list], comment: str = "") -> None:
+    """``header`` and ``rows`` as CSV, each cell as ``_fmt`` writes it, under
+    a ``# comment`` line if ``comment`` is given."""
     with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -106,8 +114,12 @@ DEVICE_FIELDS = ("r_on_mean", "r_on_std", "r_off_mean", "r_off_std")
 def load_run_config(path: str, seed_override: int | None = None,
                     out_override: str | None = None,
                     jobs_override: int | None = None, *,
-                    single_point: bool = False) -> dict:
+                    single_point: bool = False
+                    ) -> tuple[dict, dse.SearchSpace, xbar.DeviceModel]:
     """Load and validate a run configuration, materializing all defaults.
+    Returns the resolved document, which ``dse`` writes as
+    ``config_resolved.json`` and ``simulate`` as its result's ``config``,
+    with the ``SearchSpace`` and base ``DeviceModel`` it describes.
 
     Collects every validation problem, unknown top-level keys, the output
     directory and the space's size (one point if ``single_point``, else at
@@ -142,7 +154,7 @@ def load_run_config(path: str, seed_override: int | None = None,
         if not isinstance(cfg[key], dict):
             errors.append(f"{key}: must be an object, got {cfg[key]!r}")
             cfg[key] = {}
-    if cfg["format_version"] != 1:
+    if not qnet._is_int(cfg["format_version"]) or cfg["format_version"] != 1:
         errors.append(f"format_version: unsupported value {cfg['format_version']}")
     for key in ("network", "dataset"):
         if not cfg[key]:
@@ -221,12 +233,10 @@ def load_run_config(path: str, seed_override: int | None = None,
                       "shrink the space")
     _refuse("invalid configuration", errors)
 
-    cfg["base_model"] = base_model
-    cfg["space_obj"] = space
     cfg["device"] = {k: getattr(base_model, k) for k in DEVICE_FIELDS}
     cfg["space"] = {name: getattr(space, name) for name in dse.DIMENSIONS
                     if name != "network"}
-    return cfg
+    return cfg, space, base_model
 
 
 def _infeasible(net: qnet.QuantizedNetwork | None, schemes: list, tile_sizes: list) -> list[str]:
@@ -242,27 +252,19 @@ def _run_space(args, single_point: bool) -> tuple[dict, list[dse.ConfigResult]]:
     """Evaluate the space of ``args.config``. Refuses what the config shows,
     then what the network, the dataset, their pairing and the space show;
     both before any point runs."""
-    cfg = load_run_config(args.config, args.seed, args.out, args.jobs,
-                          single_point=single_point)
+    cfg, space, base_model = load_run_config(args.config, args.seed, args.out, args.jobs,
+                                            single_point=single_point)
     net, problems = _load(qnet.load_network, cfg["network"])
     data, data_problems = _load(qnet.load_dataset, cfg["dataset"])
     problems += data_problems
     if net is not None and data is not None:
         problems += qnet.fit_problems(net.input_shape, net.layers[-1].spec.out_shape, data)
-    space = cfg["space_obj"]
     _refuse_inputs("invalid configuration", problems,
                    _infeasible(net, space.scheme, space.tile_size))
     space.network = [net.name]
     results = dse.grid_search(space, data, {net.name: net}, seed=cfg["seed"],
-                              base_model=cfg["base_model"], jobs=cfg["jobs"])
+                              base_model=base_model, jobs=cfg["jobs"])
     return cfg, results
-
-
-def _resolved_config_doc(cfg: dict) -> dict:
-    return {"format_version": 1, "network": cfg["network"],
-            "dataset": cfg["dataset"], "out": cfg["out"], "seed": cfg["seed"],
-            "jobs": cfg["jobs"], "max_grid": cfg["max_grid"], "svg": cfg["svg"],
-            "device": cfg["device"], "space": cfg["space"]}
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +276,11 @@ RESULT_COLUMNS = ["order_index", *dse.DIMENSIONS, "tsa", "rd", "rwo", "tiles",
 
 
 def write_results_csv(path: Path, results: list[dse.ConfigResult]) -> None:
-    rows = []
-    for res in results:
-        rows.append([res.order_index,
-                     *[res.config[d] for d in dse.DIMENSIONS],
-                     res.tsa, res.rd, res.rwo, res.tiles, res.raw_score,
-                     res.normalized_score, res.seed])
-    _write_csv(path, RESULT_COLUMNS, rows)
+    """One row per result: a dimension column holds ``config[column]``, any
+    other column the ``ConfigResult`` field of its name."""
+    _write_csv(path, RESULT_COLUMNS,
+               [[res.config[col] if col in dse.DIMENSIONS else getattr(res, col)
+                 for col in RESULT_COLUMNS] for res in results])
 
 
 def _parse_cell(column: str, text: str):
@@ -331,10 +331,7 @@ def load_results_csv(path) -> list[dse.ConfigResult]:
                 continue
             results.append(dse.ConfigResult(
                 config={d: cells[d] for d in dse.DIMENSIONS},
-                order_index=cells["order_index"], tsa=cells["tsa"],
-                rd=cells["rd"], rwo=cells["rwo"], tiles=cells["tiles"],
-                raw_score=cells["raw_score"], seed=cells["seed"],
-                normalized_score=cells["normalized_score"]))
+                **{col: cells[col] for col in RESULT_COLUMNS if col not in dse.DIMENSIONS}))
     qnet._raise_all(problems, ConfigError)
     return results
 
@@ -342,19 +339,11 @@ def load_results_csv(path) -> list[dse.ConfigResult]:
 def write_contour_csv(path: Path, grid: dse.ContourGrid, seed: int,
                       slice_tag: str = "") -> None:
     header = [f"{grid.y_dim}\\{grid.x_dim}"] + [_fmt(v) for v in grid.x_values]
-    rows = []
-    for yi, yv in enumerate(grid.y_values):
-        row = [yv]
-        for xi in range(len(grid.x_values)):
-            row.append("missing" if grid.missing[yi, xi] else grid.matrix[yi, xi])
-        rows.append(row)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed: {seed}, metric: {grid.metric}"
-                 + (f", slice: {slice_tag}" if slice_tag else "") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    rows = [[yv, *("missing" if missing else value
+                   for missing, value in zip(grid.missing[yi], grid.matrix[yi]))]
+            for yi, yv in enumerate(grid.y_values)]
+    _write_csv(path, header, rows, f"seed: {seed}, metric: {grid.metric}"
+               + (f", slice: {slice_tag}" if slice_tag else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +481,7 @@ def cmd_cost(args) -> int:
 def cmd_simulate(args) -> int:
     cfg, (res,) = _run_space(args, single_point=True)
     out = Path(cfg["out"])
-    doc = {"format_version": 1, "config": _resolved_config_doc(cfg),
+    doc = {"format_version": 1, "config": cfg,
            "point": res.config, "tsa": res.tsa, "rd": res.rd, "rwo": res.rwo,
            "tiles": res.tiles, "raw_score": res.raw_score, "seed": res.seed}
     (out / "simulate_result.json").write_text(json.dumps(doc, indent=1))
@@ -533,8 +522,7 @@ def _emit_reports(out: Path, results: list[dse.ConfigResult], svg: bool) -> list
 def cmd_dse(args) -> int:
     cfg, results = _run_space(args, single_point=False)
     out = Path(cfg["out"])
-    (out / "config_resolved.json").write_text(
-        json.dumps(_resolved_config_doc(cfg), indent=1))
+    (out / "config_resolved.json").write_text(json.dumps(cfg, indent=1))
     write_results_csv(out / "results.csv", results)
     written = ["config_resolved.json", "results.csv"]
     written += _emit_reports(out, results, svg=cfg["svg"] or args.svg)

@@ -704,17 +704,18 @@ _CONV_PARAMS = ("in_channels", "kernels", "kernel_h", "kernel_w", "stride",
                 "padding", "dilation")
 
 
+def _int_fields(kind: str) -> tuple[str, ...]:
+    """The integer fields a network file holds for a layer of ``kind``."""
+    return ("in_features", "out_features") if kind == "linear" else _CONV_PARAMS
+
+
 def save_network(net: QuantizedNetwork, path) -> None:
     net.validate()
     layers = []
     for layer in net.layers:
         entry = {"kind": layer.spec.kind}
-        if layer.spec.kind == "linear":
-            entry["in_features"] = layer.spec.in_features
-            entry["out_features"] = layer.spec.out_features
-        else:
-            for key in _CONV_PARAMS:
-                entry[key] = getattr(layer.spec, key)
+        for key in _int_fields(layer.spec.kind):
+            entry[key] = getattr(layer.spec, key)
         entry["scale"] = layer.weights.scale
         entry["codes"] = [int(c) for c in layer.weights.codes.ravel()]
         layers.append(entry)
@@ -751,10 +752,9 @@ def _load_layer(entry, where: str, bit_width, problems: list[str]) -> Layer | No
     known = len(problems)
     kind = _take(entry, "kind", where, problems, lambda v: v in LAYER_KINDS,
                  f"{where}.kind: unknown kind {{value!r}}")
-    keys = () if kind is None else ("in_features", "out_features") if kind == "linear" \
-        else _CONV_PARAMS
     params = {key: _take(entry, key, where, problems, _is_int,
-                         f"{where}.{key}: must be an integer, got {{value!r}}") for key in keys}
+                         f"{where}.{key}: must be an integer, got {{value!r}}")
+              for key in (() if kind is None else _int_fields(kind))}
     scale = _take(entry, "scale", where, problems, _is_positive_finite,
                   f"{where}.scale: must be a positive finite number")
     # one flat list: nested lists, ragged or not, and true/false are refused
@@ -784,10 +784,11 @@ def load_network(path) -> QuantizedNetwork:
     """Read a network file as ``save_network`` writes it, refusing once for
     every problem in it (see the module docstring). A file that is not JSON,
     or whose top level is not an object, raises at once. The top level's and
-    every layer's field problems come first. Then, if ``bit_width`` and
-    ``input_shape`` parsed, shapes propagate over the leading layers that
-    parsed, up to the first that does not compose, and their weights are
-    checked (``QuantizedNetwork.problems``)."""
+    every layer's field problems come first. Then, if ``bit_width`` parsed
+    and ``input_shape`` parsed to one or more extents, each >= 1 as a
+    dataset's ``feature_shape`` must be, shapes propagate over the leading
+    layers that parsed, up to the first that does not compose, and their
+    weights are checked (``QuantizedNetwork.problems``)."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
@@ -796,7 +797,7 @@ def load_network(path) -> QuantizedNetwork:
         raise NetworkFormatError("top level must be an object")
     problems: list[str] = []
     top = "top level"
-    _take(doc, "format_version", top, problems, lambda v: v == FORMAT_VERSION,
+    _take(doc, "format_version", top, problems, lambda v: _is_int(v) and v == FORMAT_VERSION,
           "unsupported format_version {value}")
     name = _take(doc, "name", top, problems)
     bit_width = _take(doc, "bit_width", top, problems, lambda v: v in SUPPORTED_BIT_WIDTHS,
@@ -804,6 +805,9 @@ def load_network(path) -> QuantizedNetwork:
     input_shape = _take(doc, "input_shape", top, problems,
                         lambda v: isinstance(v, list) and all(map(_is_int, v)),
                         "input_shape: must be a list of integers, got {value!r}")
+    if input_shape is not None and min(input_shape, default=0) < 1:
+        problems.append(f"input_shape: needs one or more extents, each >= 1, got {input_shape}")
+        input_shape = None
     raw_layers = _take(doc, "layers", top, problems, lambda v: isinstance(v, list) and v,
                        "layers: must be a non-empty list, got {value!r}")
     layers = [_load_layer(entry, f"layers[{i}]", doc.get("bit_width"), problems)

@@ -440,6 +440,17 @@ def _stuck_states(draws, model: DeviceModel):
         yield tp, r_on, r_off, u >= off
 
 
+def _require_plans_of(plans: list[MappingPlan], scheme: str, tile_size: int) -> None:
+    """Refuse plans laid out for another design point: the devices are keyed
+    by (scheme, tile_size), so another point's plans would read a population
+    drawn for a layout they do not have."""
+    for li, plan in enumerate(plans):
+        if (plan.scheme, plan.tile_size) != (scheme, tile_size):
+            raise ValueError(f"layer {li}: plan of scheme {plan.scheme}, tile_size "
+                             f"{plan.tile_size}, for a point of scheme {scheme}, "
+                             f"tile_size {tile_size}")
+
+
 def program_network(net: QuantizedNetwork, scheme: str, hw: HardwareConfig, seed: int,
                     plans: list[MappingPlan]) -> list[np.ndarray]:
     """Sample and program every layer of ``net`` under its ``plans``; returns
@@ -452,6 +463,7 @@ def program_network(net: QuantizedNetwork, scheme: str, hw: HardwareConfig, seed
     with their run of tiles (``_program_tiles``), so no layer's sampled
     population is held. G is byte-identical to ``program(sample_devices(...))``
     of each layer."""
+    _require_plans_of(plans, scheme, hw.tile_size)
     chash = config_hash(net, scheme, hw)
     return [_program_tiles(_stuck_states(_tile_draws(seed, plan, hw.device, chash, li),
                                          hw.device),
@@ -663,9 +675,10 @@ def evaluate_accuracy(net: QuantizedNetwork, scheme: str, hw: HardwareConfig,
     splits it into scaling groups of io.batch_size samples, each sharing one
     dynamic input-voltage scale per layer, and reads them in chunks. ``plans``
     are the layer plans of (scheme, hw.tile_size) if the caller has built
-    them already; otherwise they are built here. ``conductances`` are the
-    layer matrices ``program_network`` returns for this device population
-    (scheme, hw.tile_size, hw.device, seed) if the caller holds them, as
+    them already, a ValueError if they are another point's; otherwise they
+    are built here. ``conductances`` are the layer matrices
+    ``program_network`` returns for this device population (scheme,
+    hw.tile_size, hw.device, seed) if the caller holds them, as
     ``dse.grid_search`` does for points that differ only in ``hw.io``; they
     are only read. Otherwise they are sampled and programmed here.
     """
@@ -673,6 +686,7 @@ def evaluate_accuracy(net: QuantizedNetwork, scheme: str, hw: HardwareConfig,
         raise ValueError("empty dataset")
     if plans is None:
         plans = mapping.network_plans(net, scheme, hw.tile_size)
+    _require_plans_of(plans, scheme, hw.tile_size)
     if conductances is None:
         conductances = program_network(net, scheme, hw, seed, plans)
     adc_ranges = calibrate_adc_ranges(net, data) if hw.io.quantizes else None

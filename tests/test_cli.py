@@ -374,7 +374,10 @@ class TestDseCommand:
         ({"sead": 7, "svg": 0, "seed": False, "jobs": True, "max_grid": True},
          ["sead: unknown field", "svg: must be true or false", "seed: must be an integer",
           "jobs: must be a positive integer", "max_grid: must be a positive integer"]),
-    ], ids=["unknown-key", "string-svg", "bool-seed", "bool-jobs", "bool-max_grid", "all"])
+        ({"format_version": True}, ["format_version: unsupported value True"]),
+        ({"format_version": 1.0}, ["format_version: unsupported value 1.0"]),
+    ], ids=["unknown-key", "string-svg", "bool-seed", "bool-jobs", "bool-max_grid", "all",
+            "bool-format_version", "float-format_version"])
     def test_bad_top_level_fields_exit_2_at_load(self, workdir, tmp_path, capsys,
                                                  fields, messages):
         cfg = dse_config(workdir, tmp_path)
@@ -455,12 +458,34 @@ def test_missing_input_exit_2_names_path(argv, tmp_path, capsys):
     assert named in capsys.readouterr().err
 
 
-def test_non_list_input_shape_exit_2(workdir, tmp_path, capsys):
+def _no_extent(doc):
+    """No input extent, under a linear first layer of one input."""
+    doc["input_shape"] = []
+    doc["layers"][0] = {"kind": "linear", "in_features": 1, "out_features": 56,
+                        "scale": 1.0, "codes": [1] * 56}
+
+
+def _zero_channels(doc):
+    """Zero input channels, under a conv1d layer of zero channels."""
+    doc["input_shape"] = [0, 16]
+    doc["layers"][0].update(in_channels=0, codes=[])
+
+
+@pytest.mark.parametrize("edit, err", [
+    (lambda doc: doc.update(input_shape=16),
+     "error: input_shape: must be a list of integers, got 16\n"),
+    (_no_extent, "error: input_shape: needs one or more extents, each >= 1, got []\n"),
+    (_zero_channels, "error: input_shape: needs one or more extents, each >= 1, got [0, 16]\n"),
+    (lambda doc: doc.update(input_shape=[-1, 16]),
+     "error: input_shape: needs one or more extents, each >= 1, got [-1, 16]\n"),
+], ids=["not-a-list", "no-extent", "zero-channels", "negative-extent"])
+def test_non_list_input_shape_exit_2(workdir, tmp_path, capsys, edit, err):
     doc = json.loads((workdir / "fixture_net.json").read_text())
+    edit(doc)
     net = tmp_path / "net.json"
-    net.write_text(json.dumps({**doc, "input_shape": 16}))
+    net.write_text(json.dumps(doc))
     assert main(["cost", "--net", str(net), "--scheme", "dense_kernel", "--tile-size", "8"]) == 2
-    assert capsys.readouterr().err == "error: input_shape: must be a list of integers, got 16\n"
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("codes", [[[1, 0], [1]], [True, 0]], ids=["ragged", "bool"])

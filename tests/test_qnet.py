@@ -549,6 +549,7 @@ class TestFileFormats:
          r"input_shape: must be a list of integers, got 16"),
         (lambda doc: doc.update(input_shape=[1, 16.0]),
          r"input_shape: must be a list of integers, got \[1, 16\.0\]"),
+        (lambda doc: doc.update(format_version=True), r"unsupported format_version True"),
         (lambda doc: doc["layers"][1].update(codes=[True] + doc["layers"][1]["codes"][1:]),
          r"layers\[1\]\.codes: must be JSON integers in one flat list"),
         (lambda doc: doc["layers"][0].update(codes=[doc["layers"][0]["codes"][:5],
@@ -560,7 +561,8 @@ class TestFileFormats:
          r"layers\[0\]\.codes: codes exceed 8-bit symmetric range"),
     ], ids=["fractional-codes", "float-codes", "float-kernel_h", "bool-stride",
             "string-out_features", "int-input_shape", "float-input_shape-entry",
-            "bool-code", "ragged-codes", "scalar-codes", "int64-overflow-code"])
+            "bool-format_version", "bool-code", "ragged-codes", "scalar-codes",
+            "int64-overflow-code"])
     def test_non_integer_fields_rejected(self, fixture_net, tmp_path, edit, message):
         """Nothing is truncated or coerced: a non-integer where the format
         has integers is a NetworkFormatError naming the field."""

@@ -984,6 +984,29 @@ class TestSimulation:
             with pytest.raises(ValueError, match=match):
                 simulate_forward(fixture_net, plans, bad, batch, hw.io, hw.device)
 
+    def test_rejects_plans_of_another_design_point(self, fixture_net, test_data):
+        """The devices are keyed by the point's scheme and tile size, so plans
+        of another point are refused, naming the first layer, whether or not
+        the caller holds the conductances."""
+        hw = HardwareConfig(tile_size=8)
+        own = mapping.network_plans(fixture_net, "dense_kernel", 8)
+        mats = xbar.program_network(fixture_net, "dense_kernel", hw, 0, own)
+        for scheme, t in (("sparse_staggered", 16), ("sparse_staggered", 8),
+                          ("dense_kernel", 16)):
+            plans = mapping.network_plans(fixture_net, scheme, t)
+            match = (f"layer 0: plan of scheme {scheme}, tile_size {t}, "
+                     "for a point of scheme dense_kernel, tile_size 8")
+            with pytest.raises(ValueError, match=match):
+                xbar.program_network(fixture_net, "dense_kernel", hw, 0, plans)
+            for conductances in (None, mats):
+                with pytest.raises(ValueError, match=match):
+                    evaluate_accuracy(fixture_net, "dense_kernel", hw, test_data, 0,
+                                      plans=plans, conductances=conductances)
+        with pytest.raises(ValueError, match="layer 1: plan of scheme sparse_staggered"):
+            xbar.program_network(fixture_net, "dense_kernel", hw, 0,
+                                 own[:1] + mapping.network_plans(fixture_net,
+                                                                 "sparse_staggered", 8)[1:])
+
     @pytest.mark.parametrize("scheme", mapping.SCHEMES)
     def test_layer_matrix_read_matches_per_tile_reference(self, scheme, fixture_net,
                                                           test_data, monkeypatch):
