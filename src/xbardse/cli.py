@@ -121,11 +121,12 @@ def load_run_config(path: str, seed_override: int | None = None,
     ``config_resolved.json`` and ``simulate`` as its result's ``config``,
     with the ``SearchSpace`` and base ``DeviceModel`` it describes.
 
-    Collects every validation problem, unknown top-level keys, the output
-    directory and the space's size (one point if ``single_point``, else at
-    most ``max_grid``) included, before failing so a bad config is reported
-    exhaustively. ``jobs`` must be a positive integer; design points are
-    evaluated serially in-process whatever its value.
+    Collects every validation problem before failing, so a bad config is
+    reported exhaustively, including unknown top-level keys, the output
+    directory, the space's size (one point if ``single_point``, else at most
+    ``max_grid``) and each problem of the device block and of every space
+    value (``dse._hardware_fields``). ``jobs`` must be a positive integer;
+    design points are evaluated serially in-process whatever its value.
     """
     errors: list[str] = []
     try:
@@ -177,51 +178,38 @@ def load_run_config(path: str, seed_override: int | None = None,
     if not isinstance(cfg["svg"], bool):
         errors.append("svg: must be true or false")
 
-    for key in cfg["device"]:
-        if key not in DEVICE_FIELDS:
-            errors.append(f"device.{key}: unknown device field")
-    device_kwargs = {k: cfg["device"].get(k) for k in DEVICE_FIELDS
-                     if cfg["device"].get(k) is not None}
-    try:
-        base_model = xbar.DeviceModel(**device_kwargs)
-    except (TypeError, ValueError) as err:
-        errors.append(f"device: {err}")
-        base_model = xbar.DeviceModel()
+    errors += [f"device.{key}: unknown device field" for key in cfg["device"]
+               if key not in DEVICE_FIELDS]
+    device = {**vars(xbar.DeviceModel()), **{k: cfg["device"][k] for k in DEVICE_FIELDS
+                                              if cfg["device"].get(k) is not None}}
+    device_errors = [f"device: {problem}" for problem in xbar.device_problems(**device)]
+    errors += device_errors
+    base_model = xbar.DeviceModel() if device_errors else xbar.DeviceModel(**device)
 
     space = dse.SearchSpace()
     for key, value in cfg["space"].items():
+        values = value if isinstance(value, list) else [value]
         if key not in dse.DIMENSIONS:
             errors.append(f"space.{key}: unknown dimension")
-            continue
-        if key == "network":
+        elif key == "network":
             errors.append("space.network: derived from the network path, not configurable")
-            continue
-        values = value if isinstance(value, list) else [value]
-        if not values:
+        elif not values:
             errors.append(f"space.{key}: empty value list")
-            continue
-        setattr(space, key, values)
+        else:
+            setattr(space, key, values)
     errors += [f"space.scheme: {problem}" for scheme in space.scheme
                for problem in mapping.layer_problems(None, scheme, None)]
     errors += [f"space.tile_size: {t!r}: {problem}" for t in space.tile_size
                for problem in (mapping.layer_problems(None, None, t) if qnet._is_int(t)
                                else ["not an integer"])]
-    # build each I/O and device model the grid will, so that their own
-    # checks report every bad value before any point runs
-    def device(**dims):
-        return dse._device_model(base_model, dims)
-
-    checks = [(xbar.IOConfig, {key: value}) for key in ("io_bit_width", "v_max", "batch_size")
-              for value in getattr(space, key)]
-    checks += [(device, {key: value}) for key in ("n_states", "std_multiplier")
-               for value in getattr(space, key)]
-    checks += [(device, {"p_stuck_on": on, "p_stuck_off": off})
+    # list the problems of each I/O and device value the grid will build, against the
+    # defaults and the device block (the default one, if it has problems), before any point runs
+    checks = [{key: value} for key in ("io_bit_width", "v_max", "batch_size", "n_states",
+                                       "std_multiplier") for value in getattr(space, key)]
+    checks += [{"p_stuck_on": on, "p_stuck_off": off}
                for on in space.p_stuck_on for off in space.p_stuck_off]
-    for build, dims in checks:
-        try:
-            build(**dims)
-        except (TypeError, ValueError) as err:
-            errors.append(f"space.{'/'.join(dims)}: {'/'.join(map(repr, dims.values()))}: {err}")
+    errors += [f"space.{'/'.join(dims)}: {'/'.join(map(repr, dims.values()))}: {problem}"
+               for dims in checks for problem in dse._hardware_fields(base_model, dims)[2]]
     if single_point:
         oversized = [name for name in dse.DIMENSIONS if len(getattr(space, name)) > 1]
         if oversized:

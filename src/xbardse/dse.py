@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -106,15 +106,16 @@ def min_max_normalize(scores: list[float]) -> list[float]:
     return [(s - lo) / (hi - lo) for s in scores]
 
 
-def _device_model(base: xbar.DeviceModel, dims: dict) -> xbar.DeviceModel:
-    """``base`` with the device dimensions in ``dims`` (any of n_states,
-    p_stuck_on, p_stuck_off and std_multiplier, which scales both
-    resistance stds) applied."""
+def _hardware_fields(base: xbar.DeviceModel, dims: dict) -> tuple[dict, dict, list[str]]:
+    """The ``IOConfig`` fields of the I/O dimensions in ``dims`` (defaults for the missing),
+    ``base``'s fields with the device ones applied (std_multiplier scales both stds), and
+    every problem of both; a std_multiplier that is not a number is the device's one."""
+    io = {f.name: dims.get(f.name, f.default) for f in fields(xbar.IOConfig)}
+    device = {f.name: dims.get(f.name, getattr(base, f.name)) for f in fields(base)}
     mult = dims.get("std_multiplier", 1.0)
-    xbar._reject_bools(std_multiplier=mult)
-    return replace(
-        base, r_on_std=base.r_on_std * mult, r_off_std=base.r_off_std * mult,
-        **{k: dims[k] for k in ("n_states", "p_stuck_on", "p_stuck_off") if k in dims})
+    if not (bad := xbar._non_numbers(std_multiplier=mult)):
+        device.update(r_on_std=base.r_on_std * mult, r_off_std=base.r_off_std * mult)
+    return io, device, xbar.io_problems(**io) + (bad or xbar.device_problems(**device))
 
 
 def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
@@ -132,11 +133,10 @@ def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
     """
     try:
         net = networks[cfg["network"]]
-        hw = xbar.HardwareConfig(
-            tile_size=cfg["tile_size"],
-            io=xbar.IOConfig(io_bit_width=cfg["io_bit_width"], v_max=cfg["v_max"],
-                             batch_size=cfg["batch_size"]),
-            device=_device_model(base_model, cfg))
+        io, device, problems = _hardware_fields(base_model, cfg)
+        qnet._raise_all(problems, ValueError)
+        hw = xbar.HardwareConfig(tile_size=cfg["tile_size"], io=xbar.IOConfig(**io),
+                                 device=xbar.DeviceModel(**device))
         plans = mapping.network_plans(net, cfg["scheme"], cfg["tile_size"])
         if not conductances:
             conductances += xbar.program_network(net, cfg["scheme"], hw, seed, plans)

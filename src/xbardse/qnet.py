@@ -52,17 +52,26 @@ def _raise_all(problems: list[str], error: type[ValueError] = NetworkFormatError
                               + ([f"... and {more} more"] if more > 0 else [])))
 
 
+# The one home of the value-kind predicates: each answers a bool, none takes a bool for a number.
 def _is_int(value) -> bool:
-    """An int or numpy integer, never a bool: JSON ``true`` and ``false``
-    load as bools, which are ints."""
+    """An int or numpy integer, never a bool: JSON true and false load as bools (ints)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_whole(value) -> bool:
+    """An integer (``_is_int``) or a float of integral value: a level or bit
+    count enters only arithmetic, where 4.0 computes what 4 does."""
+    return _is_int(value) or (isinstance(value, float) and value.is_integer())
+
+
+def _is_number(value) -> bool:
+    """A real number: an integer (``_is_int``), a float or a numpy floating, never a bool."""
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
 def _is_positive_finite(value) -> bool:
-    """A number in (0, inf), never a bool: NaN, +-inf, ints past float range
-    and JSON ``true``, which loads as the int 1, all fail."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and 0 < value <= sys.float_info.max)
+    """A number (``_is_number``) in (0, inf): NaN, +-inf and ints past float range fail."""
+    return _is_number(value) and 0 < value <= sys.float_info.max
 
 
 def _round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -352,13 +361,15 @@ class QuantizedNetwork:
     seed: int | None = None
 
     def problems(self) -> list[str]:
-        """Every problem of the network, one line each, naming its layer.
-        Shapes propagate from ``input_shape`` up to the first layer that
-        does not compose, whose line ends the list, since later shapes
-        depend on it; each layer before it gets its fan-in/spatial fields
-        filled in and its weights checked."""
-        problems = []
+        """Every problem of the network, one line each, naming its layer:
+        an ``input_shape`` without one or more extents, each >= 1, alone;
+        else shapes propagate from it up to the first layer that does not
+        compose, whose line ends the list, and each layer before it gets its
+        fan-in/spatial fields filled in and its weights checked."""
         shape = tuple(int(d) for d in self.input_shape)
+        if min(shape, default=0) < 1:
+            return [f"input_shape: needs one or more extents, each >= 1, got {list(shape)}"]
+        problems = []
         for i, layer in enumerate(self.layers):
             where = f"layers[{i}]"
             try:
@@ -784,11 +795,11 @@ def load_network(path) -> QuantizedNetwork:
     """Read a network file as ``save_network`` writes it, refusing once for
     every problem in it (see the module docstring). A file that is not JSON,
     or whose top level is not an object, raises at once. The top level's and
-    every layer's field problems come first. Then, if ``bit_width`` parsed
-    and ``input_shape`` parsed to one or more extents, each >= 1 as a
-    dataset's ``feature_shape`` must be, shapes propagate over the leading
-    layers that parsed, up to the first that does not compose, and their
-    weights are checked (``QuantizedNetwork.problems``)."""
+    every layer's field problems come first. Then, if ``input_shape``
+    parsed, the network's own problems follow (``QuantizedNetwork.problems``):
+    its extents, then, if ``bit_width`` parsed too, shapes propagate over
+    the leading layers that parsed, up to the first that does not compose,
+    and their weights are checked."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
@@ -805,17 +816,14 @@ def load_network(path) -> QuantizedNetwork:
     input_shape = _take(doc, "input_shape", top, problems,
                         lambda v: isinstance(v, list) and all(map(_is_int, v)),
                         "input_shape: must be a list of integers, got {value!r}")
-    if input_shape is not None and min(input_shape, default=0) < 1:
-        problems.append(f"input_shape: needs one or more extents, each >= 1, got {input_shape}")
-        input_shape = None
     raw_layers = _take(doc, "layers", top, problems, lambda v: isinstance(v, list) and v,
                        "layers: must be a non-empty list, got {value!r}")
     layers = [_load_layer(entry, f"layers[{i}]", doc.get("bit_width"), problems)
               for i, entry in enumerate(raw_layers or [])]
-    if bit_width is not None and input_shape is not None:
-        parsed = list(itertools.takewhile(lambda layer: layer is not None, layers))
-        net = QuantizedNetwork(str(name), int(bit_width), tuple(input_shape), parsed,
-                               seed=doc.get("seed"))
+    if input_shape is not None:
+        parsed = itertools.takewhile(lambda layer: layer is not None, layers)
+        net = QuantizedNetwork(str(name), int(bit_width or 0), tuple(input_shape),
+                               list(parsed) if bit_width else [], seed=doc.get("seed"))
         problems += net.problems()
     _raise_all(problems)  # a None bit_width or input_shape has put its problem there
     return net

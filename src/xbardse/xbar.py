@@ -66,23 +66,57 @@ IDEAL_IO_BITS = 16
 FREE, STUCK_ON, STUCK_OFF = 0, 1, 2
 
 
-def _is_whole(value) -> bool:
-    """An integer (``qnet._is_int``) or a float of integral value: a level or
-    bit count enters only arithmetic, where 4.0 computes what 4 does."""
-    return qnet._is_int(value) or (isinstance(value, float) and value.is_integer())
+def _non_numbers(**values) -> list[str]:
+    """A line for each of ``values`` that is not a number (``qnet._is_number``)."""
+    return [f"{name} must be a number, not {value}" for name, value in values.items()
+            if not qnet._is_number(value)]
 
 
-def _reject_bools(**values) -> None:
-    """Raise for the first of ``values`` that is a bool: JSON ``true`` and
-    ``false`` load as bools, which pass as the numbers 1 and 0."""
-    for name, value in values.items():
-        if isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{name} must be a number, not {value}")
+def device_problems(*, r_on_mean, r_on_std, r_off_mean, r_off_std, n_states,
+                    p_stuck_on, p_stuck_off) -> list[str]:
+    """Every problem of these ``DeviceModel`` fields, one line each: the means',
+    the stds', n_states' and the stuck probabilities' rules each form one chain,
+    whose first failure is its line (a NaN std, or both stds, fail ">= 0" alone)."""
+    problems = _non_numbers(r_on_mean=r_on_mean, r_off_mean=r_off_mean)
+    if not problems and not (qnet._is_positive_finite(r_off_mean) and 0 < r_on_mean < r_off_mean):
+        problems.append("need 0 < r_on_mean < r_off_mean < inf")
+    # positive conditions, so that NaN fails each of them
+    if bad := _non_numbers(r_on_std=r_on_std, r_off_std=r_off_std):
+        problems += bad
+    elif not (r_on_std >= 0 and r_off_std >= 0):
+        problems.append("resistance std must be >= 0")
+    elif not (r_on_std < math.inf and r_off_std < math.inf):
+        problems.append("resistance std must be finite")
+    if n_states is not None and not qnet._is_whole(n_states):
+        problems.append("n_states must be a whole number (or None for continuous)")
+    elif n_states is not None and n_states < 2:
+        problems.append("n_states must be >= 2 (or None for continuous)")
+    if bad := _non_numbers(p_stuck_on=p_stuck_on, p_stuck_off=p_stuck_off):
+        problems += bad
+    elif not (0 <= p_stuck_on <= 1 and 0 <= p_stuck_off <= 1 and p_stuck_on + p_stuck_off <= 1):
+        problems.append("stuck probabilities must be >= 0 and sum to <= 1")
+    return problems
+
+
+def io_problems(*, io_bit_width, v_max, batch_size) -> list[str]:
+    """Every problem of these ``IOConfig`` fields: each field's first failed rule."""
+    problems = _non_numbers(v_max=v_max)
+    if not problems and not qnet._is_positive_finite(v_max):
+        problems.append("v_max must be finite" if v_max > 0 else "v_max must be > 0")
+    if io_bit_width is not None and not qnet._is_whole(io_bit_width):
+        problems.append("io_bit_width must be a whole number (or None for ideal)")
+    elif io_bit_width is not None and io_bit_width < 1:
+        problems.append("io_bit_width must be >= 1")
+    if not qnet._is_int(batch_size):
+        problems.append("batch_size must be an integer")
+    elif batch_size < 1:
+        problems.append("batch_size must be >= 1")
+    return problems
 
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """Per-device resistance distributions and failure rates.
+    """Per-device resistance distributions and failure rates, checked by ``device_problems``.
 
     n_states is the number of programmable conductance levels per device;
     None means continuous (the infinite-state surrogate).
@@ -97,26 +131,7 @@ class DeviceModel:
     p_stuck_off: float = 0.005
 
     def __post_init__(self):
-        _reject_bools(r_on_mean=self.r_on_mean, r_on_std=self.r_on_std,
-                      r_off_mean=self.r_off_mean, r_off_std=self.r_off_std,
-                      p_stuck_on=self.p_stuck_on, p_stuck_off=self.p_stuck_off)
-        if not (qnet._is_positive_finite(self.r_on_mean)
-                and qnet._is_positive_finite(self.r_off_mean)
-                and self.r_on_mean < self.r_off_mean):
-            raise ValueError("need 0 < r_on_mean < r_off_mean < inf")
-        # positive conditions, so that NaN fails each of them
-        if not (self.r_on_std >= 0 and self.r_off_std >= 0):
-            raise ValueError("resistance std must be >= 0")
-        if not (self.r_on_std < math.inf and self.r_off_std < math.inf):
-            raise ValueError("resistance std must be finite")
-        if self.n_states is not None:
-            if not _is_whole(self.n_states):
-                raise ValueError("n_states must be a whole number (or None for continuous)")
-            if self.n_states < 2:
-                raise ValueError("n_states must be >= 2 (or None for continuous)")
-        if not (self.p_stuck_on >= 0 and self.p_stuck_off >= 0
-                and self.p_stuck_on + self.p_stuck_off <= 1):
-            raise ValueError("stuck probabilities must be >= 0 and sum to <= 1")
+        qnet._raise_all(device_problems(**vars(self)), ValueError)
 
     @property
     def g_span(self) -> float:
@@ -130,25 +145,14 @@ class IOConfig:
     ``simulate_forward`` gives each batch_size rows of its batch, the last
     group possibly short, one input-voltage scale per layer. v_max changes no
     result beyond rounding: the DAC step is a fixed fraction of it, and the
-    readout divides the voltage scale back out."""
+    readout divides the voltage scale back out. Checked by ``io_problems``."""
 
     io_bit_width: int | None = None
     v_max: float = 0.3
     batch_size: int = 256
 
     def __post_init__(self):
-        if self.io_bit_width is not None:
-            if not _is_whole(self.io_bit_width):
-                raise ValueError("io_bit_width must be a whole number (or None for ideal)")
-            if self.io_bit_width < 1:
-                raise ValueError("io_bit_width must be >= 1")
-        _reject_bools(v_max=self.v_max)
-        if not qnet._is_positive_finite(self.v_max):
-            raise ValueError("v_max must be finite" if self.v_max > 0 else "v_max must be > 0")
-        if not qnet._is_int(self.batch_size):
-            raise ValueError("batch_size must be an integer")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        qnet._raise_all(io_problems(**vars(self)), ValueError)
 
     @property
     def quantizes(self) -> bool:

@@ -273,6 +273,15 @@ BAD_VALUES = {
     "v_max-true": ("space", "v_max", True, "space.v_max: True: v_max must be a number, not True"),
     "r_on_std-nan": ("device", "r_on_std", float("nan"),
                      "device: resistance std must be >= 0"),
+    "v_max-string": ("space", "v_max", "x", "space.v_max: 'x': v_max must be a number, not x"),
+    "std_multiplier-null": ("space", "std_multiplier", None,
+                            "space.std_multiplier: None: "
+                            "std_multiplier must be a number, not None"),
+    "p_stuck_on-string": ("space", "p_stuck_on", "a",
+                          "space.p_stuck_on/p_stuck_off: 'a'/0.005: "
+                          "p_stuck_on must be a number, not a"),
+    "r_off_mean-string": ("device", "r_off_mean", "x",
+                          "device: r_off_mean must be a number, not x"),
 }
 
 
@@ -309,6 +318,20 @@ class TestDseCommand:
         assert err.startswith("error: invalid configuration:\n")
         lines = err.splitlines()[1:]
         assert sorted(lines) == sorted(f"  {BAD_VALUES[name][3]}" for name in names)
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_device_block_lists_every_problem(self, workdir, tmp_path, capsys):
+        """Both stds below 0 break one rule with one text: one line for them,
+        next to the means' line."""
+        cfg = dse_config(workdir, tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["device"] = {"r_on_mean": 200000, "r_on_std": -1, "r_off_std": -5}
+        cfg.write_text(json.dumps(doc))
+        assert main(["dse", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid configuration:\n"
+            "  device: need 0 < r_on_mean < r_off_mean < inf\n"
+            "  device: resistance std must be >= 0\n")
         assert not (tmp_path / "results.csv").exists()
 
     def test_full_run(self, workdir, tmp_path):

@@ -575,6 +575,39 @@ class TestFileFormats:
         with pytest.raises(NetworkFormatError, match=message):
             load_network(path)
 
+    @pytest.mark.parametrize("input_shape, spec, codes", [
+        ((), qnet.LayerSpec("linear", in_features=1, out_features=2), np.ones((2, 1), np.int64)),
+        ((0, 16), qnet.LayerSpec("conv1d", in_channels=0, kernels=2, kernel_h=3),
+         np.zeros((2, 0, 3), np.int64)),
+    ], ids=["no-extent", "zero-channels"])
+    def test_save_refuses_what_load_refuses_for_input_shape(self, tmp_path, input_shape, spec,
+                                                            codes):
+        """The input_shape rule has one owner, ``QuantizedNetwork.problems``:
+        a network that ``load_network`` would refuse is not written."""
+        net = QuantizedNetwork("flat", 4, input_shape,
+                               [qnet.Layer(spec, WeightTensor(codes, 1.0, 4))])
+        path = tmp_path / "net.json"
+        with pytest.raises(NetworkFormatError) as err:
+            save_network(net, path)
+        assert str(err.value) == \
+            f"input_shape: needs one or more extents, each >= 1, got {list(input_shape)}"
+        assert not path.exists()
+
+    def test_bad_bit_width_and_input_shape_listed_together(self, fixture_net, tmp_path):
+        """The input_shape rule is the network's, and still listed when
+        bit_width, which the network's other rules need, did not parse."""
+        import json
+        path = tmp_path / "net.json"
+        save_network(fixture_net, path)
+        doc = json.loads(path.read_text())
+        doc.update(bit_width=5, input_shape=[])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NetworkFormatError) as err:
+            load_network(path)
+        assert str(err.value).splitlines() == [
+            "bit_width: must be one of (4, 6, 8)",
+            "input_shape: needs one or more extents, each >= 1, got []"]
+
     def test_dataset_round_trip(self, test_data, tmp_path):
         path = tmp_path / "data.csv"
         save_dataset(test_data, path)

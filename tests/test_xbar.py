@@ -309,6 +309,9 @@ class TestDeviceModel:
         ({"r_off_mean": np.bool_(True)}, "r_off_mean must be a number, not True"),
         ({"p_stuck_on": True, "p_stuck_off": False}, "p_stuck_on must be a number, not True"),
         ({"p_stuck_off": False}, "p_stuck_off must be a number, not False"),
+        ({"p_stuck_on": "a"}, "p_stuck_on must be a number, not a"),
+        ({"p_stuck_off": None}, "p_stuck_off must be a number, not None"),
+        ({"r_on_mean": "x"}, "r_on_mean must be a number, not x"),
     ])
     def test_rejects_non_integer_and_non_finite_values(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -326,10 +329,35 @@ class TestDeviceModel:
         ({"v_max": math.inf}, "v_max must be finite"),
         ({"v_max": True}, "v_max must be a number, not True"),
         ({"v_max": np.bool_(True)}, "v_max must be a number, not True"),
+        ({"v_max": "x"}, "v_max must be a number, not x"),
+        ({"v_max": None}, "v_max must be a number, not None"),
     ])
     def test_io_rejects_non_integer_and_non_finite_values(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             IOConfig(**kwargs)
+
+    def test_every_failed_rule_listed(self):
+        """The first failed rule of the means, the stds, n_states and the
+        stuck probabilities, one line each: both stds below 0 are one line."""
+        bad = {"r_on_mean": 200_000.0, "r_on_std": -1.0, "r_off_std": -5.0, "n_states": 1,
+               "p_stuck_on": "a"}
+        problems = ["need 0 < r_on_mean < r_off_mean < inf", "resistance std must be >= 0",
+                    "n_states must be >= 2 (or None for continuous)",
+                    "p_stuck_on must be a number, not a"]
+        assert xbar.device_problems(**{**vars(DeviceModel()), **bad}) == problems
+        with pytest.raises(ValueError) as err:
+            DeviceModel(**bad)
+        assert str(err.value).splitlines() == problems
+        assert xbar.device_problems(**vars(DeviceModel())) == []
+        io = {"io_bit_width": 4.5, "v_max": math.inf, "batch_size": 0}
+        problems = ["v_max must be finite",
+                    "io_bit_width must be a whole number (or None for ideal)",
+                    "batch_size must be >= 1"]
+        assert xbar.io_problems(**io) == problems
+        with pytest.raises(ValueError) as err:
+            IOConfig(**io)
+        assert str(err.value).splitlines() == problems
+        assert xbar.io_problems(**vars(IOConfig())) == []
 
     def test_integer_values_are_accepted(self):
         assert DeviceModel(n_states=np.int64(16)).n_states == 16
