@@ -106,7 +106,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list], comment: str = "
 
 
 JOBS_HELP = ("positive integer, accepted for compatibility; design points are "
-             "evaluated serially in-process")
+             "evaluated serially, but a large layer is programmed on every CPU the "
+             "process may use, whatever its value")
 
 DEVICE_FIELDS = ("r_on_mean", "r_on_std", "r_off_mean", "r_off_std")
 
@@ -126,7 +127,7 @@ def load_run_config(path: str, seed_override: int | None = None,
     directory, the space's size (one point if ``single_point``, else at most
     ``max_grid``) and each problem of the device block and of every space
     value (``dse._hardware_fields``). ``jobs`` must be a positive integer;
-    design points are evaluated serially in-process whatever its value.
+    design points are evaluated serially whatever its value (``JOBS_HELP``).
     """
     errors: list[str] = []
     try:

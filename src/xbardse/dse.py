@@ -109,11 +109,14 @@ def min_max_normalize(scores: list[float]) -> list[float]:
 def _hardware_fields(base: xbar.DeviceModel, dims: dict) -> tuple[dict, dict, list[str]]:
     """The ``IOConfig`` fields of the I/O dimensions in ``dims`` (defaults for the missing),
     ``base``'s fields with the device ones applied (std_multiplier scales both stds), and
-    every problem of both; a std_multiplier that is not a number is the device's one."""
+    every problem of both; a std_multiplier that is not a number is the device's one, and
+    an integer one past float range scales the stds as its infinity would."""
     io = {f.name: dims.get(f.name, f.default) for f in fields(xbar.IOConfig)}
     device = {f.name: dims.get(f.name, getattr(base, f.name)) for f in fields(base)}
     mult = dims.get("std_multiplier", 1.0)
     if not (bad := xbar._non_numbers(std_multiplier=mult)):
+        if qnet._is_int(mult) and not qnet._is_finite(mult):
+            mult = math.inf if mult > 0 else -math.inf      # past float range: infinite
         device.update(r_on_std=base.r_on_std * mult, r_off_std=base.r_off_std * mult)
     return io, device, xbar.io_problems(**io) + (bad or xbar.device_problems(**device))
 
@@ -167,9 +170,11 @@ def grid_search(space: SearchSpace, data: Dataset, networks: dict,
     population. So a failure that depends only on the I/O dimensions, or
     only on the population, raises ``EvaluationError`` for the configuration
     a lexicographic walk would reach first. ``jobs`` must be a positive
-    integer and is otherwise ignored. Randomness is keyed per structural
+    integer and is otherwise ignored: points still run one at a time, but
+    ``xbar.program_network`` programs a large layer on every CPU the process
+    may use, whatever ``jobs`` says. Randomness is keyed per structural
     identity (network, scheme, tile size), so the output does not depend on
-    ``jobs`` or the visiting order.
+    ``jobs``, the CPU count or the visiting order.
     """
     if not qnet._is_int(jobs) or jobs < 1:
         raise ValueError("jobs must be a positive integer")

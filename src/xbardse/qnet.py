@@ -69,9 +69,15 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, (float, np.floating))
 
 
+def _is_finite(value) -> bool:
+    """A number (``_is_number``) that converts to a finite float64: NaN, +-inf
+    and ints past float range fail."""
+    return _is_number(value) and -sys.float_info.max <= value <= sys.float_info.max
+
+
 def _is_positive_finite(value) -> bool:
-    """A number (``_is_number``) in (0, inf): NaN, +-inf and ints past float range fail."""
-    return _is_number(value) and 0 < value <= sys.float_info.max
+    """A finite number (``_is_finite``) above 0."""
+    return _is_finite(value) and value > 0
 
 
 def _round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -22,10 +22,14 @@ cells are bounded (``_program_tiles``).
 ``program_network`` streams: it draws each tile and writes its block into
 G in one pass, so it holds G, the draws of the tile at hand and the g_on and
 free flags of one run's active devices, never a layer's sampled population.
-``sample_devices``, which returns a layer's sampled tiles as a dict, and
-``program``, which programs such a dict, run the same draw and programming
-code; they remain as the reference that tests and the benchmark's
-noise-off check call.
+A large layer is cut into blocks of tile rows, at most one per CPU the
+process may use and per ``_SPLIT_DEVICES`` devices, and all blocks but the
+first are programmed by forked children straight into G. That works because
+G lives in a shared anonymous memory mapping (``_mapped_zeros``): nothing is
+pickled or copied back. ``sample_devices``, which returns a layer's sampled
+tiles as a dict, and ``program``, which programs such a dict, run the same
+draw and programming code; they remain as the reference that tests and the
+benchmark's noise-off check call.
 
 Scaling groups, the io.batch_size rows that share one input-voltage scale
 per layer, and their scale v_max / max|x| are defined in ``simulate_forward``
@@ -36,12 +40,13 @@ its group's scale, and keeps all-zero groups out of the read.
 All randomness flows through counter-based Philox streams keyed by
 (seed, configuration hash, layer, tile), the tile's position in the tile
 grid, with devices drawn in a fixed canonical order inside each tile, so
-results never depend on evaluation order or worker count; one bit
-generator per layer is re-keyed for every stream rather than one built per
-tile. Resistance samples are truncated at three standard
-deviations and redrawn, which keeps them positive and preserves
-r_on < r_off for the default parameters; after the first pass only the
-redrawn positions are re-checked, which consumes the same draws.
+results never depend on evaluation order, worker count or how a layer's
+tile rows are split between processes; one bit generator per layer is
+re-keyed for every stream rather than one built per tile. Resistance
+samples are truncated at three standard deviations and redrawn, which keeps
+them positive and preserves r_on < r_off for the default parameters; after
+the first pass only the redrawn positions are re-checked, which consumes
+the same draws.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ import hashlib
 import itertools
 import math
 import mmap
+import os
+import signal
 import struct
 from dataclasses import dataclass, field
 
@@ -65,6 +72,9 @@ IDEAL_IO_BITS = 16
 
 FREE, STUCK_ON, STUCK_OFF = 0, 1, 2
 
+# The largest count a field may hold: numpy computes with counts as int64.
+_MAX_COUNT = int(np.iinfo(np.int64).max)
+
 
 def _non_numbers(**values) -> list[str]:
     """A line for each of ``values`` that is not a number (``qnet._is_number``)."""
@@ -74,43 +84,59 @@ def _non_numbers(**values) -> list[str]:
 
 def device_problems(*, r_on_mean, r_on_std, r_off_mean, r_off_std, n_states,
                     p_stuck_on, p_stuck_off) -> list[str]:
-    """Every problem of these ``DeviceModel`` fields, one line each: the means',
-    the stds', n_states' and the stuck probabilities' rules each form one chain,
-    whose first failure is its line (a NaN std, or both stds, fail ">= 0" alone)."""
+    """Every problem of these ``DeviceModel`` fields, one line each and no
+    line twice. Each field's own rules are checked apart, its first failure
+    its line, and a pair's joint rule (r_on_mean < r_off_mean, p_stuck_on +
+    p_stuck_off <= 1) only when both are numbers, so a non-number hides no
+    problem of its partner. Resistances and probabilities must convert to
+    finite float64s, and n_states must fit int64 (``_MAX_COUNT``)."""
     problems = _non_numbers(r_on_mean=r_on_mean, r_off_mean=r_off_mean)
-    if not problems and not (qnet._is_positive_finite(r_off_mean) and 0 < r_on_mean < r_off_mean):
+    means = [v for v in (r_on_mean, r_off_mean) if qnet._is_number(v)]
+    if (not all(map(qnet._is_positive_finite, means))
+            or (len(means) == 2 and not r_on_mean < r_off_mean)):
         problems.append("need 0 < r_on_mean < r_off_mean < inf")
-    # positive conditions, so that NaN fails each of them
-    if bad := _non_numbers(r_on_std=r_on_std, r_off_std=r_off_std):
-        problems += bad
-    elif not (r_on_std >= 0 and r_off_std >= 0):
-        problems.append("resistance std must be >= 0")
-    elif not (r_on_std < math.inf and r_off_std < math.inf):
-        problems.append("resistance std must be finite")
-    if n_states is not None and not qnet._is_whole(n_states):
-        problems.append("n_states must be a whole number (or None for continuous)")
-    elif n_states is not None and n_states < 2:
-        problems.append("n_states must be >= 2 (or None for continuous)")
-    if bad := _non_numbers(p_stuck_on=p_stuck_on, p_stuck_off=p_stuck_off):
-        problems += bad
-    elif not (0 <= p_stuck_on <= 1 and 0 <= p_stuck_off <= 1 and p_stuck_on + p_stuck_off <= 1):
+    for name, std in (("r_on_std", r_on_std), ("r_off_std", r_off_std)):
+        if not qnet._is_number(std):
+            problems.append(f"{name} must be a number, not {std}")
+        elif not std >= 0:      # a positive condition, so that NaN fails it
+            problems.append("resistance std must be >= 0")
+        elif not qnet._is_finite(std):
+            problems.append("resistance std must be finite")
+    if n_states is not None:
+        if not qnet._is_whole(n_states):
+            problems.append("n_states must be a whole number (or None for continuous)")
+        elif n_states < 2:
+            problems.append("n_states must be >= 2 (or None for continuous)")
+        elif n_states > _MAX_COUNT:
+            problems.append("n_states must be < 2**63 (or None for continuous)")
+    problems += _non_numbers(p_stuck_on=p_stuck_on, p_stuck_off=p_stuck_off)
+    stuck = [p for p in (p_stuck_on, p_stuck_off) if qnet._is_number(p)]
+    if (not all(0 <= p <= 1 for p in stuck)
+            or (len(stuck) == 2 and not p_stuck_on + p_stuck_off <= 1)):
         problems.append("stuck probabilities must be >= 0 and sum to <= 1")
-    return problems
+    return list(dict.fromkeys(problems))
 
 
 def io_problems(*, io_bit_width, v_max, batch_size) -> list[str]:
-    """Every problem of these ``IOConfig`` fields: each field's first failed rule."""
+    """Every problem of these ``IOConfig`` fields: each field's first failed
+    rule. v_max must convert to a finite float64, and the counts must fit
+    int64 (``_MAX_COUNT``)."""
     problems = _non_numbers(v_max=v_max)
     if not problems and not qnet._is_positive_finite(v_max):
         problems.append("v_max must be finite" if v_max > 0 else "v_max must be > 0")
-    if io_bit_width is not None and not qnet._is_whole(io_bit_width):
-        problems.append("io_bit_width must be a whole number (or None for ideal)")
-    elif io_bit_width is not None and io_bit_width < 1:
-        problems.append("io_bit_width must be >= 1")
+    if io_bit_width is not None:
+        if not qnet._is_whole(io_bit_width):
+            problems.append("io_bit_width must be a whole number (or None for ideal)")
+        elif io_bit_width < 1:
+            problems.append("io_bit_width must be >= 1")
+        elif io_bit_width > _MAX_COUNT:
+            problems.append("io_bit_width must be < 2**63 (or None for ideal)")
     if not qnet._is_int(batch_size):
         problems.append("batch_size must be an integer")
     elif batch_size < 1:
         problems.append("batch_size must be >= 1")
+    elif batch_size > _MAX_COUNT:
+        problems.append("batch_size must be < 2**63")
     return problems
 
 
@@ -238,15 +264,16 @@ def _unprogrammed(r_on: np.ndarray, r_off: np.ndarray, stuck: np.ndarray) -> np.
 
 
 def _tile_draws(seed: int, plan: MappingPlan, model: DeviceModel, cfg_hash: str,
-                layer_index: int):
-    """Yield (tile, r_on, r_off, u) for every tile of ``plan``, in plan order:
-    full t x t arrays drawn from the stream keyed by (seed, cfg_hash,
-    layer_index, tile_row, tile_col), r_on, then r_off, then the uniforms
-    that set the stuck states (``_stuck_from_uniform``). One generator is
-    re-keyed for every tile (``_rekey``)."""
+                layer_index: int, tiles: list):
+    """Yield (tile, r_on, r_off, u) for every tile of ``tiles``, tiles of
+    ``plan`` in plan order: full t x t arrays drawn from the stream keyed by
+    (seed, cfg_hash, layer_index, tile_row, tile_col), r_on, then r_off, then
+    the uniforms that set the stuck states (``_stuck_from_uniform``). One
+    generator is re-keyed for every tile (``_rekey``), so a tile's draws do
+    not depend on which tiles come before it."""
     t = plan.tile_size
     gen = np.random.Generator(np.random.Philox(key=0))
-    for tp in plan.tiles:
+    for tp in tiles:
         _rekey(gen, seed, cfg_hash, layer_index, tp.tile_row, tp.tile_col)
         r_on = _truncated_normal(gen, model.r_on_mean, model.r_on_std, (t, t))
         r_off = _truncated_normal(gen, model.r_off_mean, model.r_off_std, (t, t))
@@ -265,7 +292,8 @@ def sample_devices(seed: int, plan: MappingPlan, model: DeviceModel,
     call.
     """
     tiles = {}
-    for tp, r_on, r_off, u in _tile_draws(seed, plan, model, cfg_hash, layer_index):
+    for tp, r_on, r_off, u in _tile_draws(seed, plan, model, cfg_hash, layer_index,
+                                          plan.tiles):
         stuck = _stuck_from_uniform(u, model)
         tiles[(tp.tile_row, tp.tile_col)] = TileArray(_unprogrammed(r_on, r_off, stuck),
                                                       r_on, r_off, stuck)
@@ -294,15 +322,24 @@ def _code_peak(weights: WeightTensor) -> int:
 # tiles, unless a single tile holds more.
 _RUN_CELLS = 512
 
+# ``program_network`` cuts a layer into at most one block of tile rows per this
+# many sampled devices (``_row_blocks``): about 22 ms of programming at about
+# 84 ns a device, against about 5 ms for one fork and reap.
+_SPLIT_DEVICES = 1 << 18
 
-def _program_tiles(tiles, plan: MappingPlan, weights: WeightTensor,
-                   model: DeviceModel) -> np.ndarray:
+
+def _program_tiles(tiles, plan: MappingPlan, weights: WeightTensor, model: DeviceModel,
+                   g: np.ndarray | None = None, block: list | None = None) -> np.ndarray:
     """The layer's conductance matrix G, of shape (plan.rows, 2 * plan.cols),
     programmed tile by tile from ``tiles``, an iterable of (tile, r_on,
-    r_rest, free) in plan order: each tile's t x t r_on, the resistance each
-    device shows unprogrammed (r_off, or r_on if stuck on) and the mask of
-    its free devices, neither stuck on nor stuck off. The arrays are only
-    read, and not after the next tile is taken.
+    r_rest, free) over the tiles of ``block`` in plan order: each tile's
+    t x t r_on, the resistance each device shows unprogrammed (r_off, or
+    r_on if stuck on) and the mask of its free devices, neither stuck on nor
+    stuck off. The arrays are only read, and not after the next tile is
+    taken. ``block`` is whole tile rows of ``plan.tiles``, all of them if
+    None; ``g`` is the layer's ``_layer_matrix``, a new one if None. Only the
+    cells of ``block``'s tiles are written, so blocks of one G can be
+    programmed apart, in any order and in any process that shares its mapping.
 
     A weight w with layer peak w_max targets, on its own device,
     g = g_off + (|w| / w_max)(g_on - g_off) on the polarity matching its
@@ -321,20 +358,15 @@ def _program_tiles(tiles, plan: MappingPlan, weights: WeightTensor,
     at a time (``_tile_runs``): each tile of the run gives the g_on and free
     flag of its active devices only, and the run's targets go into G at
     once, so a run holds at most ``_RUN_CELLS`` cells' worth, or one tile's.
-    G has a memory mapping of its own (``_mapped_zeros``).
     """
-    if plan.spec is None or plan.spec.kind == "linear":
-        if plan.rows != weights.codes.shape[1] or plan.cols != weights.codes.shape[0]:
-            raise ValueError("weight tensor does not match plan dimensions")
-    elif weights.codes.size != plan.spec.kernels * plan.spec.footprint:
-        raise ValueError("weight tensor does not match plan geometry")
+    if g is None:
+        g = _layer_matrix(plan, weights)
     t, cap = plan.tile_size, mapping.pair_capacity(plan.tile_size)
     depth, width = plan.codes.shape
     w_max = _code_peak(weights)
-    g = _mapped_zeros((plan.rows, plan.cols, 2))
     g2, gf = g.reshape(plan.rows, 2 * plan.cols), g.reshape(-1)
     tiles = iter(tiles)
-    for run in _tile_runs(plan):
+    for run in _tile_runs(plan, plan.tiles if block is None else block):
         at, dev, code, bounds = _active_devices(plan, run)
         g_on, free = [], []
         for k, (tp, r_on, r_rest, tile_free) in zip(range(len(run)), tiles):
@@ -343,10 +375,10 @@ def _program_tiles(tiles, plan: MappingPlan, weights: WeightTensor,
             if plan.row_map is None:
                 np.reciprocal(r_rest[:nr, :2 * nc], out=g2[r0:r0 + nr, 2 * c0:2 * (c0 + nc)])
             else:
-                block = np.reciprocal(r_rest[:nr, :2 * nc]).reshape(nr, nc, 2)
+                block_g = np.reciprocal(r_rest[:nr, :2 * nc]).reshape(nr, nc, 2)
                 logical = plan.row_map[r0:r0 + nr, c0:c0 + nc]
                 pr, pc = np.nonzero(logical >= 0)
-                g[logical[pr, pc], c0 + pc] = block[pr, pc]
+                g[logical[pr, pc], c0 + pc] = block_g[pr, pc]
             if bounds[k] < bounds[k + 1]:
                 own = dev[bounds[k]:bounds[k + 1]]
                 g_on.append(r_on.reshape(-1)[own])
@@ -362,22 +394,37 @@ def _program_tiles(tiles, plan: MappingPlan, weights: WeightTensor,
     return g2
 
 
+def _layer_matrix(plan: MappingPlan, weights: WeightTensor) -> np.ndarray:
+    """A zero G for ``plan`` as (rows, cols, 2), from ``_mapped_zeros``, once
+    ``weights`` are checked against the plan: a linear layer's (or a bare
+    matrix's) against its dimensions, a conv layer's against its geometry."""
+    if plan.spec is None or plan.spec.kind == "linear":
+        if plan.rows != weights.codes.shape[1] or plan.cols != weights.codes.shape[0]:
+            raise ValueError("weight tensor does not match plan dimensions")
+    elif weights.codes.size != plan.spec.kernels * plan.spec.footprint:
+        raise ValueError("weight tensor does not match plan geometry")
+    return _mapped_zeros((plan.rows, plan.cols, 2))
+
+
 def _mapped_zeros(shape: tuple) -> np.ndarray:
-    """``np.zeros(shape)`` in an anonymous memory mapping of its own, so
-    its pages go back to the OS when the array is freed, wherever the heap
-    would have had room for it."""
+    """``np.zeros(shape)`` in an anonymous memory mapping of its own. The
+    mapping is shared (``mmap.mmap(-1, n)`` is MAP_SHARED), so a process
+    forked after it is made writes into the same pages: ``program_network``'s
+    forked processes program their tile rows straight into G, and nothing is
+    copied back. Its pages also go back to the OS when the array is freed,
+    wherever the heap would have had room for it."""
     nbytes = math.prod(shape) * np.dtype(float).itemsize
     if nbytes == 0:
         return np.zeros(shape)
     return np.frombuffer(mmap.mmap(-1, nbytes), dtype=float).reshape(shape)
 
 
-def _tile_runs(plan: MappingPlan):
-    """The plan's tiles in plan order, cut into runs of consecutive tiles of
-    one tile row that hold at most ``_RUN_CELLS`` nonzero cells, or one
-    tile."""
+def _tile_runs(plan: MappingPlan, tiles: list):
+    """``tiles``, tiles of ``plan`` in plan order, cut into runs of
+    consecutive tiles of one tile row that hold at most ``_RUN_CELLS``
+    nonzero cells, or one tile."""
     t, cap = plan.tile_size, mapping.pair_capacity(plan.tile_size)
-    for tile_row, row in itertools.groupby(plan.tiles, key=lambda tp: tp.tile_row):
+    for tile_row, row in itertools.groupby(tiles, key=lambda tp: tp.tile_row):
         per_column = np.count_nonzero(plan.codes[tile_row * t:(tile_row + 1) * t], axis=0)
         nonzero = np.add.reduceat(per_column, np.arange(0, per_column.size, cap)).tolist()
         run, cells = [], 0
@@ -455,6 +502,22 @@ def _require_plans_of(plans: list[MappingPlan], scheme: str, tile_size: int) -> 
                              f"tile_size {tile_size}")
 
 
+def _row_blocks(plan: MappingPlan, cpus: int) -> list[list]:
+    """``plan.tiles`` cut into contiguous blocks of whole tile rows, of about
+    equal tile counts: at most one block per CPU of ``cpus`` and per
+    ``_SPLIT_DEVICES`` sampled devices (t x t a tile), so a smaller layer is
+    one block. Each row joins the block that holds its middle tile."""
+    n = min(cpus, len(plan.tiles) * plan.tile_size ** 2 // _SPLIT_DEVICES)
+    if n <= 1:
+        return [plan.tiles]
+    blocks, done = [[] for _ in range(n)], 0
+    for _, row in itertools.groupby(plan.tiles, key=lambda tp: tp.tile_row):
+        row = list(row)
+        blocks[(2 * done + len(row)) * n // (2 * len(plan.tiles))] += row
+        done += len(row)
+    return [block for block in blocks if block]
+
+
 def program_network(net: QuantizedNetwork, scheme: str, hw: HardwareConfig, seed: int,
                     plans: list[MappingPlan]) -> list[np.ndarray]:
     """Sample and program every layer of ``net`` under its ``plans``; returns
@@ -466,13 +529,75 @@ def program_network(net: QuantizedNetwork, scheme: str, hw: HardwareConfig, seed
     where stuck on, and the active devices of its nonzero cells are patched
     with their run of tiles (``_program_tiles``), so no layer's sampled
     population is held. G is byte-identical to ``program(sample_devices(...))``
-    of each layer."""
+    of each layer.
+
+    Every G is checked and mapped before any fork (``_layer_matrix``). Each
+    layer is cut into blocks of whole tile rows (``_row_blocks``): one block
+    unless it holds at least twice ``_SPLIT_DEVICES`` devices and the process
+    may run on more than one CPU. The call forks once for each block after
+    the first of its most-split layer; the k-th child programs the k-th block
+    of every layer straight into the shared G (``_mapped_zeros``) and ends in
+    ``os._exit``, writing nothing. The parent programs every first block,
+    then reaps every child, killing them first if its own work raised; a
+    failed child raises RuntimeError naming its layer. Each tile's draws are
+    keyed by its position, so G is byte-identical however a layer is cut.
+    Without ``os.fork`` or ``os.sched_getaffinity`` every layer is one block.
+
+    The fork is safe because the child runs only this module's element-wise
+    numpy code and Philox draws on memory it owns or shares: it makes no BLAS
+    call, so OpenBLAS's helper threads, which its fork handler parks, are
+    never needed there, and the CLI starts no Python threads whose locks the
+    child could inherit held. Python 3.12 and later warn (DeprecationWarning)
+    on a fork from a process with more than one OS thread, and an idle
+    OpenBLAS helper thread counts. Here that warning would be a false alarm,
+    for the reasons above; but under ``-W error`` it would be raised in the
+    parent after the child was forked, leaving that child unreaped. CI pins
+    Python 3.11, which does not warn.
+    """
     _require_plans_of(plans, scheme, hw.tile_size)
     chash = config_hash(net, scheme, hw)
-    return [_program_tiles(_stuck_states(_tile_draws(seed, plan, hw.device, chash, li),
-                                         hw.device),
-                           plan, net.layers[li].weights, hw.device)
-            for li, plan in enumerate(plans)]
+    mats = [_layer_matrix(plan, layer.weights) for plan, layer in zip(plans, net.layers)]
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    cpus = len(os.sched_getaffinity(0)) if can_fork else 1
+    blocks = [_row_blocks(plan, cpus) for plan in plans]
+
+    def program_block(li: int, block: list) -> None:
+        plan, weights = plans[li], net.layers[li].weights
+        draws = _tile_draws(seed, plan, hw.device, chash, li, block)
+        _program_tiles(_stuck_states(draws, hw.device), plan, weights, hw.device,
+                       mats[li], block)
+
+    children = max(map(len, blocks), default=1) - 1
+    # the layer each child is programming, shared, so that a failed one can be named
+    current = _mapped_zeros((children,))
+    pids = []
+    try:
+        for k in range(1, children + 1):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    for li, layer_blocks in enumerate(blocks):
+                        if k < len(layer_blocks):
+                            current[k - 1] = li
+                            program_block(li, layer_blocks[k])
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        for li, layer_blocks in enumerate(blocks):
+            program_block(li, layer_blocks[0])
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for k, status in enumerate(statuses):
+        if status:
+            raise RuntimeError(f"layer {int(current[k])}: programming its tile rows in a "
+                               f"forked process failed (wait status {status})")
+    return [g.reshape(plan.rows, 2 * plan.cols) for g, plan in zip(mats, plans)]
 
 
 def encode_inputs(batch: np.ndarray, io: IOConfig, scale: float | np.ndarray) -> np.ndarray:

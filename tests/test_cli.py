@@ -207,6 +207,27 @@ class TestSimulateCommand:
         assert "\n  seed: must be an integer\n" in err
         assert not (tmp_path / "simulate_result.json").exists()
 
+    @pytest.mark.parametrize("section, key, line", [
+        ("device", "r_on_std", "device: resistance std must be finite"),
+        ("space", "std_multiplier",
+         f"space.std_multiplier: {10 ** 400}: resistance std must be finite"),
+        ("space", "batch_size", f"space.batch_size: {10 ** 400}: batch_size must be < 2**63"),
+        ("space", "n_states",
+         f"space.n_states: {10 ** 400}: n_states must be < 2**63 (or None for continuous)"),
+    ], ids=["r_on_std", "std_multiplier", "batch_size", "n_states"])
+    def test_integer_past_float_or_int64_range_exit_2(self, workdir, tmp_path, capsys,
+                                                      section, key, line):
+        """A JSON integer of 401 digits is refused at load, its field named,
+        not converted mid-run."""
+        cfg = dse_config(workdir, tmp_path, scheme=["dense_kernel"],
+                         tile_size=[64], batch_size=[64])
+        doc = json.loads(cfg.read_text())
+        doc.setdefault(section, {})[key] = 10 ** 400 if section == "device" else [10 ** 400]
+        cfg.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: invalid configuration:\n  {line}\n"
+        assert not (tmp_path / "simulate_result.json").exists()
+
     @pytest.mark.parametrize("field, text, message", [
         (0, "x", "invalid literal for int() with base 10: 'x'"),
         (4, "abc", "could not convert string to float: 'abc'"),

@@ -1,7 +1,10 @@
 import copy
 import hashlib
+import itertools
 import math
 import mmap
+import os
+import time
 import tracemalloc
 from unittest import mock
 
@@ -269,6 +272,101 @@ def random_conv2d_net():
     return qnet.QuantizedNetwork("conv2d-random", 4, (1, 6, 6), layers)
 
 
+def force_split(monkeypatch, cpus):
+    """Cut every layer of two or more tile rows into blocks, as if the
+    process could run on ``cpus`` CPUs."""
+    monkeypatch.setattr(xbar, "_SPLIT_DEVICES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def fork_spy(monkeypatch) -> list:
+    """The pids of the children ``os.fork`` makes from now on, in the caller."""
+    pids, real = [], os.fork
+
+    def spy():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def pinned_conv2d_net():
+    """conv2d(5, 2x2, pad 1) -> linear(10) on 2x6x6, about 40 % zero codes:
+    footprint 8, so every scheme maps it at t=8."""
+    specs, _ = qnet.propagate_shapes([qnet.conv2d(5, 2, 2, padding=1), qnet.linear(10)],
+                                     (2, 6, 6))
+    rng = np.random.default_rng(2024)
+    layers = []
+    for spec in specs:
+        codes = rng.integers(-7, 8, size=spec.weight_shape())
+        codes[rng.random(codes.shape) < 0.4] = 0
+        layers.append(qnet.Layer(spec, qnet.WeightTensor(codes, 0.1, 4)))
+    return qnet.QuantizedNetwork("pinned-conv2d", 4, (2, 6, 6), layers)
+
+
+# SHA-256 of the bytes of each G that program_network returns for
+# pinned_conv2d_net at seed 7, by "scheme/tile_size/device model/layer", however
+# its layers are split between processes; changing one changes a correctness check
+PINNED_G_SHA256 = {
+    "sparse_staggered/8/default/0":
+        "15cbacbb1d0e59ea87eec7e5aac8e0963755f801137f9f6e85061d82ec076592",
+    "sparse_staggered/8/default/1":
+        "0318a3b294f858e97927369b4296fa17a58ca15a4df3006387cbfba0e263e1a5",
+    "sparse_staggered/8/stuck/0":
+        "8f533bf123b354b64d98731c6db27b7f969f94ab0a5d547ed23697a4be27dbd8",
+    "sparse_staggered/8/stuck/1":
+        "8852568d82516b5ba175b9092f86dbf9952583e456165f21a75f7ba003ce018f",
+    "sparse_staggered/32/default/0":
+        "120981b4689cc7ba084028e6c8fc5c5007757f6ac28731dc563224373b84f29d",
+    "sparse_staggered/32/default/1":
+        "e3b26edbf78506a010b3c0f3e9fe6eb89d5e5f724b203b2b264fb718b1d6c7f7",
+    "sparse_staggered/32/stuck/0":
+        "93cb486ac421a4ed0d17d9d1189761756e8d58fc5e3cc4ce10c817acb9298113",
+    "sparse_staggered/32/stuck/1":
+        "5bc9345adc65d5a31ac01df34303fc5c99e6c31cf9f91213da32ed8f42afbccf",
+    "dense_routed/8/default/0":
+        "516684793430471bb4b80281a429ff41003a67918562221ee55f4e5e80b58b72",
+    "dense_routed/8/default/1":
+        "38eb098bc0611a10511a406d3084e8e299eac86e9e3e11b6ffd32a363e436e16",
+    "dense_routed/8/stuck/0":
+        "e4b6e1d8b2024954616f0822e5da397dc84d1671109ba037d816b352d99ab3d0",
+    "dense_routed/8/stuck/1":
+        "b9c9d29ba56eb163cfbcc5e9b448e9a658f1dc86c3a39799e035f559e00457ab",
+    "dense_routed/32/default/0":
+        "84bc4bc8c8b56765a3c690c714a1ec2c19a3355c70f19e379d9ad1e88320b107",
+    "dense_routed/32/default/1":
+        "881767e4fbd6d6a468c85c92a8dc2ce884a0accec8192f5779cbd58228afc4e4",
+    "dense_routed/32/stuck/0":
+        "5f7d27dec7356f6bcc65e5eafdc244488cffd8394fe9ce768fa2e1dff86eb030",
+    "dense_routed/32/stuck/1":
+        "8e59cadce8574674bcf33c8bec196616c3ee4906c21e0b2d44de85a3764b2ae3",
+    "dense_kernel/8/default/0":
+        "4be004238ff5777b59ef79d9ce5db44d1d149e062675aaff9ac2ff33bbdcafd6",
+    "dense_kernel/8/default/1":
+        "087cefe363a9f7de8ffbf22ef26594443c6e4069fdc768b9f2944b7347c7458a",
+    "dense_kernel/8/stuck/0":
+        "e22a228403fa7a20c40fa55bcfe3d84df3b640a9980af7fef9ab5a390fc0515e",
+    "dense_kernel/8/stuck/1":
+        "2b2314bac5bfbb6811bbf7d363c47844a1c9bdb0e6f38d142ab568592c292806",
+    "dense_kernel/32/default/0":
+        "a1ea8c844bdbee4add7ab3e2b7f58a4e354ea5589da597ef33918b6b76f3147c",
+    "dense_kernel/32/default/1":
+        "064e293fd109b501f0ed1ba30a2fed17425b81027a7063cc330d4aab3668df9b",
+    "dense_kernel/32/stuck/0":
+        "7aee11bd78c9164007e896b9928cabf7782d31c6bffb4a2b54fb56a851d1fbff",
+    "dense_kernel/32/stuck/1":
+        "1439f9acd7a797bd75e95f2f4620c4081392b4a34119e0247c83ccb78f5006a0",
+}
+
+
 class TestDeviceModel:
     def test_defaults_match_fixed_parameters(self):
         m = DeviceModel()
@@ -358,6 +456,67 @@ class TestDeviceModel:
             IOConfig(**io)
         assert str(err.value).splitlines() == problems
         assert xbar.io_problems(**vars(IOConfig())) == []
+
+    @pytest.mark.parametrize("bad, problems", [
+        ({"r_on_std": 10 ** 400}, ["resistance std must be finite"]),
+        ({"r_off_std": -10 ** 400}, ["resistance std must be >= 0"]),
+        ({"r_on_mean": 10 ** 400}, ["need 0 < r_on_mean < r_off_mean < inf"]),
+        ({"r_on_mean": 10 ** 400, "r_off_mean": 10 ** 401},
+         ["need 0 < r_on_mean < r_off_mean < inf"]),
+        ({"p_stuck_off": 10 ** 400}, ["stuck probabilities must be >= 0 and sum to <= 1"]),
+        ({"n_states": 2 ** 63}, ["n_states must be < 2**63 (or None for continuous)"]),
+        ({"n_states": 1e300}, ["n_states must be < 2**63 (or None for continuous)"]),
+        ({"n_states": 10 ** 400, "r_off_std": 10 ** 400},
+         ["resistance std must be finite", "n_states must be < 2**63 (or None for continuous)"]),
+    ], ids=["r_on_std", "r_off_std-negative", "r_on_mean", "means", "p_stuck_off",
+            "n_states", "n_states-float", "two"])
+    def test_device_values_past_float_or_int64_range_listed(self, bad, problems):
+        """Resistances and probabilities must convert to finite float64s, and
+        n_states must fit int64."""
+        assert xbar.device_problems(**{**vars(DeviceModel()), **bad}) == problems
+        with pytest.raises(ValueError) as err:
+            DeviceModel(**bad)
+        assert str(err.value).splitlines() == problems
+
+    @pytest.mark.parametrize("bad, problems", [
+        ({"batch_size": 2 ** 63}, ["batch_size must be < 2**63"]),
+        ({"batch_size": 10 ** 400}, ["batch_size must be < 2**63"]),
+        ({"io_bit_width": 10 ** 400}, ["io_bit_width must be < 2**63 (or None for ideal)"]),
+        ({"v_max": 10 ** 400}, ["v_max must be finite"]),
+        ({"v_max": -10 ** 400, "batch_size": 10 ** 400},
+         ["v_max must be > 0", "batch_size must be < 2**63"]),
+    ], ids=["batch_size", "batch_size-huge", "io_bit_width", "v_max", "two"])
+    def test_io_values_past_float_or_int64_range_listed(self, bad, problems):
+        assert xbar.io_problems(**{**vars(IOConfig()), **bad}) == problems
+        with pytest.raises(ValueError) as err:
+            IOConfig(**bad)
+        assert str(err.value).splitlines() == problems
+
+    def test_largest_counts_accepted(self):
+        top = 2 ** 63 - 1
+        assert xbar.device_problems(**{**vars(DeviceModel()), "n_states": top}) == []
+        assert xbar.io_problems(io_bit_width=top, v_max=1e308, batch_size=top) == []
+
+    @pytest.mark.parametrize("bad, problems", [
+        ({"p_stuck_on": "a", "p_stuck_off": math.nan},
+         ["p_stuck_on must be a number, not a",
+          "stuck probabilities must be >= 0 and sum to <= 1"]),
+        ({"r_on_std": math.nan, "r_off_std": math.inf},
+         ["resistance std must be >= 0", "resistance std must be finite"]),
+        ({"r_on_std": "x", "r_off_std": -1.0},
+         ["r_on_std must be a number, not x", "resistance std must be >= 0"]),
+        ({"r_on_mean": None, "r_off_mean": math.inf},
+         ["r_on_mean must be a number, not None", "need 0 < r_on_mean < r_off_mean < inf"]),
+        ({"r_on_std": math.nan, "r_off_std": -1.0}, ["resistance std must be >= 0"]),
+        ({"p_stuck_on": 2.0, "p_stuck_off": -1.0},
+         ["stuck probabilities must be >= 0 and sum to <= 1"]),
+        ({"p_stuck_on": "a", "p_stuck_off": 0.9}, ["p_stuck_on must be a number, not a"]),
+    ], ids=["stuck", "stds", "std-string", "mean-none", "stds-one-line", "stuck-one-line",
+            "no-joint-rule"])
+    def test_non_number_hides_no_partner_problem(self, bad, problems):
+        """Each field's own rules are checked apart, a pair's joint rule only
+        when both are numbers, and no line is listed twice."""
+        assert xbar.device_problems(**{**vars(DeviceModel()), **bad}) == problems
 
     def test_integer_values_are_accepted(self):
         assert DeviceModel(n_states=np.int64(16)).n_states == 16
@@ -967,23 +1126,30 @@ class TestSimulation:
                                         != (t, t // 2))
         assert seen == {"full", "compacted", "all-zero", "all-nonzero", "mixed", "partial"}
 
-    @pytest.mark.parametrize("scheme, full, tiles", [("sparse_staggered", True, 64),
-                                                     ("dense_routed", False, 40),
-                                                     ("dense_kernel", False, 40)],
-                             ids=["sparse_staggered", "dense_routed", "dense_kernel"])
-    def test_program_network_holds_no_sampled_population(self, scheme, full, tiles):
+    @pytest.mark.parametrize("scheme, full, tiles, split", [
+        ("sparse_staggered", True, 64, False), ("dense_routed", False, 40, False),
+        ("dense_kernel", False, 40, False), ("sparse_staggered", True, 64, True),
+        ("dense_routed", False, 40, True)],
+        ids=["sparse_staggered", "dense_routed", "dense_kernel", "sparse_staggered-split",
+             "dense_routed-split"])
+    def test_program_network_holds_no_sampled_population(self, scheme, full, tiles, split,
+                                                         monkeypatch):
         """On a linear layer of 64 full or 40 compacted tiles, the traced
         peak of programming stays within 16 t x t float64 tiles: a tile or
         two of draws and the temporaries of a block, never the layer's
         sampled tiles (each of which holds over three tiles' worth of arrays)
         nor a physical matrix. G is not traced: it is one memory mapping of
-        its own size."""
+        its own size. With the split forced, the parent's peak, the one
+        traced, stays within the same bound."""
         t = 32
         net = random_net("streamed", [qnet.linear(64)], (1, 512), 0)
         plans = mapping.network_plans(net, scheme, t)
         assert (plans[0].row_map is None) == full and len(plans[0].tiles) == tiles
         hw = HardwareConfig(t, device=DeviceModel(n_states=16, p_stuck_on=0.05,
                                                   p_stuck_off=0.05))
+        if split:
+            force_split(monkeypatch, 2)
+            assert len(xbar._row_blocks(plans[0], 2)) == 2
         xbar.program_network(net, scheme, hw, 0, plans)
         tracemalloc.start()
         try:
@@ -1280,3 +1446,182 @@ class TestSimulation:
         hw = HardwareConfig(tile_size=32)
         with pytest.raises(ValueError):
             evaluate_accuracy(fixture_net, "sparse_staggered", hw, empty, 0)
+
+
+class TestSplitProgramming:
+    """``program_network`` cuts a layer of at least ``_SPLIT_DEVICES`` devices
+    into blocks of tile rows, one per CPU, and programs all but the first in
+    forked children, straight into the shared G."""
+
+    def test_program_network_bytes_pinned(self, monkeypatch):
+        """Every G of a small conv2d network under all three schemes at t=8
+        and t=32, with the default devices and with 5 %/5 % stuck and
+        n_states 16, has its committed digest, whether or not its layers are
+        split between 2 or 3 processes."""
+        net = pinned_conv2d_net()
+        models = {"default": DeviceModel(),
+                  "stuck": DeviceModel(n_states=16, p_stuck_on=0.05, p_stuck_off=0.05)}
+        for cpus in (None, 2, 3):
+            with monkeypatch.context() as patch:
+                forks = fork_spy(patch)
+                if cpus:
+                    force_split(patch, cpus)
+                got = {}
+                for scheme, t, name in itertools.product(mapping.SCHEMES, (8, 32), models):
+                    hw = HardwareConfig(t, device=models[name])
+                    mats = xbar.program_network(net, scheme, hw, 7,
+                                                mapping.network_plans(net, scheme, t))
+                    for li, g in enumerate(mats):
+                        got[f"{scheme}/{t}/{name}/{li}"] = hashlib.sha256(g.tobytes()).hexdigest()
+                assert got == PINNED_G_SHA256, f"cpus {cpus}"
+                assert (len(forks) > 0) == bool(cpus)
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_split_equals_serial_and_reference(self, cpus, monkeypatch):
+        """With the split forced, every layer's G equals the serial G and
+        ``program(sample_devices(...))``."""
+        arch = [qnet.conv1d(kernels=11, kernel_h=3), qnet.linear(5)]
+        nets = [random_net("conv1d-random", arch, (1, 12), 8), random_conv2d_net(),
+                random_net("conv1d-zero", arch, (1, 12), 8, zero_frac=1.0)]
+        model = DeviceModel(p_stuck_on=0.05, p_stuck_off=0.05, n_states=16)
+        for net, scheme, t in itertools.product(nets, mapping.SCHEMES, (5, 10)):
+            hw = HardwareConfig(t, device=model)
+            try:
+                plans = mapping.network_plans(net, scheme, t)
+            except mapping.MappingError:
+                continue   # dense_kernel: kernel footprint exceeds t
+            serial = xbar.program_network(net, scheme, hw, 5, plans)
+            with monkeypatch.context() as patch:
+                forks = fork_spy(patch)
+                force_split(patch, cpus)
+                split = xbar.program_network(net, scheme, hw, 5, plans)
+                blocks = max(len(xbar._row_blocks(p, cpus)) for p in plans)
+            assert len(forks) == blocks - 1
+            chash = xbar.config_hash(net, scheme, hw)
+            for li, (plan, a, b) in enumerate(zip(plans, serial, split)):
+                ref = program(sample_devices(5, plan, model, chash, li), plan,
+                              net.layers[li].weights, model)
+                assert a.tobytes() == b.tobytes() == ref.tobytes(), (net.name, scheme, li)
+        assert_no_children()
+
+    def test_blocks_are_whole_tile_rows(self):
+        """Blocks are contiguous runs of plan.tiles made of whole tile rows,
+        of about equal tile counts: at most one per CPU and one per
+        ``_SPLIT_DEVICES`` devices."""
+        net = random_net("rows", [qnet.linear(200)], (1, 300), 0)
+        plan = mapping.network_plans(net, "sparse_staggered", 8)[0]
+        devices = len(plan.tiles) * 8 * 8
+        assert xbar._row_blocks(plan, 64) == [plan.tiles]     # below _SPLIT_DEVICES
+        with mock.patch.object(xbar, "_SPLIT_DEVICES", devices // 3):
+            assert len(xbar._row_blocks(plan, 64)) == 3
+            assert len(xbar._row_blocks(plan, 2)) == 2
+            assert xbar._row_blocks(plan, 1) == [plan.tiles]
+        with mock.patch.object(xbar, "_SPLIT_DEVICES", 1):
+            for cpus in (2, 3, 7, 38, 1000):
+                blocks = xbar._row_blocks(plan, cpus)
+                assert [tp for block in blocks for tp in block] == plan.tiles
+                rows = [{tp.tile_row for tp in block} for block in blocks]
+                assert all(max(a) < min(b) for a, b in zip(rows, rows[1:]))
+                assert len(blocks) == min(cpus, 38)             # 38 tile rows
+                sizes = [len(block) for block in blocks]
+                assert max(sizes) - min(sizes) <= 2 * 50     # two rows of 50 tiles
+
+    def test_small_layers_never_fork(self, fixture_net, monkeypatch):
+        """Neither the fixture network nor a layer of three t=128 tiles, the
+        size of the bench conv_read network's largest, forks, even with 4 CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        forks = fork_spy(monkeypatch)
+        for scheme in mapping.SCHEMES:
+            for t in (8, 32):
+                plans = mapping.network_plans(fixture_net, scheme, t)
+                xbar.program_network(fixture_net, scheme, HardwareConfig(t), 0, plans)
+        net = random_net("conv-read-sized", [qnet.linear(64)], (1, 384), 0, zero_frac=0.0)
+        for scheme in mapping.SCHEMES:
+            plans = mapping.network_plans(net, scheme, 128)
+            assert len(plans[0].tiles) == 3
+            xbar.program_network(net, scheme, HardwareConfig(128), 0, plans)
+        assert forks == []
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_platform_without_fork_or_affinity_programs_in_process(self, missing,
+                                                                   monkeypatch):
+        net = pinned_conv2d_net()
+        plans = mapping.network_plans(net, "sparse_staggered", 8)
+        serial = xbar.program_network(net, "sparse_staggered", HardwareConfig(8), 0, plans)
+        forks = fork_spy(monkeypatch)
+        force_split(monkeypatch, 3)
+        monkeypatch.delattr(os, missing)
+        mats = xbar.program_network(net, "sparse_staggered", HardwareConfig(8), 0, plans)
+        assert forks == []
+        assert [g.tobytes() for g in mats] == [g.tobytes() for g in serial]
+
+    def test_children_end_in_os_exit_writing_nothing(self, tmp_path, monkeypatch, capfd):
+        """One fork per extra block of the largest split layer; each child
+        ends in ``os._exit(0)``, prints nothing, and is reaped."""
+        net = pinned_conv2d_net()
+        plans = mapping.network_plans(net, "sparse_staggered", 8)
+        exits, real_exit = tmp_path / "exits", os._exit
+
+        def exit_spy(status):
+            with open(exits, "a") as fh:
+                fh.write(f"{status}\n")
+            real_exit(status)
+
+        monkeypatch.setattr(os, "_exit", exit_spy)
+        forks = fork_spy(monkeypatch)
+        force_split(monkeypatch, 3)
+        xbar.program_network(net, "sparse_staggered", HardwareConfig(8), 0, plans)
+        assert len(forks) == 2
+        assert exits.read_text().split() == ["0", "0"]
+        assert capfd.readouterr() == ("", "")
+        assert_no_children()
+
+    def test_failing_child_raises_naming_the_layer(self, monkeypatch, capfd):
+        net = pinned_conv2d_net()
+        plans = mapping.network_plans(net, "sparse_staggered", 8)
+        parent, draws = os.getpid(), xbar._tile_draws
+
+        def failing(seed, plan, model, cfg_hash, layer_index, tiles):
+            if os.getpid() != parent and layer_index == 1:
+                raise ValueError("a child's own failure")
+            return draws(seed, plan, model, cfg_hash, layer_index, tiles)
+
+        monkeypatch.setattr(xbar, "_tile_draws", failing)
+        force_split(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="^layer 1: .* forked process failed"):
+            xbar.program_network(net, "sparse_staggered", HardwareConfig(8), 0, plans)
+        assert capfd.readouterr() == ("", "")
+        assert_no_children()
+
+    def test_parent_failure_kills_and_reaps_children(self, monkeypatch):
+        """The parent's own exception propagates, once its children, which
+        would otherwise run for a minute, are killed and reaped."""
+        net = pinned_conv2d_net()
+        plans = mapping.network_plans(net, "sparse_staggered", 8)
+        parent = os.getpid()
+
+        def failing(*args):
+            if os.getpid() == parent:
+                raise ValueError("the parent's own failure")
+            time.sleep(60)
+
+        monkeypatch.setattr(xbar, "_tile_draws", failing)
+        forks = fork_spy(monkeypatch)
+        force_split(monkeypatch, 3)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="the parent's own failure"):
+            xbar.program_network(net, "sparse_staggered", HardwareConfig(8), 0, plans)
+        assert len(forks) == 2 and time.perf_counter() - start < 30
+        assert_no_children()
+
+    def test_shape_errors_raised_before_any_fork(self, monkeypatch):
+        net = pinned_conv2d_net()
+        other = random_net("other", [qnet.conv2d(5, 2, 2, padding=1), qnet.linear(3)],
+                           (2, 6, 6), 0)
+        plans = mapping.network_plans(other, "sparse_staggered", 8)
+        forks = fork_spy(monkeypatch)
+        force_split(monkeypatch, 3)
+        with pytest.raises(ValueError, match="^weight tensor does not match plan dimensions$"):
+            xbar.program_network(net, "sparse_staggered", HardwareConfig(8), 0, plans)
+        assert forks == []
