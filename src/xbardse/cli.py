@@ -6,11 +6,11 @@ format_version); stdout is human-oriented. Each layout has one definition:
 ``load_run_config`` builds the resolved run config that ``config_resolved.json``
 and ``simulate_result.json`` hold, ``RESULT_COLUMNS`` is a row of
 ``results.csv`` and ``ranking.csv`` for writing and reading, and every CSV
-file goes through ``_write_csv``. Exit codes: 0 success, 1 runtime
-failure, 2 usage or configuration error. A command refuses with exit 2 in at
-most two stages, each one error listing every problem the stage can see: what
-the arguments and the run config show, before any network or dataset is
-loaded; then what the loaded inputs show, before any design point runs.
+file goes through ``_write_csv``. Exit codes: 0 success, 1 runtime failure, 2
+usage or configuration error. A command refuses with exit 2 in at most two
+stages, each one error listing every problem the stage can see: what the
+arguments and the run config show (its space by ``dse.SearchSpace.problems``),
+before any input is loaded; then what the inputs show, before any point runs.
 
 Stage 2 loads every input file and lists every problem in each (at most 20
 lines a file, then ``... and N more``), every way the dataset does not fit
@@ -125,9 +125,11 @@ def load_run_config(path: str, seed_override: int | None = None,
     Collects every validation problem before failing, so a bad config is
     reported exhaustively, including unknown top-level keys, the output
     directory, the space's size (one point if ``single_point``, else at most
-    ``max_grid``) and each problem of the device block and of every space
-    value (``dse._hardware_fields``). ``jobs`` must be a positive integer;
-    design points are evaluated serially whatever its value (``JOBS_HELP``).
+    ``max_grid``) and each problem of the device block and of the space
+    against it (the default one if the block has problems), as
+    ``dse.SearchSpace.problems`` lists them. ``jobs`` must be a positive
+    integer; design points are evaluated serially whatever its value
+    (``JOBS_HELP``).
     """
     errors: list[str] = []
     try:
@@ -189,28 +191,13 @@ def load_run_config(path: str, seed_override: int | None = None,
 
     space = dse.SearchSpace()
     for key, value in cfg["space"].items():
-        values = value if isinstance(value, list) else [value]
         if key not in dse.DIMENSIONS:
             errors.append(f"space.{key}: unknown dimension")
         elif key == "network":
             errors.append("space.network: derived from the network path, not configurable")
-        elif not values:
-            errors.append(f"space.{key}: empty value list")
         else:
-            setattr(space, key, values)
-    errors += [f"space.scheme: {problem}" for scheme in space.scheme
-               for problem in mapping.layer_problems(None, scheme, None)]
-    errors += [f"space.tile_size: {t!r}: {problem}" for t in space.tile_size
-               for problem in (mapping.layer_problems(None, None, t) if qnet._is_int(t)
-                               else ["not an integer"])]
-    # list the problems of each I/O and device value the grid will build, against the
-    # defaults and the device block (the default one, if it has problems), before any point runs
-    checks = [{key: value} for key in ("io_bit_width", "v_max", "batch_size", "n_states",
-                                       "std_multiplier") for value in getattr(space, key)]
-    checks += [{"p_stuck_on": on, "p_stuck_off": off}
-               for on in space.p_stuck_on for off in space.p_stuck_off]
-    errors += [f"space.{'/'.join(dims)}: {'/'.join(map(repr, dims.values()))}: {problem}"
-               for dims in checks for problem in dse._hardware_fields(base_model, dims)[2]]
+            setattr(space, key, value if isinstance(value, list) else [value])
+    errors += [f"space.{problem}" for problem in space.problems(base_model)]
     if single_point:
         oversized = [name for name in dse.DIMENSIONS if len(getattr(space, name)) > 1]
         if oversized:

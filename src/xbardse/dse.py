@@ -6,7 +6,8 @@ population-major: the points of one device population (every dimension
 except the I/O ones, io_bit_width, v_max and batch_size) run one after
 another and share its conductance matrices, which are sampled and programmed
 once and then only read. The result list is still ordered lexicographically
-over the dimension value lists, so reruns are bit-identical.
+over the dimension value lists, so reruns are bit-identical. ``grid_search``
+and the CLI refuse a bad space value by one rule, ``SearchSpace.problems``.
 """
 
 from __future__ import annotations
@@ -45,28 +46,46 @@ class SearchSpace:
     network: list = field(default_factory=lambda: ["net"])
     scheme: list = field(default_factory=lambda: ["sparse_staggered"])
     tile_size: list = field(default_factory=lambda: [64])
-    io_bit_width: list = field(default_factory=lambda: [None])
-    v_max: list = field(default_factory=lambda: [0.3])
-    batch_size: list = field(default_factory=lambda: [256])
-    n_states: list = field(default_factory=lambda: [None])
-    p_stuck_on: list = field(default_factory=lambda: [0.005])
-    p_stuck_off: list = field(default_factory=lambda: [0.005])
+    io_bit_width: list = field(default_factory=lambda: [xbar.IOConfig.io_bit_width])
+    v_max: list = field(default_factory=lambda: [xbar.IOConfig.v_max])
+    batch_size: list = field(default_factory=lambda: [xbar.IOConfig.batch_size])
+    n_states: list = field(default_factory=lambda: [xbar.DeviceModel.n_states])
+    p_stuck_on: list = field(default_factory=lambda: [xbar.DeviceModel.p_stuck_on])
+    p_stuck_off: list = field(default_factory=lambda: [xbar.DeviceModel.p_stuck_off])
     std_multiplier: list = field(default_factory=lambda: [1.0])
 
-    def validate(self) -> None:
-        for f in fields(self):
-            values = getattr(self, f.name)
-            if not isinstance(values, list) or not values:
-                raise ValueError(f"dimension '{f.name}' must be a non-empty list")
-        for scheme in self.scheme:
-            mapping._require_mappable(None, scheme, None)
+    def problems(self, base_model: xbar.DeviceModel, networks: dict | None = None) -> list[str]:
+        """The space rule, a line a problem: each dimension not a non-empty list, network
+        missing from ``networks`` (if given), unknown scheme, tile size not an integer >= 2,
+        and I/O value, device value and stuck pair that ``IOConfig``'s defaults and
+        ``base_model`` refuse."""
+        dims = {name: getattr(self, name) for name in DIMENSIONS}
+        problems = [f"{name}: {'empty value list' if isinstance(v, list) else 'not a list'}"
+                    for name, v in dims.items() if not isinstance(v, list) or not v]
+        dims = {name: v if isinstance(v, list) else [] for name, v in dims.items()}
+        problems += [f"network: {name!r}: not in networks" for name in dims["network"]
+                     if networks is not None and name not in list(networks)]  # unhashable too
+        problems += [f"scheme: {problem}" for scheme in dims["scheme"]
+                     for problem in mapping.layer_problems(None, scheme, None)]
+        problems += [f"tile_size: {t!r}: {problem}" for t in dims["tile_size"]
+                     for problem in (mapping.layer_problems(None, None, t) if qnet._is_int(t)
+                                     else ["not an integer"])]
+        checks = [{name: value} for name in ("io_bit_width", "v_max", "batch_size", "n_states",
+                                             "std_multiplier") for value in dims[name]]
+        checks += [{"p_stuck_on": on, "p_stuck_off": off}
+                   for on in dims["p_stuck_on"] for off in dims["p_stuck_off"]]
+        for values in checks:
+            io, device, bad = _hardware_fields(base_model, values)
+            where = f"{'/'.join(values)}: {'/'.join(map(repr, values.values()))}"
+            problems += [f"{where}: {problem}" for problem in
+                         xbar.io_problems(**io) + (bad or xbar.device_problems(**device))]
+        return problems
 
     def size(self) -> int:
         return math.prod(len(getattr(self, name)) for name in DIMENSIONS)
 
     def points(self):
         """All configurations in lexicographic order over the value lists."""
-        self.validate()
         for values in itertools.product(*(getattr(self, name) for name in DIMENSIONS)):
             yield dict(zip(DIMENSIONS, values))
 
@@ -109,7 +128,7 @@ def min_max_normalize(scores: list[float]) -> list[float]:
 def _hardware_fields(base: xbar.DeviceModel, dims: dict) -> tuple[dict, dict, list[str]]:
     """The ``IOConfig`` fields of the I/O dimensions in ``dims`` (defaults for the missing),
     ``base``'s fields with the device ones applied (std_multiplier scales both stds), and
-    every problem of both; a std_multiplier that is not a number is the device's one, and
+    the problem of a std_multiplier that is not a number, which neither constructor sees;
     an integer one past float range scales the stds as its infinity would."""
     io = {f.name: dims.get(f.name, f.default) for f in fields(xbar.IOConfig)}
     device = {f.name: dims.get(f.name, getattr(base, f.name)) for f in fields(base)}
@@ -118,7 +137,7 @@ def _hardware_fields(base: xbar.DeviceModel, dims: dict) -> tuple[dict, dict, li
         if qnet._is_int(mult) and not qnet._is_finite(mult):
             mult = math.inf if mult > 0 else -math.inf      # past float range: infinite
         device.update(r_on_std=base.r_on_std * mult, r_off_std=base.r_off_std * mult)
-    return io, device, xbar.io_problems(**io) + (bad or xbar.device_problems(**device))
+    return io, device, bad
 
 
 def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
@@ -136,8 +155,8 @@ def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
     """
     try:
         net = networks[cfg["network"]]
-        io, device, problems = _hardware_fields(base_model, cfg)
-        qnet._raise_all(problems, ValueError)
+        io, device, bad = _hardware_fields(base_model, cfg)
+        qnet._raise_all(bad, ValueError)     # the constructors check the rest
         hw = xbar.HardwareConfig(tile_size=cfg["tile_size"], io=xbar.IOConfig(**io),
                                  device=xbar.DeviceModel(**device))
         plans = mapping.network_plans(net, cfg["scheme"], cfg["tile_size"])
@@ -159,33 +178,28 @@ def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
 def grid_search(space: SearchSpace, data: Dataset, networks: dict,
                 seed: int = 0, base_model: xbar.DeviceModel | None = None,
                 jobs: int = 1) -> list[ConfigResult]:
-    """Evaluate every configuration exactly once; results in lexicographic
-    order.
+    """Evaluate every configuration once; results in lexicographic order.
 
     Points run serially in-process (a thread pool measured slower),
     population-major: device populations (the ``POPULATION`` dimensions) in
     the order they first appear, each one's points in lexicographic order.
     A population's first point samples and programs its conductance
     matrices, the rest read them, and they are freed before the next
-    population. So a failure that depends only on the I/O dimensions, or
-    only on the population, raises ``EvaluationError`` for the configuration
-    a lexicographic walk would reach first. ``jobs`` must be a positive
-    integer and is otherwise ignored: points still run one at a time, but
-    ``xbar.program_network`` programs a large layer on every CPU the process
-    may use, whatever ``jobs`` says. Randomness is keyed per structural
-    identity (network, scheme, tile size), so the output does not depend on
-    ``jobs``, the CPU count or the visiting order.
+    population. Before the first point, one ``ValueError`` lists a bad
+    ``jobs`` and every ``space.problems``; a failure that needs the network,
+    such as an unmappable layer, raises ``EvaluationError``. ``jobs`` is
+    otherwise ignored: points run one at a time, but ``xbar.program_network``
+    programs a large layer on every CPU the process may use. Randomness is
+    keyed per structural identity (network, scheme, tile size), so the
+    output does not depend on ``jobs``, the CPU count or the visiting order.
     """
-    if not qnet._is_int(jobs) or jobs < 1:
-        raise ValueError("jobs must be a positive integer")
     base_model = base_model or xbar.DeviceModel()
+    problems = [] if qnet._is_int(jobs) and jobs >= 1 else ["jobs must be a positive integer"]
+    qnet._raise_all(problems + space.problems(base_model, networks), ValueError)
     points = list(space.points())
-    # keyed by positions in the value lists, so values need not be hashable
-    axes = [DIMENSIONS.index(name) for name in POPULATION]
-    positions = itertools.product(*(range(len(getattr(space, name))) for name in DIMENSIONS))
-    populations: dict[tuple, list[int]] = {}
-    for i, pos in enumerate(positions):
-        populations.setdefault(tuple(pos[a] for a in axes), []).append(i)
+    populations: dict[tuple, list[int]] = {}   # keyed by values, all hashable past the space rule
+    for i, point in enumerate(points):
+        populations.setdefault(tuple(point[name] for name in POPULATION), []).append(i)
     results: list[ConfigResult] = [None] * len(points)
     for members in populations.values():
         shared: list[np.ndarray] = []   # filled by the population's first point
@@ -218,13 +232,8 @@ def contour_grid(results: list[ConfigResult], x_dim: str, y_dim: str,
     for dim in (x_dim, y_dim):
         if dim not in DIMENSIONS:
             raise ValueError(f"unknown dimension {dim!r}")
-    x_values: list = []
-    y_values: list = []
-    for res in results:
-        if res.config[x_dim] not in x_values:
-            x_values.append(res.config[x_dim])
-        if res.config[y_dim] not in y_values:
-            y_values.append(res.config[y_dim])
+    x_values = list(dict.fromkeys(res.config[x_dim] for res in results))
+    y_values = list(dict.fromkeys(res.config[y_dim] for res in results))
     matrix = np.full((len(y_values), len(x_values)), np.nan)
     for res in results:
         xi = x_values.index(res.config[x_dim])

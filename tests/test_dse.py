@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -42,9 +43,16 @@ class TestSearchSpace:
         assert tiles == [32, 32, 64, 64, 128, 128]
 
     def test_empty_dimension_rejected(self):
-        space = SearchSpace(tile_size=[])
-        with pytest.raises(ValueError):
-            space.validate()
+        space = SearchSpace(tile_size=[], scheme="dense_kernel")
+        assert space.problems(xbar.DeviceModel()) == ["scheme: not a list",
+                                                      "tile_size: empty value list"]
+
+    def test_default_point_builds_the_default_hardware(self):
+        point, = SearchSpace().points()
+        io, device, bad = dse._hardware_fields(xbar.DeviceModel(), point)
+        assert bad == []
+        assert xbar.IOConfig(**io) == xbar.IOConfig()
+        assert xbar.DeviceModel(**device) == xbar.DeviceModel()
 
 
 class TestGridSearch:
@@ -162,6 +170,15 @@ class TestPopulationSharing:
         cli.write_results_csv(tmp_path / "want.csv", want)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    def test_repeated_values_share_a_population(self, fixture_net, test_data):
+        """Points whose population values are equal, of one type or two, share
+        one population; their devices are the ones each would draw alone."""
+        nets = {fixture_net.name: fixture_net}
+        space = device_space(fixture_net.name, scheme=["dense_routed"], tile_size=[8, 32, 8],
+                             std_multiplier=[1, 1.0])
+        assert grid_search(space, test_data, nets, seed=3) == \
+            per_point_search(space, test_data, nets, seed=3)
+
     def test_samples_each_population_once(self, fixture_net, test_data, monkeypatch):
         calls = {"sample_devices": 0, "program": 0, "_program_tiles": 0, "network_plans": 0}
         for module, name in ((xbar, "sample_devices"), (xbar, "program"),
@@ -200,24 +217,84 @@ class TestPopulationSharing:
             with pytest.raises(ValueError):
                 g[0, 0] = 1.0
 
-    @pytest.mark.parametrize("bad", [{"batch_size": [64, 0]}, {"v_max": [0.3, -1.0]},
-                                     {"n_states": [None, 1]}])
-    def test_failure_reports_the_lexicographic_config(self, bad, fixture_net, test_data):
+
+def spy_on_points(monkeypatch):
+    """Make evaluating or programming any design point fail the test."""
+    def no_point(*args, **kwargs):
+        raise AssertionError("a design point ran")
+    monkeypatch.setattr(dse, "evaluate_config", no_point)
+    monkeypatch.setattr(xbar, "program_network", no_point)
+
+
+# bad values in every dimension the space rule reads; each list's first value is good
+BAD_SPACE = {"scheme": ["dense_routed", "bogus"], "tile_size": [8, 1, 8.0],
+             "io_bit_width": [6, 0], "v_max": [0.3, -1.0], "batch_size": [16, 0],
+             "n_states": [None, 1], "p_stuck_on": [0.005, 0.7], "p_stuck_off": [0.005, 0.7],
+             "std_multiplier": [1.0, "x"]}
+BAD_LINES = [
+    "scheme: unknown scheme 'bogus' (known: sparse_staggered, dense_routed, dense_kernel)",
+    "tile_size: 1: tile size must be >= 2",
+    "tile_size: 8.0: not an integer",
+    "io_bit_width: 0: io_bit_width must be >= 1",
+    "v_max: -1.0: v_max must be > 0",
+    "batch_size: 0: batch_size must be >= 1",
+    "n_states: 1: n_states must be >= 2 (or None for continuous)",
+    "std_multiplier: 'x': std_multiplier must be a number, not x",
+    "p_stuck_on/p_stuck_off: 0.7/0.7: stuck probabilities must be >= 0 and sum to <= 1",
+]
+
+
+class TestSpaceRule:
+    def test_grid_search_lists_every_problem_before_any_point(self, fixture_net, test_data,
+                                                             monkeypatch):
+        space = SearchSpace(network=[fixture_net.name, "other", ["x"]], **BAD_SPACE)
+        spy_on_points(monkeypatch)
+        with pytest.raises(ValueError) as err:
+            grid_search(space, test_data, {fixture_net.name: fixture_net}, jobs=0)
+        assert str(err.value).splitlines() == ["jobs must be a positive integer",
+                                               "network: 'other': not in networks",
+                                               "network: ['x']: not in networks", *BAD_LINES]
+
+    @pytest.mark.parametrize("bad, line", [
+        ({"batch_size": [64, 0]}, "batch_size: 0: batch_size must be >= 1"),
+        ({"v_max": [0.3, -1.0]}, "v_max: -1.0: v_max must be > 0"),
+        ({"n_states": [None, 1]}, "n_states: 1: n_states must be >= 2 (or None for continuous)"),
+    ], ids=["batch_size", "v_max", "n_states"])
+    def test_bad_value_refused_before_any_point(self, bad, line, fixture_net, test_data,
+                                                monkeypatch):
+        """A bad value that a late point holds is refused before the first
+        point runs, where a lexicographic walk once ran the points before it."""
         nets = {fixture_net.name: fixture_net}
         space = device_space(fixture_net.name, scheme=["dense_kernel", "sparse_staggered"],
                              tile_size=[8], io_bit_width=[4], p_stuck_off=[0.01, 0.02],
                              std_multiplier=[1.0], **bad)
-        with pytest.raises(dse.EvaluationError) as err:
+        spy_on_points(monkeypatch)
+        with pytest.raises(ValueError) as err:
             grid_search(space, test_data, nets, seed=0)
-        first = None
-        for i, cfg in enumerate(space.points()):
-            try:
-                dse.evaluate_config(cfg, i, nets, test_data, 0, xbar.DeviceModel(), [])
-            except dse.EvaluationError as failure:
-                first = failure
-                break
-        assert err.value.config == first.config
-        assert str(err.value.cause) == str(first.cause)
+        assert str(err.value) == line
+
+    def test_lines_equal_the_cli_lines(self, fixture_net, test_data, tmp_path, capsys):
+        qnet.save_network(fixture_net, tmp_path / "net.json")
+        qnet.save_dataset(test_data, tmp_path / "data.csv")
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"network": str(tmp_path / "net.json"), "dataset": str(tmp_path / "data.csv"),
+             "out": str(tmp_path), "space": BAD_SPACE}))
+        assert cli.main(["dse", "--config", str(tmp_path / "config.json")]) == 2
+        heading, *lines = capsys.readouterr().err.splitlines()
+        assert heading == "error: invalid configuration:"
+        assert lines == [f"  space.{line}" for line in BAD_LINES]
+        assert SearchSpace(**BAD_SPACE).problems(xbar.DeviceModel()) == BAD_LINES
+
+    def test_direct_point_names_a_bad_device_value(self, fixture_net, test_data):
+        nets = {fixture_net.name: fixture_net}
+        for dims, line in (({"p_stuck_on": 0.7, "p_stuck_off": 0.7},
+                            "stuck probabilities must be >= 0 and sum to <= 1"),
+                           ({"std_multiplier": "x"}, "std_multiplier must be a number, not x")):
+            cfg = {**next(SearchSpace(network=[fixture_net.name]).points()), **dims}
+            with pytest.raises(dse.EvaluationError) as err:
+                dse.evaluate_config(cfg, 0, nets, test_data, 0, xbar.DeviceModel(), [])
+            assert err.value.config == cfg
+            assert str(err.value.cause) == line
 
 
 def test_import_and_search_leave_scipy_unloaded(fixture_net, test_data, tmp_path):
