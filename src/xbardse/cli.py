@@ -15,10 +15,10 @@ before any input is loaded; then what the inputs show, before any point runs.
 Stage 2 loads every input file and lists every problem in each (at most 20
 lines a file, then ``... and N more``), every way the dataset does not fit
 the network (``qnet.fit_problems``) and, if the network parsed, one line for
-every layer that a design point cannot map. A lone file or pairing problem
-is its line alone (``error: dataset row 5: non-finite feature``); otherwise
-those go under the command's stage-1 heading and the layers under
-``infeasible design points``::
+every layer that a design point cannot map (``dse.infeasible``). A lone file
+or pairing problem is its line alone (``error: dataset row 5: non-finite
+feature``); otherwise those go under the command's stage-1 heading and the
+layers under ``infeasible design points``::
 
     error: invalid configuration:
       layers[0].scale: must be a positive finite number
@@ -215,15 +215,6 @@ def load_run_config(path: str, seed_override: int | None = None,
     return cfg, space, base_model
 
 
-def _infeasible(net: qnet.QuantizedNetwork | None, schemes: list, tile_sizes: list) -> list[str]:
-    """One line per (scheme, tile_size, layer) that cannot be mapped; none
-    for a network that did not load."""
-    return [f"scheme {scheme}, tile_size {t}: {problem} (layer {i}, {layer.spec.kind})"
-            for scheme in schemes for t in tile_sizes
-            for i, layer in enumerate(net.layers if net is not None else [])
-            for problem in mapping.layer_problems(layer.spec, scheme, t)]
-
-
 def _run_space(args, single_point: bool) -> tuple[dict, list[dse.ConfigResult]]:
     """Evaluate the space of ``args.config``. Refuses what the config shows,
     then what the network, the dataset, their pairing and the space show;
@@ -236,7 +227,7 @@ def _run_space(args, single_point: bool) -> tuple[dict, list[dse.ConfigResult]]:
     if net is not None and data is not None:
         problems += qnet.fit_problems(net.input_shape, net.layers[-1].spec.out_shape, data)
     _refuse_inputs("invalid configuration", problems,
-                   _infeasible(net, space.scheme, space.tile_size))
+                   dse.infeasible(net, space.scheme, space.tile_size) if net else [])
     space.network = [net.name]
     results = dse.grid_search(space, data, {net.name: net}, seed=cfg["seed"],
                               base_model=base_model, jobs=cfg["jobs"])
@@ -318,7 +309,7 @@ def write_contour_csv(path: Path, grid: dse.ContourGrid, seed: int,
     rows = [[yv, *("missing" if missing else value
                    for missing, value in zip(grid.missing[yi], grid.matrix[yi]))]
             for yi, yv in enumerate(grid.y_values)]
-    _write_csv(path, header, rows, f"seed: {seed}, metric: {grid.metric}"
+    _write_csv(path, header, rows, f"seed: {seed}, metric: tsa"
                + (f", slice: {slice_tag}" if slice_tag else ""))
 
 
@@ -349,7 +340,7 @@ def write_heatmap_svg(path: Path, grid: dse.ContourGrid, title: str) -> None:
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
              f'font-family="monospace" font-size="11">',
              f'<text x="{margin}" y="16">{title}</text>',
-             f'<text x="{margin}" y="30">{grid.metric}: min={lo:.6g} max={hi:.6g}</text>']
+             f'<text x="{margin}" y="30">tsa: min={lo:.6g} max={hi:.6g}</text>']
     for yi, yv in enumerate(grid.y_values):
         for xi, xv in enumerate(grid.x_values):
             x0 = margin + xi * cell
@@ -417,7 +408,7 @@ def cmd_cost(args) -> int:
     _refuse("invalid arguments", errors + (_out_dir_errors(args.out) if args.out else []))
     net, problems = _load(qnet.load_network, args.net)
     _refuse_inputs("invalid arguments", problems,
-                   _infeasible(net, [args.scheme], [args.tile_size]))
+                   dse.infeasible(net, [args.scheme], [args.tile_size]) if net else [])
     total, reports = mapping.cost_network(net, args.scheme, args.tile_size)
     header = ["layer", "kind", "rd", "tiles", "rwo", "programming_writes",
               "eq1_staggered_devices", "eq1_remainder", "eq2_dense_devices",
@@ -484,7 +475,7 @@ def _emit_reports(out: Path, results: list[dse.ConfigResult], svg: bool) -> list
     for key in sorted(groups, key=repr):
         subset = groups[key]
         tag = "".join(f"_{d}={v}" for d, v in zip(slice_dims, key))
-        grid = dse.contour_grid(subset, "tile_size", "batch_size", "tsa")
+        grid = dse.contour_grid(subset, "tile_size", "batch_size")
         name = f"contour_tsa{tag}.csv"
         write_contour_csv(out / name, grid, seed, tag.lstrip("_"))
         written.append(name)

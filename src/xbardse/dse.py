@@ -7,7 +7,8 @@ except the I/O ones, io_bit_width, v_max and batch_size) run one after
 another and share its conductance matrices, which are sampled and programmed
 once and then only read. The result list is still ordered lexicographically
 over the dimension value lists, so reruns are bit-identical. ``grid_search``
-and the CLI refuse a bad space value by one rule, ``SearchSpace.problems``.
+and the CLI refuse a bad space value by one rule, ``SearchSpace.problems``,
+and an unmappable (scheme, tile_size, layer) by one more, ``infeasible``.
 """
 
 from __future__ import annotations
@@ -54,17 +55,15 @@ class SearchSpace:
     p_stuck_off: list = field(default_factory=lambda: [xbar.DeviceModel.p_stuck_off])
     std_multiplier: list = field(default_factory=lambda: [1.0])
 
-    def problems(self, base_model: xbar.DeviceModel, networks: dict | None = None) -> list[str]:
-        """The space rule, a line a problem: each dimension not a non-empty list, network
-        missing from ``networks`` (if given), unknown scheme, tile size not an integer >= 2,
-        and I/O value, device value and stuck pair that ``IOConfig``'s defaults and
-        ``base_model`` refuse."""
+    def problems(self, base_model: xbar.DeviceModel) -> list[str]:
+        """The space rule, a line a problem: each dimension not a non-empty list, unknown
+        scheme, tile size not an integer >= 2, and I/O value, device value and stuck pair
+        that ``IOConfig``'s defaults and ``base_model`` refuse. Network names are
+        ``grid_search``'s to check, against the networks it is given."""
         dims = {name: getattr(self, name) for name in DIMENSIONS}
         problems = [f"{name}: {'empty value list' if isinstance(v, list) else 'not a list'}"
                     for name, v in dims.items() if not isinstance(v, list) or not v]
         dims = {name: v if isinstance(v, list) else [] for name, v in dims.items()}
-        problems += [f"network: {name!r}: not in networks" for name in dims["network"]
-                     if networks is not None and name not in list(networks)]  # unhashable too
         problems += [f"scheme: {problem}" for scheme in dims["scheme"]
                      for problem in mapping.layer_problems(None, scheme, None)]
         problems += [f"tile_size: {t!r}: {problem}" for t in dims["tile_size"]
@@ -140,6 +139,13 @@ def _hardware_fields(base: xbar.DeviceModel, dims: dict) -> tuple[dict, dict, li
     return io, device, bad
 
 
+def infeasible(net: QuantizedNetwork, schemes: list, tile_sizes: list) -> list[str]:
+    """One line per (scheme, tile_size, layer of ``net``) that cannot be mapped."""
+    return [f"scheme {scheme}, tile_size {t}: {problem} (layer {i}, {layer.spec.kind})"
+            for scheme in schemes for t in tile_sizes for i, layer in enumerate(net.layers)
+            for problem in mapping.layer_problems(layer.spec, scheme, t)]
+
+
 def evaluate_config(cfg: dict, order_index: int, networks: dict, data: Dataset,
                     seed: int, base_model: xbar.DeviceModel,
                     conductances: list[np.ndarray]) -> ConfigResult:
@@ -186,8 +192,10 @@ def grid_search(space: SearchSpace, data: Dataset, networks: dict,
     A population's first point samples and programs its conductance
     matrices, the rest read them, and they are freed before the next
     population. Before the first point, one ``ValueError`` lists a bad
-    ``jobs`` and every ``space.problems``; a failure that needs the network,
-    such as an unmappable layer, raises ``EvaluationError``. ``jobs`` is
+    ``jobs`` and every ``space.problems``; once those pass, one lists each
+    network of ``space.network`` missing from ``networks``, with problems of
+    its own, unpaired with ``data`` (``qnet.fit_problems``) or unmappable
+    (``infeasible``), a line each after ``network: '<name>': ``. ``jobs`` is
     otherwise ignored: points run one at a time, but ``xbar.program_network``
     programs a large layer on every CPU the process may use. Randomness is
     keyed per structural identity (network, scheme, tile size), so the
@@ -195,7 +203,14 @@ def grid_search(space: SearchSpace, data: Dataset, networks: dict,
     """
     base_model = base_model or xbar.DeviceModel()
     problems = [] if qnet._is_int(jobs) and jobs >= 1 else ["jobs must be a positive integer"]
-    qnet._raise_all(problems + space.problems(base_model, networks), ValueError)
+    qnet._raise_all(problems + space.problems(base_model), ValueError)
+    for name in space.network:      # the space rule passed: known schemes, integer tile sizes
+        net = networks[name] if name in list(networks) else None    # unhashable names too
+        lines = ["not in networks"] if net is None else net.problems() or (  # may not compose
+            qnet.fit_problems(net.input_shape, net.layers[-1].spec.out_shape, data)
+            + infeasible(net, space.scheme, space.tile_size))
+        problems += [f"network: {name!r}: {line}" for line in lines]
+    qnet._raise_all(problems, ValueError)
     points = list(space.points())
     populations: dict[tuple, list[int]] = {}   # keyed by values, all hashable past the space rule
     for i, point in enumerate(points):
@@ -216,16 +231,14 @@ def grid_search(space: SearchSpace, data: Dataset, networks: dict,
 class ContourGrid:
     x_dim: str
     y_dim: str
-    metric: str
     x_values: list
     y_values: list
     matrix: np.ndarray    # (len(y_values), len(x_values))
     missing: np.ndarray   # boolean mask of unevaluated cells
 
 
-def contour_grid(results: list[ConfigResult], x_dim: str, y_dim: str,
-                 metric: str = "tsa") -> ContourGrid:
-    """Dense metric matrix over two chosen dimensions; remaining dimensions
+def contour_grid(results: list[ConfigResult], x_dim: str, y_dim: str) -> ContourGrid:
+    """Dense TSA matrix over two chosen dimensions; remaining dimensions
     collapse to their maximum. Cells with no result are flagged."""
     if x_dim == y_dim:
         raise ValueError("x_dim and y_dim must differ")
@@ -238,11 +251,9 @@ def contour_grid(results: list[ConfigResult], x_dim: str, y_dim: str,
     for res in results:
         xi = x_values.index(res.config[x_dim])
         yi = y_values.index(res.config[y_dim])
-        value = getattr(res, metric)
-        if np.isnan(matrix[yi, xi]) or value > matrix[yi, xi]:
-            matrix[yi, xi] = value
-    return ContourGrid(x_dim, y_dim, metric, x_values, y_values, matrix,
-                       np.isnan(matrix))
+        if np.isnan(matrix[yi, xi]) or res.tsa > matrix[yi, xi]:
+            matrix[yi, xi] = res.tsa
+    return ContourGrid(x_dim, y_dim, x_values, y_values, matrix, np.isnan(matrix))
 
 
 def rank(results: list[ConfigResult]) -> list[ConfigResult]:

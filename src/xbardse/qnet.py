@@ -440,7 +440,7 @@ def fit_problems(input_shape: tuple[int, ...], output_shape: tuple[int, ...],
     vector of logits, and every class must be an output the network can give:
     ``class_count`` at most the network's output count."""
     problems = []
-    if data.feature_shape != input_shape:
+    if data.feature_shape != tuple(input_shape):      # a list shape pairs as its tuple
         problems.append(f"dataset feature shape {data.feature_shape} != "
                         f"network input {input_shape}")
     if len(output_shape) != 1:

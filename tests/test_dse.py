@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -94,12 +95,15 @@ class TestGridSearch:
         assert res.tsa == direct
 
     def test_failure_carries_config(self, fixture_net, test_data):
-        # dense_kernel with a tile smaller than the kernel footprint must fail
-        space = SearchSpace(network=[fixture_net.name], scheme=["dense_kernel"],
-                            tile_size=[2], io_bit_width=[8], batch_size=[64])
+        # dense_kernel with a tile smaller than the kernel footprint must fail;
+        # grid_search refuses it up front, a direct call fails with its config
+        cfg = next(SearchSpace(network=[fixture_net.name], scheme=["dense_kernel"],
+                               tile_size=[2], io_bit_width=[8], batch_size=[64]).points())
         with pytest.raises(dse.EvaluationError) as err:
-            grid_search(space, test_data, {fixture_net.name: fixture_net}, seed=0)
-        assert err.value.config["tile_size"] == 2
+            dse.evaluate_config(cfg, 0, {fixture_net.name: fixture_net}, test_data, 0,
+                                xbar.DeviceModel(), [])
+        assert err.value.config == cfg
+        assert isinstance(err.value.cause, mapping.MappingError)
 
     @pytest.mark.parametrize("scheme", ["sparse_staggered", "dense_routed"])
     def test_point_costs_only_its_own_scheme(self, scheme, fixture_net, test_data):
@@ -247,13 +251,18 @@ BAD_LINES = [
 class TestSpaceRule:
     def test_grid_search_lists_every_problem_before_any_point(self, fixture_net, test_data,
                                                              monkeypatch):
-        space = SearchSpace(network=[fixture_net.name, "other", ["x"]], **BAD_SPACE)
+        """The space rule first; once it passes, the networks, checked against
+        its schemes and tile sizes."""
+        nets = {fixture_net.name: fixture_net}
+        names = [fixture_net.name, "other", ["x"]]
         spy_on_points(monkeypatch)
         with pytest.raises(ValueError) as err:
-            grid_search(space, test_data, {fixture_net.name: fixture_net}, jobs=0)
-        assert str(err.value).splitlines() == ["jobs must be a positive integer",
-                                               "network: 'other': not in networks",
-                                               "network: ['x']: not in networks", *BAD_LINES]
+            grid_search(SearchSpace(network=names, **BAD_SPACE), test_data, nets, jobs=0)
+        assert str(err.value).splitlines() == ["jobs must be a positive integer", *BAD_LINES]
+        with pytest.raises(ValueError) as err:
+            grid_search(SearchSpace(network=names), test_data, nets)
+        assert str(err.value).splitlines() == ["network: 'other': not in networks",
+                                               "network: ['x']: not in networks"]
 
     @pytest.mark.parametrize("bad, line", [
         ({"batch_size": [64, 0]}, "batch_size: 0: batch_size must be >= 1"),
@@ -295,6 +304,97 @@ class TestSpaceRule:
                 dse.evaluate_config(cfg, 0, nets, test_data, 0, xbar.DeviceModel(), [])
             assert err.value.config == cfg
             assert str(err.value.cause) == line
+
+
+def count_points(monkeypatch) -> dict:
+    """Count the design points evaluated and the populations programmed."""
+    calls = {"evaluate_config": 0, "program_network": 0}
+    for module, name in ((dse, "evaluate_config"), (xbar, "program_network")):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def nan_scale_copy(net, name):
+    """A copy of ``net`` named ``name`` whose layer 0 has a NaN scale."""
+    bad = copy.deepcopy(net)
+    bad.name = name
+    bad.layers[0].weights.scale = float("nan")
+    return bad
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+FOOTPRINT_LINE = ("scheme dense_kernel, tile_size 2: kernel footprint 3 exceeds tile size 2 "
+                  "(layer 0, conv1d)")
+
+
+class TestNetworkRule:
+    @pytest.mark.parametrize("case", ["twelve_classes", "nan_scale", "dense_kernel_t2"])
+    def test_refused_before_any_point(self, case, fixture_net, test_data, monkeypatch):
+        """An unpairable dataset, an invalid network or an unmappable layer is
+        one ValueError before any point runs; the same space on the good
+        inputs runs every point, which the spies count."""
+        net, data, tile_size = fixture_net, test_data, 8
+        if case == "twelve_classes":
+            data = qnet.Dataset(test_data.features, test_data.labels, 12)
+            line = "architecture output (4,) does not match 12 classes"
+        elif case == "nan_scale":
+            net = nan_scale_copy(fixture_net, fixture_net.name)
+            line = "layers[0]: scale must be > 0 and finite"
+        else:
+            tile_size, line = 2, FOOTPRINT_LINE
+        calls = count_points(monkeypatch)
+        space = SearchSpace(network=[net.name], scheme=list(mapping.SCHEMES),
+                            tile_size=[tile_size], batch_size=[16, 64])
+        with pytest.raises(ValueError) as err:
+            grid_search(space, data, {net.name: net}, seed=0)
+        assert str(err.value) == f"network: {net.name!r}: {line}"
+        assert calls == {"evaluate_config": 0, "program_network": 0}
+        space.tile_size = [8]
+        grid_search(space, test_data, {fixture_net.name: fixture_net}, seed=0)
+        assert calls == {"evaluate_config": 6, "program_network": 3}
+
+    def test_lists_every_network_at_once(self, fixture_net, test_data, monkeypatch):
+        bad = nan_scale_copy(fixture_net, "nan-scale")
+        space = SearchSpace(network=[bad.name, fixture_net.name, "other"],
+                            scheme=["dense_kernel"], tile_size=[2, 8])
+        data = qnet.Dataset(test_data.features, test_data.labels, 12)
+        spy_on_points(monkeypatch)
+        with pytest.raises(ValueError) as err:
+            grid_search(space, data, {fixture_net.name: fixture_net, bad.name: bad})
+        name = repr(fixture_net.name)
+        assert str(err.value).splitlines() == [
+            "network: 'nan-scale': layers[0]: scale must be > 0 and finite",
+            f"network: {name}: architecture output (4,) does not match 12 classes",
+            f"network: {name}: {FOOTPRINT_LINE}",
+            "network: 'other': not in networks"]
+
+    def test_a_list_input_shape_pairs_as_its_tuple(self, fixture_net, test_data):
+        net = copy.deepcopy(fixture_net)
+        net.input_shape = list(net.input_shape)
+        space = SearchSpace(network=[net.name], tile_size=[16])
+        assert grid_search(space, test_data, {net.name: net}) == \
+            grid_search(space, test_data, {net.name: fixture_net})
+
+    def test_infeasible_lines_equal_the_cli_lines(self, tmp_path, capsys):
+        """On the golden conv2d network, whose two conv layers dense_kernel
+        cannot map below their footprints, 8 and 6."""
+        dims = {"scheme": list(mapping.SCHEMES), "tile_size": [2, 4, 8]}
+        paths = {"network": str(GOLDEN_INPUTS / "conv2d_net.json"),
+                 "dataset": str(GOLDEN_INPUTS / "conv2d_test.csv")}
+        (tmp_path / "config.json").write_text(json.dumps(
+            {**paths, "out": str(tmp_path), "space": dims}))
+        assert cli.main(["dse", "--config", str(tmp_path / "config.json")]) == 2
+        heading, *lines = capsys.readouterr().err.splitlines()
+        assert heading == "error: infeasible design points:" and len(lines) == 4
+        net = qnet.load_network(paths["network"])
+        with pytest.raises(ValueError) as err:
+            grid_search(SearchSpace(network=[net.name], **dims),
+                        qnet.load_dataset(paths["dataset"]), {net.name: net})
+        assert str(err.value).splitlines() == [
+            f"network: {net.name!r}: {line.removeprefix('  ')}" for line in lines]
 
 
 def test_import_and_search_leave_scipy_unloaded(fixture_net, test_data, tmp_path):
@@ -383,7 +483,7 @@ class TestContour:
 
     def test_full_grid_shape(self, fixture_net, test_data):
         results = self._results(fixture_net, test_data)
-        grid = contour_grid(results, "tile_size", "batch_size", "tsa")
+        grid = contour_grid(results, "tile_size", "batch_size")
         assert grid.matrix.shape == (2, 3)
         assert not grid.missing.any()
 
@@ -391,14 +491,14 @@ class TestContour:
         results = self._results(fixture_net, test_data)
         partial = [r for r in results
                    if not (r.config["tile_size"] == 64 and r.config["batch_size"] == 16)]
-        grid = contour_grid(partial, "tile_size", "batch_size", "tsa")
+        grid = contour_grid(partial, "tile_size", "batch_size")
         assert grid.missing[grid.y_values.index(16), grid.x_values.index(64)]
         assert grid.missing.sum() == 1
 
     def test_entries_match_results_when_sliced(self, fixture_net, test_data):
         results = self._results(fixture_net, test_data)
         subset = [r for r in results if r.config["scheme"] == "dense_kernel"]
-        grid = contour_grid(subset, "tile_size", "batch_size", "tsa")
+        grid = contour_grid(subset, "tile_size", "batch_size")
         for res in subset:
             xi = grid.x_values.index(res.config["tile_size"])
             yi = grid.y_values.index(res.config["batch_size"])
@@ -416,7 +516,7 @@ class TestContour:
                 results.append(make_result(i, {"tile_size": t, "batch_size": b},
                                            tsa=0.5 + 0.001 * i))
                 i += 1
-        grid = contour_grid(results, "tile_size", "batch_size", "tsa")
+        grid = contour_grid(results, "tile_size", "batch_size")
         assert grid.matrix.shape == (3, 4)
         assert not grid.missing.any()
 
