@@ -83,16 +83,15 @@ def _is_positive_finite(value) -> bool:
 def _round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Round to the nearest integer, halves away from zero.
 
-    Equal to sign(x) * floor(|x| + 0.5) in value; computed in one buffer,
-    a new one or ``out``, which may be ``x`` itself to round in place. The
-    sign goes back by negating where x's sign bit was set, so -0.0 stays
-    -0.0.
+    Computed as trunc(x + copysign(0.5, x)), which has the bytes of
+    sign(x) * floor(|x| + 0.5): x - 0.5 is exactly -(|x| + 0.5) where x's
+    sign bit is set, so -0.0 stays -0.0 and the values near 2^52 round
+    alike. The result goes to ``out``, which may be ``x`` itself to round
+    in place, or else to a new array.
     """
-    neg = np.signbit(x)
-    y = np.asarray(np.abs(x), dtype=float) if out is None else np.abs(x, out=out)
-    y += 0.5
-    np.floor(y, out=y)
-    return np.negative(y, out=y, where=neg)
+    half = np.asarray(np.copysign(0.5, x))
+    y = np.add(x, half, out=half if out is None else out)
+    return np.trunc(y, out=y)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +357,10 @@ class Layer:
     weights: WeightTensor
 
 
+# the rule a network's layers break, in a file and in code alike
+_LAYERS_RULE = "layers: must be a non-empty list, got {value!r}"
+
+
 @dataclass
 class QuantizedNetwork:
     name: str
@@ -367,15 +370,17 @@ class QuantizedNetwork:
     seed: int | None = None
 
     def problems(self) -> list[str]:
-        """Every problem of the network, one line each, naming its layer:
-        an ``input_shape`` without one or more extents, each >= 1, alone;
-        else shapes propagate from it up to the first layer that does not
-        compose, whose line ends the list, and each layer before it gets its
-        fan-in/spatial fields filled in and its weights checked."""
+        """Every problem of the network, one line each, naming its layer. An
+        ``input_shape`` without one or more extents, each >= 1, comes first
+        and stops the checks; no layers breaks ``_LAYERS_RULE``, as in a file.
+        Else shapes propagate from the input up to the first layer that does
+        not compose, whose line ends the list, and each layer before it gets
+        its fan-in/spatial fields filled in and its weights checked."""
+        problems = [] if self.layers else [_LAYERS_RULE.format(value=self.layers)]
         shape = tuple(int(d) for d in self.input_shape)
         if min(shape, default=0) < 1:
-            return [f"input_shape: needs one or more extents, each >= 1, got {list(shape)}"]
-        problems = []
+            return [f"input_shape: needs one or more extents, each >= 1, got {list(shape)}",
+                    *problems]
         for i, layer in enumerate(self.layers):
             where = f"layers[{i}]"
             try:
@@ -823,14 +828,15 @@ def load_network(path) -> QuantizedNetwork:
                         lambda v: isinstance(v, list) and all(map(_is_int, v)),
                         "input_shape: must be a list of integers, got {value!r}")
     raw_layers = _take(doc, "layers", top, problems, lambda v: isinstance(v, list) and v,
-                       "layers: must be a non-empty list, got {value!r}")
+                       _LAYERS_RULE)
     layers = [_load_layer(entry, f"layers[{i}]", doc.get("bit_width"), problems)
               for i, entry in enumerate(raw_layers or [])]
     if input_shape is not None:
         parsed = itertools.takewhile(lambda layer: layer is not None, layers)
         net = QuantizedNetwork(str(name), int(bit_width or 0), tuple(input_shape),
                                list(parsed) if bit_width else [], seed=doc.get("seed"))
-        problems += net.problems()
+        # net holds only the layers that parsed; the file's own layers line is above
+        problems += [line for line in net.problems() if line != _LAYERS_RULE.format(value=[])]
     _raise_all(problems)  # a None bit_width or input_shape has put its problem there
     return net
 

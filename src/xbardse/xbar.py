@@ -37,6 +37,16 @@ alone: it reads a chunk of whole groups per layer at once, each row with
 its group's scale, and keeps all-zero groups out of the read.
 ``encode_inputs`` only applies a given scale and the DAC grid.
 
+Each conversion runs its steps in place on one new array. The DAC scales,
+divides by its step, clips to [-half, half] and then rounds halves away
+from zero (``qnet._round_half_away``): clipping first changes no value,
+since the bounds are whole, and keeps -0.0. The ADC subtracts the range's
+low end, divides by its step, clips to [0, levels] and then takes
+floor(y + 1/2), the rounding of a value known to be >= 0. Every zero it
+gives is +0.0; rounding before the clip gave -0.0 for the steps in
+(-1/2, 0) of a range starting at -0.0, which ``calibrate_adc_ranges`` never
+returns, and the same bytes otherwise.
+
 All randomness flows through counter-based Philox streams keyed by
 (seed, configuration hash, layer, tile), the tile's position in the tile
 grid, with devices drawn in a fixed canonical order inside each tile, so
@@ -607,19 +617,21 @@ def encode_inputs(batch: np.ndarray, io: IOConfig, scale: float | np.ndarray) ->
     group's scale; ``simulate_forward`` sets it to v_max / max|x| per group,
     so v / v_max, and with it every result, does not depend on v_max.
     The voltages are one new array, each later step runs in place on it,
-    and ``batch`` is only read.
+    and ``batch`` is only read. The DAC scales, clips v / step to
+    [-2^(b-1), 2^(b-1)], then rounds halves away from zero and scales back;
+    -0.0 stays -0.0.
     """
     x = np.asarray(batch, dtype=float)
     if x.size == 0:
         raise ValueError("empty batch")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite inputs")
     v = np.multiply(x, scale)
     if io.quantizes:
         half = 2 ** (io.io_bit_width - 1)
         step = io.v_max / half
         v /= step
-        np.clip(_round_half_away(v, out=v), -half, half, out=v)
+        _round_half_away(np.clip(v, -half, half, out=v), out=v)
         v *= step
     return v
 
@@ -647,8 +659,10 @@ def readout(i_pos: np.ndarray, i_neg: np.ndarray, cal: ReadoutCalibration,
     """Differential currents back to the weight-times-input domain, then
     ADC-quantized to 2^b uniform levels over the calibrated output range.
     The result is one new array, each later step runs in place on it, and
-    ``i_pos`` and ``i_neg`` are only read."""
-    if not np.all(cal.voltage_scale) or cal.weight_scale == 0:
+    ``i_pos`` and ``i_neg`` are only read. The ADC clips (y - lo) / step to
+    [0, 2^b - 1], then takes floor(y + 1/2) and maps the level back, so every
+    zero the ADC gives is +0.0."""
+    if not np.asarray(cal.voltage_scale).all() or cal.weight_scale == 0:
         raise ValueError("zero calibration scale")
     y = np.subtract(i_pos, i_neg, dtype=float)
     y /= cal.voltage_scale * cal.weight_scale
@@ -660,7 +674,9 @@ def readout(i_pos: np.ndarray, i_neg: np.ndarray, cal: ReadoutCalibration,
         step = (hi - lo) / levels
         y -= lo
         y /= step
-        np.clip(_round_half_away(y, out=y), 0, levels, out=y)
+        np.clip(y, 0, levels, out=y)
+        y += 0.5
+        np.floor(y, out=y)
         y *= step
         y += lo
     return y
@@ -685,7 +701,8 @@ def simulate_forward(net: QuantizedNetwork, plans: list[MappingPlan],
     a chunk is encoded, read with one ``tile_vmm`` and read out once, with
     the per-row scales as an (rows, 1) column, or as one scalar when a
     single group is read. A group whose input peak is 0, and a layer whose
-    weights are all 0, give zero pre-activations.
+    weights are all 0, give zero pre-activations. Each layer's peak |weight|
+    is found once a call, not once a chunk.
     """
     x = qnet._float_batch(net, batch)
     if len(x) == 0:
@@ -699,29 +716,35 @@ def simulate_forward(net: QuantizedNetwork, plans: list[MappingPlan],
                              f"plan needs {(plan.rows, 2 * plan.cols)}")
     per_sample = max(plan.reads_per_sample * 2 * plan.cols for plan in plans)
     step = qnet._chunk_rows(per_sample, io.batch_size)
-    return np.concatenate([_forward_chunk(net, plans, conductances, x[start:start + step],
-                                          io, model, adc_ranges)
+    w_maxes = [_code_peak(layer.weights) * layer.weights.scale for layer in net.layers]
+    return np.concatenate([_forward_chunk(net, plans, conductances, w_maxes,
+                                          x[start:start + step], io, model, adc_ranges)
                            for start in range(0, len(x), step)])
 
 
 def _forward_chunk(net: QuantizedNetwork, plans: list[MappingPlan],
-                   conductances: list[np.ndarray], x: np.ndarray, io: IOConfig,
-                   model: DeviceModel,
+                   conductances: list[np.ndarray], w_maxes: list[float], x: np.ndarray,
+                   io: IOConfig, model: DeviceModel,
                    adc_ranges: list[tuple[float, float]] | None) -> np.ndarray:
-    """``simulate_forward`` of whole scaling groups, each layer read once."""
-    n = x.shape[0]
-    starts = np.arange(0, n, io.batch_size)
-    sizes = np.diff(starts, append=n)
+    """``simulate_forward`` of whole scaling groups, each layer read once;
+    ``w_maxes`` holds each layer's peak |weight|."""
+    n, size = x.shape[0], io.batch_size
+    starts = np.arange(0, n, size)
+    # every group holds size rows but the last, which holds the rest
+    sizes = np.full(starts.size, size)
+    sizes[-1] = n - starts[-1]
     last = len(net.layers) - 1
     for li, (layer, plan) in enumerate(zip(net.layers, plans)):
         # a linear layer's padding is 0, which leaves its input as it is
         flat = qnet._pad_flat(layer.spec, x)
-        peaks = np.maximum.reduceat(np.abs(flat).max(axis=1), starts)
+        # each group's max |x|, from the extremes of its run of flat's elements
+        cells, at = flat.reshape(-1), starts * flat.shape[1]
+        peaks = np.maximum(np.maximum.reduceat(cells, at), -np.minimum.reduceat(cells, at))
         live = peaks != 0
         scale = io.v_max / peaks[live]
         # numpy scales by a scalar several times faster than by a column
         scale = scale[0] if scale.size == 1 else np.repeat(scale, sizes[live])[:, None]
-        layer_args = (layer, plan, conductances[li], io, model,
+        layer_args = (plan, conductances[li], w_maxes[li], io, model,
                       adc_ranges[li] if adc_ranges is not None else (None, None))
         if live.all():
             z = _read_layer(flat, scale, *layer_args)
@@ -736,19 +759,19 @@ def _forward_chunk(net: QuantizedNetwork, plans: list[MappingPlan],
     return x
 
 
-def _read_layer(flat: np.ndarray, scale: float | np.ndarray, layer: qnet.Layer,
-                plan: MappingPlan, g: np.ndarray, io: IOConfig,
-                model: DeviceModel, adc_range: tuple) -> np.ndarray:
+def _read_layer(flat: np.ndarray, scale: float | np.ndarray, plan: MappingPlan,
+                g: np.ndarray, w_max: float, io: IOConfig, model: DeviceModel,
+                adc_range: tuple) -> np.ndarray:
     """One layer's pre-activations, shaped (rows, *plan.out_shape), for
     flattened inputs ``flat`` with voltage scale ``scale`` (one, or an
-    (rows, 1) column), read against the layer conductance matrix ``g``. A
-    sliding plan reads the windows of its ``gather``; its pre-activations
-    are the (rows, kernels, *spatial) view of the readout buffer, which
-    holds them position by position; the caller makes it contiguous."""
+    (rows, 1) column), read against the layer conductance matrix ``g`` of
+    peak |weight| ``w_max``. A sliding plan reads the windows of its
+    ``gather``; its pre-activations are the (rows, kernels, *spatial) view
+    of the readout buffer, which holds them position by position; the
+    caller makes it contiguous."""
     m = flat.shape[0]
     out_shape = plan.out_shape
     v = encode_inputs(flat, io, scale)
-    w_max = _code_peak(layer.weights) * layer.weights.scale
     if w_max == 0.0:
         return np.zeros((m, *out_shape))
     if plan.slides:
@@ -759,7 +782,8 @@ def _read_layer(flat: np.ndarray, scale: float | np.ndarray, layer: qnet.Layer,
                 ReadoutCalibration(scale, model.g_span / w_max, *adc_range), io)
     if plan.slides:
         # (m, *spatial, K) -> (m, K, *spatial), a view
-        return np.moveaxis(y.reshape(m, *out_shape[1:], out_shape[0]), -1, 1)
+        nd = len(out_shape)
+        return y.reshape(m, *out_shape[1:], out_shape[0]).transpose(0, nd, *range(1, nd))
     # other conv plans order their columns k * P + p; linear ones are the outputs
     return y.reshape(m, *out_shape)
 

@@ -371,6 +371,18 @@ class TestNetworkRule:
             f"network: {name}: {FOOTPRINT_LINE}",
             "network: 'other': not in networks"]
 
+    def test_network_without_layers_refused_before_any_point(self, fixture_net, test_data,
+                                                             monkeypatch):
+        """A network built in code without layers gets the loader's line, not
+        an IndexError from pairing its missing last layer with the data."""
+        empty = qnet.QuantizedNetwork("empty", 8, fixture_net.input_shape, [])
+        calls = count_points(monkeypatch)
+        with pytest.raises(ValueError) as err:
+            grid_search(SearchSpace(network=["empty"], tile_size=[8]), test_data,
+                        {"empty": empty})
+        assert str(err.value) == "network: 'empty': layers: must be a non-empty list, got []"
+        assert calls == {"evaluate_config": 0, "program_network": 0}
+
     def test_a_list_input_shape_pairs_as_its_tuple(self, fixture_net, test_data):
         net = copy.deepcopy(fixture_net)
         net.input_shape = list(net.input_shape)

@@ -25,18 +25,23 @@ NETWORKS = {"fixture": ("fixture_net.json", "fixture_test.csv"),
 # the grid CI runs on one BLAS thread and on the Sandybridge kernel
 GRID = {"scheme": ["sparse_staggered", "dense_routed", "dense_kernel"], "tile_size": [8, 32],
         "io_bit_width": [6], "batch_size": [16, 64]}
+# the same grid on ideal I/O (no DAC or ADC grid) and on a coarse 4-bit one
+IO_GRID = {**GRID, "io_bit_width": [None, 4]}
 POINT = {"scheme": ["dense_routed"], "tile_size": [16]}
 SCHEMES = ("sparse_staggered", "dense_routed", "dense_kernel")
+# (network, command, space) of each case that runs from a run config
+CONFIGS = {**{f"{net}_{command}": (net, command, space) for net in NETWORKS
+              for command, space in (("dse", GRID), ("simulate", POINT))},
+           "fixture_dse_io": ("fixture", "dse", IO_GRID)}
 
 
 def cases() -> dict[str, list[str]]:
     """The argv of every case, run in a directory that ``prepare`` filled,
     each writing into its ``out`` subdirectory; a report case re-emits the
     committed results of its network's dse case."""
-    argv = {}
+    argv = {case: [command, "--config", f"{case}.json"]
+            for case, (_, command, _) in CONFIGS.items()}
     for net, (network, _) in NETWORKS.items():
-        argv[f"{net}_dse"] = ["dse", "--config", f"{net}_dse.json"]
-        argv[f"{net}_simulate"] = ["simulate", "--config", f"{net}_simulate.json"]
         argv[f"{net}_report"] = ["report", "--out", "out", "--results",
                                  str(GOLDEN / "expected" / f"{net}_dse" / "results.csv")]
         for scheme in SCHEMES:
@@ -51,13 +56,13 @@ CASES = cases()
 def prepare(workdir: Path) -> None:
     """Copy the inputs into ``workdir``, write the run configs there, with
     paths relative to it, and make the empty ``out`` directory."""
-    for net, (network, dataset) in NETWORKS.items():
-        for name in (network, dataset):
-            shutil.copy(GOLDEN / "inputs" / name, workdir / name)
-        for command, space in (("dse", GRID), ("simulate", POINT)):
-            config = {"format_version": 1, "network": network, "dataset": dataset,
-                      "out": "out", "seed": 0, "space": space}
-            (workdir / f"{net}_{command}.json").write_text(json.dumps(config))
+    for name in itertools.chain(*NETWORKS.values()):
+        shutil.copy(GOLDEN / "inputs" / name, workdir / name)
+    for case, (net, _, space) in CONFIGS.items():
+        network, dataset = NETWORKS[net]
+        config = {"format_version": 1, "network": network, "dataset": dataset,
+                  "out": "out", "seed": 0, "space": space}
+        (workdir / f"{case}.json").write_text(json.dumps(config))
     (workdir / "out").mkdir()
 
 

@@ -608,6 +608,27 @@ class TestFileFormats:
             "bit_width: must be one of (4, 6, 8)",
             "input_shape: needs one or more extents, each >= 1, got []"]
 
+    def test_network_without_layers_has_the_loaders_line(self, fixture_net, tmp_path):
+        """A network built in code without layers is refused with the line the
+        loader gives a file without layers, once, and after an input_shape
+        problem; the file's line is not listed twice."""
+        import json
+        line = "layers: must be a non-empty list, got []"
+        assert QuantizedNetwork("empty", 8, (1, 16), []).problems() == [line]
+        assert QuantizedNetwork("empty", 8, (0, 16), []).problems() == [
+            "input_shape: needs one or more extents, each >= 1, got [0, 16]", line]
+        with pytest.raises(NetworkFormatError) as err:
+            save_network(QuantizedNetwork("empty", 8, (1, 16), []), tmp_path / "empty.json")
+        assert str(err.value) == line
+        path = tmp_path / "net.json"
+        save_network(fixture_net, path)
+        doc = json.loads(path.read_text())
+        doc["layers"] = []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NetworkFormatError) as err:
+            load_network(path)
+        assert str(err.value).splitlines() == [line]
+
     def test_dataset_round_trip(self, test_data, tmp_path):
         path = tmp_path / "data.csv"
         save_dataset(test_data, path)

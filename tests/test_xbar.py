@@ -791,6 +791,19 @@ def reference_readout(i_pos, i_neg, cal, io):
 IO_WIDTHS = (None, 1, 4, 6, 16)
 
 
+def adc_currents():
+    """(currents, column of voltage scales) of the readout tests: random
+    currents, pairs of +-0.0, and in row 1 pairs whose difference is a few
+    ulps of 0 either way, which reads out within half an ADC step of 0."""
+    rng = np.random.default_rng(22)
+    i = rng.normal(scale=1e-5, size=(10, 64))
+    i[0, :4] = [0.0, -0.0, 0.0, 0.0]
+    i[1, :8] = [-0.0, 0.0, 1e-5, np.nextafter(1e-5, 1.0), 1e-5, np.nextafter(1e-5, 0.0),
+                -1e-300, 0.0]
+    column = rng.uniform(0.01, 2.0, size=(10, 1))
+    return i, column
+
+
 class TestEncode:
     def test_matches_the_formula_and_reads_its_batch_only(self):
         """Scalar and per-row column scales, ideal and quantized DACs: the
@@ -855,18 +868,16 @@ class TestVmmAndReadout:
     def test_readout_matches_the_formula_and_reads_its_currents_only(self):
         """Strided views of one current matrix, as ``simulate_forward``
         passes them; scalar and column voltage scales; ideal and quantized
-        ADCs, with and without a range, and empty ranges (hi <= lo): the bytes
+        ADCs, with and without a range, empty ranges (hi <= lo), and a range
+        from 0.0 with currents whose ADC step lands in (-1/2, 0]: the bytes
         of the formula, and the currents are left as they were, since a
         caller may read them again."""
-        rng = np.random.default_rng(22)
-        i = rng.normal(scale=1e-5, size=(10, 64))
-        i[0, :4] = [0.0, -0.0, 0.0, 0.0]
-        column = rng.uniform(0.01, 2.0, size=(10, 1))
+        i, column = adc_currents()
         for bits in IO_WIDTHS:
             io = IOConfig(io_bit_width=bits)
             for vs in (0.3, column):
                 for lo, hi in ((None, None), (-2e-4, 3e-4), (-1e-5, 1e-5), (1e-4, 1e-4),
-                               (2e-4, -1e-4)):
+                               (2e-4, -1e-4), (0.0, 3e-4)):
                     cal = ReadoutCalibration(vs, 0.02, lo, hi)
                     before = i.tobytes()
                     got = readout(i[:, 0::2], i[:, 1::2], cal, io)
@@ -874,6 +885,25 @@ class TestVmmAndReadout:
                     assert i.tobytes() == before
                     assert (got.dtype, got.shape) == (want.dtype, want.shape)
                     assert got.tobytes() == want.tobytes(), (bits, np.ndim(vs), lo, hi)
+
+    def test_readout_from_negative_zero_gives_positive_zeros(self):
+        """A range from -0.0 reads out the formula's values, and every zero
+        as +0.0, where the formula gives -0.0 for the steps in (-1/2, 0).
+        ``calibrate_adc_ranges`` never returns -0.0: its minima come from
+        sums that start at +0.0."""
+        i, column = adc_currents()
+        signed = 0
+        for bits in (1, 4, 6):
+            io = IOConfig(io_bit_width=bits)
+            for vs in (0.3, column):
+                cal = ReadoutCalibration(vs, 0.02, -0.0, 3e-4)
+                got = readout(i[:, 0::2], i[:, 1::2], cal, io)
+                want = reference_readout(i[:, 0::2], i[:, 1::2], cal, io)
+                assert np.array_equal(got, want)
+                zeros = got == 0
+                assert zeros.any() and not np.signbit(got[zeros]).any()
+                signed += np.count_nonzero(np.signbit(want[zeros]))
+        assert signed > 0
 
     def test_readout_equal_currents_zero(self):
         cal = ReadoutCalibration(0.1, 1e-4)
